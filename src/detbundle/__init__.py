@@ -52,7 +52,6 @@ from .detline import (
 )
 from .models import (
     DEMO_COEFFICIENTS,
-    CauchyData,
     CylinderFamily,
     Dirac1DFamily,
     bloch_curvature_density,
@@ -102,7 +101,7 @@ __all__ = [
     "LineElement", "Trivialization", "canonical_det", "chart_coordinate",
     "coordinate", "inner_product", "metric_norm_sq", "norm_sq", "sew",
     "sew_gauge_factor", "transition",
-    "CauchyData", "CylinderFamily", "DEMO_COEFFICIENTS", "Dirac1DFamily",
+    "CylinderFamily", "DEMO_COEFFICIENTS", "Dirac1DFamily",
     "bloch_curvature_density", "bloch_section", "bloch_vector",
     "coefficient_family", "constant_scalar_family", "demo_family",
     "potential_from_coefficients", "rotated_interface",

@@ -18,6 +18,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from .models import (
 from .curvature import (
     additivity_residual,
     default_cover,
+    pair_metric_field,
     pair_overlap_field,
     restricted_shift_field,
 )
@@ -117,9 +119,12 @@ def config_hash(cfg: dict[str, dict[str, str]]) -> str:
 
 def _as_float(cfg, sec, key) -> float:
     try:
-        return float(cfg[sec][key])
+        value = float(cfg[sec][key])
     except ValueError as err:
         raise ConfigError(f"{sec}.{key} must be a number, got {cfg[sec][key]!r}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"{sec}.{key} must be finite, got {cfg[sec][key]!r}")
+    return value
 
 
 def _as_int(cfg, sec, key) -> int:
@@ -139,19 +144,13 @@ def build_family(cfg: dict[str, dict[str, str]], grid: BaseGrid):
     kind = cfg["model"]["kind"].strip().lower()
     steps = _as_int(cfg, "model", "steps_per_half")
     if kind == "dirac":
-        coeffs = {}
-        for key, value in cfg["potential"].items():
-            try:
-                coeffs[key] = float(value)
-            except ValueError as err:
-                raise ConfigError(f"potential.{key} must be a number") from err
+        coeffs = {key: _as_float(cfg, "potential", key) for key in cfg["potential"]}
         try:
             return coefficient_family(grid, coeffs, steps_per_half=steps)
         except ValueError as err:
             raise ConfigError(str(err)) from err
     if kind == "constant_scalar":
-        raw = cfg["model"]["value"].strip()
-        value = float(raw) if raw else None
+        value = _as_float(cfg, "model", "value") if cfg["model"]["value"].strip() else None
         rank = _as_int(cfg, "model", "rank")
         return constant_scalar_family(grid, value=value, rank=rank,
                                       steps_per_half=steps)
@@ -303,7 +302,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("sweep supports the transfer-matrix families only")
     sec0, sec1 = family.boundary_pair("full")
     overlap = pair_overlap_field(sec0, sec1)
-    metric = np.abs(np.linalg.det(overlap)) ** 2
+    metric = pair_metric_field(sec0, sec1)
     mono = family.monodromy_field()
     shifts = restricted_shift_field(sec0, sec1, default_cover(sec0.dim)[1])
     triv = Trivialization(grid, shifts, cond_bound=1e8, label="shifted")

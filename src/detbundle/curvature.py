@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detline import Trivialization
+from .detline import Trivialization, frame_metric_sq
 from .errors import CoverageError, NearSingular, VortexOnLink
 from .grassmann import (
     BaseGrid,
     DiscreteForm,
     Projection,
     ProjectionSection,
+    _plaquette_corners,
     _roll,
     frames_of,
     nearest_projection,
@@ -129,10 +130,9 @@ def pair_overlap_field(sec0: ProjectionSection, sec1: ProjectionSection,
     return np.swapaxes(f1.conj(), -1, -2) @ (amb @ f0)
 
 
-def pair_metric_field(sec0: ProjectionSection, sec1: ProjectionSection,
-                      chart: PairChart | None = None) -> np.ndarray:
-    """Squared canonical metric |det M_alpha(b)|^2 of the chart datum."""
-    return np.abs(np.linalg.det(pair_overlap_field(sec0, sec1, chart))) ** 2
+def pair_metric_field(sec0: ProjectionSection, sec1: ProjectionSection) -> np.ndarray:
+    """Squared canonical metric |det F1(b)* F0(b)|^2 of the pair over the grid."""
+    return frame_metric_sq(*_frames_pair(sec0, sec1))
 
 
 def restricted_shift_field(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -147,11 +147,11 @@ def restricted_shift_field(sec0: ProjectionSection, sec1: ProjectionSection,
 
 
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
-                     chart: PairChart, sing_floor: float, f0: np.ndarray,
-                     f1: np.ndarray) -> dict:
+                     chart: PairChart, sing_floor: float) -> dict:
     """Edge samples of the chart connection form plus health bookkeeping."""
     g = sec0.grid
     g.require_periodic()
+    f0, f1 = _frames_pair(sec0, sec1)
     k = sec0.base_rank
     amb = chart.ambient(sec0.dim)
     f1h = np.swapaxes(f1.conj(), -1, -2)
@@ -223,10 +223,9 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
         cover = default_cover(sec0.dim)
     if not cover:
         raise ValueError("cover must contain at least one chart")
-    f0, f1 = _frames_pair(sec0, sec1)
     omegas, healthy, trivs = [], [], []
     for chart in cover:
-        data = _chart_edge_data(sec0, sec1, chart, sing_floor, f0, f1)
+        data = _chart_edge_data(sec0, sec1, chart, sing_floor)
         mask = data["edge_mask"] if data["edge_mask"].any() else None
         omegas.append(DiscreteForm(sec0.grid, 1, data["omega"], mask=mask))
         healthy.append(data["healthy"])
@@ -293,9 +292,8 @@ def patching_residuals(sec0: ProjectionSection, sec1: ProjectionSection,
     cancel exactly because |ratio| is the corresponding metric ratio.
     """
     g = sec0.grid
-    f0, f1 = _frames_pair(sec0, sec1)
-    da = _chart_edge_data(sec0, sec1, chart_a, sing_floor, f0, f1)
-    db = _chart_edge_data(sec0, sec1, chart_b, sing_floor, f0, f1)
+    da = _chart_edge_data(sec0, sec1, chart_a, sing_floor)
+    db = _chart_edge_data(sec0, sec1, chart_b, sing_floor)
     both = da["healthy"] & db["healthy"]
     t_ratio = np.where(both, da["det"] / db["det"], 1.0)
     r_ratio = np.where(both, np.conj(db["det"]) * da["det"], 1.0)
@@ -318,17 +316,9 @@ def patching_residuals(sec0: ProjectionSection, sec1: ProjectionSection,
 
 def _plaquette_curvature_blocks(sec: ProjectionSection):
     """Center projection and sandwiched curvature block per plaquette."""
-    g = sec.grid
-    v = sec.values
-    c00 = v
-    c10 = _roll(v, g, 0, +1)
-    c01 = _roll(v, g, 1, +1)
-    c11 = _roll(c10, g, 1, +1)
-    pc = nearest_projection(0.25 * (c00 + c10 + c01 + c11))
-    d0 = (c10 + c11 - c00 - c01) / (2.0 * g.spacing[0])
-    d1 = (c01 + c11 - c00 - c10) / (2.0 * g.spacing[1])
-    r = pc @ (d0 @ d1 - d1 @ d0) @ pc * g.plaquette_area()
-    return pc, r
+    pc, comm = _plaquette_corners(sec.values, sec.grid)
+    pc = nearest_projection(pc)
+    return pc, pc @ comm @ pc * sec.grid.plaquette_area()
 
 
 def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -372,18 +362,6 @@ def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
 # -- splitting comparison function ---------------------------------------------
 
 
-def _overlap_blocks(sec_a: ProjectionSection, sec_mid: ProjectionSection,
-                    sec_b: ProjectionSection):
-    fa, fb = _frames_pair(sec_a, sec_b)
-    fm, _ = _frames_pair(sec_mid, sec_b)
-    fbh = np.swapaxes(fb.conj(), -1, -2)
-    fmh = np.swapaxes(fm.conj(), -1, -2)
-    full = fbh @ fa
-    left = fmh @ fa
-    right = fbh @ fm
-    return full, left, right
-
-
 def f_function_field(sec_a: ProjectionSection, sec_mid: ProjectionSection,
                      sec_b: ProjectionSection, sing_floor: float = 0.1):
     """Determinant ratio comparing the outer pair with its two-stage split.
@@ -392,11 +370,14 @@ def f_function_field(sec_a: ProjectionSection, sec_mid: ProjectionSection,
     det M_left); the value is frame independent and equals 1 when the middle
     section coincides with the first leg.  Unhealthy points are set to 1.
     """
-    full, left, right = _overlap_blocks(sec_a, sec_mid, sec_b)
-    smins = [np.linalg.svd(m, compute_uv=False)[..., -1] for m in (full, left, right)]
+    fa, fb = _frames_pair(sec_a, sec_b)
+    fm, _ = _frames_pair(sec_mid, sec_b)
+    fbh = np.swapaxes(fb.conj(), -1, -2)
+    full, left, right = fbh @ fa, np.swapaxes(fm.conj(), -1, -2) @ fa, fbh @ fm
     healthy = np.ones(sec_a.grid.shape, dtype=bool)
-    for s in smins:
-        healthy &= s >= sing_floor
+    if sec_a.base_rank:
+        for m in (full, left, right):
+            healthy &= np.linalg.svd(m, compute_uv=False)[..., -1] >= sing_floor
     vals = np.where(healthy,
                     np.linalg.det(full)
                     / np.where(healthy, np.linalg.det(right) * np.linalg.det(left), 1.0),
@@ -412,20 +393,10 @@ def f_function(model, section: ProjectionSection, idx, sing_floor: float = 1e-8)
     the first Cauchy-data bundle.  Raises NearSingular at excluded points.
     """
     sec_a, sec_b = model.boundary_pair("full")
-    idx = idx if isinstance(idx, tuple) else (idx,)
-    pa = Projection(sec_a.at(idx))
-    pm = Projection(section.at(idx))
-    pb = Projection(sec_b.at(idx))
-    if not (pa.rank == pm.rank == pb.rank):
-        raise ValueError("sections of unequal rank cannot be compared")
-    fa, fm, fb = pa.frame(), pm.frame(), pb.frame()
-    full = fb.conj().T @ fa
-    left = fm.conj().T @ fa
-    right = fb.conj().T @ fm
-    for name, m in (("full", full), ("left", left), ("right", right)):
-        if pa.rank and np.linalg.svd(m, compute_uv=False)[-1] < sing_floor:
-            raise NearSingular(f"{name} compression near-singular at {idx}")
-    return complex(np.linalg.det(full) / (np.linalg.det(right) * np.linalg.det(left)))
+    vals, healthy = f_function_field(sec_a, section, sec_b, sing_floor)
+    if not healthy[idx]:
+        raise NearSingular(f"a compression is near-singular at {idx}")
+    return complex(vals[idx])
 
 
 # -- link variables and Chern numbers ------------------------------------------
@@ -539,12 +510,10 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
     if g.ndim != 2:
         raise ValueError("the additivity comparison needs a 2-axis grid")
 
-    fa, fb = _frames_pair(sec_a, sec_b)
-    fm = section.frames()
     plain = PairChart()
-    d_full = _chart_edge_data(sec_a, sec_b, plain, sing_floor, fa, fb)
-    d_left = _chart_edge_data(sec_a, section, plain, sing_floor, fa, fm)
-    d_right = _chart_edge_data(section, sec_b, plain, sing_floor, fm, fb)
+    d_full = _chart_edge_data(sec_a, sec_b, plain, sing_floor)
+    d_left = _chart_edge_data(sec_a, section, plain, sing_floor)
+    d_right = _chart_edge_data(section, sec_b, plain, sing_floor)
     f_vals, f_healthy = f_function_field(sec_a, section, sec_b, sing_floor)
 
     comps, fcomps, masks, fmasks = [], [], [], []

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfChart
+from .grassmann import Projection
 from .opcalc import as_matrix, fredholm_det, schatten_profile
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "sew_gauge_factor",
     "metric_norm_sq",
     "pair_metric_sq",
+    "frame_metric_sq",
 ]
 
 
@@ -198,24 +200,21 @@ def sew_gauge_factor(phi01, phi12, alpha, beta, gamma, cond_bound: float = 1e10)
     return complex(fredholm_det(q - np.eye(q.shape[0])))
 
 
-def pair_metric_sq(p0_matrix, p1_matrix) -> float:
-    """Squared canonical norm of the determinant of the pair compression.
+def frame_metric_sq(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """Squared canonical metric |det(F1* F0)|^2 of (stacked) orthonormal range frames.
 
-    det of the restricted Laplacian (P0 P1 P0)|ran(P0), computed as
-    |det(F1* P1 P0 F0)|^2 in orthonormal frames; frame independent.
+    This is det of the restricted pair Laplacian (P0 P1 P0)|ran(P0), so it
+    does not depend on the choice of frames; rank 0 gives 1.
     """
-    from .grassmann import Projection
+    return np.abs(np.linalg.det(np.swapaxes(f1.conj(), -1, -2) @ f0)) ** 2
 
-    p0 = Projection(p0_matrix)
-    p1 = Projection(p1_matrix)
+
+def pair_metric_sq(p0_matrix, p1_matrix) -> float:
+    """Squared canonical norm of the determinant of the pair compression."""
+    p0, p1 = Projection(p0_matrix), Projection(p1_matrix)
     if p0.rank != p1.rank:
         raise ValueError("pair metric needs equal ranks")
-    if p0.rank == 0:
-        return 1.0
-    f0, f1 = p0.frame(), p1.frame()
-    m = f1.conj().T @ (p1.matrix @ p0.matrix) @ f0
-    d = np.linalg.det(m)
-    return float((d * np.conj(d)).real)
+    return float(frame_metric_sq(p0.frame(), p1.frame()))
 
 
 def metric_norm_sq(model, idx, which: str = "full", section=None) -> float:

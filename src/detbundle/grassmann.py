@@ -25,14 +25,14 @@ __all__ = [
     "Projection",
     "ProjectionSection",
     "spectral_projection",
+    "spectral_projection_field",
     "graph_projection",
+    "graph_projection_field",
     "toeplitz",
     "toeplitz_inverse",
     "hom_derivative",
     "curvature_trace_form",
     "second_fundamental_form",
-    "trace_one_form",
-    "form_wedge_trace",
     "section_links",
     "frames_of",
     "restrict",
@@ -146,7 +146,7 @@ class DiscreteForm:
         if self.degree == 2 and self.grid.ndim != 2:
             raise ValueError("degree-2 forms need a 2-axis grid")
         self.samples = np.asarray(self.samples)
-        base = self.grid.shape if self.degree != 1 else self.grid.shape + (self.grid.ndim,)
+        base = self.cell_shape
         if self.samples.shape[: len(base)] != base:
             raise ValueError(f"sample shape {self.samples.shape} does not match degree-{self.degree} cells {base}")
         extra = self.samples.shape[len(base):]
@@ -158,16 +158,13 @@ class DiscreteForm:
                 raise ValueError("mask shape must match cell layout")
 
     @property
-    def is_scalar(self) -> bool:
-        base = self.grid.shape if self.degree != 1 else self.grid.shape + (self.grid.ndim,)
-        return self.samples.shape == base
+    def cell_shape(self) -> tuple[int, ...]:
+        """Leading sample axes that index cells: the grid, plus the edge axis for 1-forms."""
+        return self.grid.shape if self.degree != 1 else self.grid.shape + (self.grid.ndim,)
 
-    def edge(self, idx: tuple[int, ...], axis: int, reverse: bool = False):
-        """Degree-1 sample on the directed edge at ``idx`` along ``axis``."""
-        if self.degree != 1:
-            raise ValueError("edge access needs a degree-1 form")
-        v = self.samples[idx + (axis,)]
-        return -v if reverse else v
+    @property
+    def is_scalar(self) -> bool:
+        return self.samples.shape == self.cell_shape
 
     def coboundary(self) -> "DiscreteForm":
         """Discrete exterior derivative (oriented sum of face samples)."""
@@ -195,9 +192,7 @@ class DiscreteForm:
 
     def total(self):
         """Sum of samples over unmasked cells."""
-        if self.mask is None:
-            return self.samples.sum(axis=tuple(range(self.samples.ndim))) if self.is_scalar else self.samples.sum(axis=(0, 1))
-        keep = ~self.mask
+        keep = ~self.mask if self.mask is not None else np.ones(self.cell_shape, dtype=bool)
         return self.samples[keep].sum(axis=0)
 
     def density(self) -> np.ndarray:
@@ -220,27 +215,16 @@ class DiscreteForm:
         return float(d.max())
 
     def to_csv(self, path):
-        """Write scalar samples as rows of axis indices plus (re, im)."""
+        """Write scalar samples as rows of cell indices plus (re, im)."""
         if not self.is_scalar:
             raise ValueError("CSV export is for scalar forms")
+        header = ["i", "j"][: self.grid.ndim] + (["mu"] if self.degree == 1 else [])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if self.degree == 0:
-                w.writerow(["i", "re", "im"] if self.grid.ndim == 1 else ["i", "j", "re", "im"])
-                for idx in np.ndindex(*self.grid.shape):
-                    v = complex(self.samples[idx])
-                    w.writerow([*idx, repr(v.real), repr(v.imag)])
-            elif self.degree == 1:
-                w.writerow((["i", "mu", "re", "im"] if self.grid.ndim == 1 else ["i", "j", "mu", "re", "im"]))
-                for idx in np.ndindex(*self.grid.shape):
-                    for mu in range(self.grid.ndim):
-                        v = complex(self.samples[idx + (mu,)])
-                        w.writerow([*idx, mu, repr(v.real), repr(v.imag)])
-            else:
-                w.writerow(["i", "j", "re", "im"])
-                for idx in np.ndindex(*self.grid.shape):
-                    v = complex(self.samples[idx])
-                    w.writerow([*idx, repr(v.real), repr(v.imag)])
+            w.writerow(header + ["re", "im"])
+            for idx in np.ndindex(*self.cell_shape):
+                v = complex(self.samples[idx])
+                w.writerow([*idx, repr(v.real), repr(v.imag)])
 
 
 class Projection:
@@ -266,8 +250,7 @@ class Projection:
 
     def frame(self) -> np.ndarray:
         """Orthonormal basis of the range, shape (dim, rank)."""
-        w, v = np.linalg.eigh(self.matrix)
-        return v[:, w > 0.5]
+        return frames_of(self.matrix, self.rank)
 
 
 def frames_of(values: np.ndarray, rank: int) -> np.ndarray:
@@ -289,22 +272,28 @@ def nearest_projection(h: np.ndarray) -> np.ndarray:
     return (v * sel[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-@dataclass
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class ProjectionSection:
     """Field of projections over a BaseGrid with constant rank.
 
-    smoothness is the recorded constant C with ||P(b+e) - P(b)|| <= C*h over
-    all grid edges, used by continuity checks downstream.
+    An immutable value: ``build`` keeps a read-only copy of the projections,
+    and the frames, the complement and the smoothness constant are derived
+    on first use and cached on the instance.
     """
 
     grid: BaseGrid
     values: np.ndarray
     base_rank: int
-    smoothness: float = field(default=np.nan)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, grid: BaseGrid, values, tol: float = PROJECTION_TOL) -> "ProjectionSection":
-        v = np.asarray(values, dtype=complex)
+        v = np.array(values, dtype=complex)
         if v.shape[: grid.ndim] != grid.shape or v.ndim != grid.ndim + 2 or v.shape[-1] != v.shape[-2]:
             raise ValueError("values must be a grid of square matrices")
         herm = np.max(np.abs(v - np.swapaxes(v.conj(), -1, -2)))
@@ -315,61 +304,89 @@ class ProjectionSection:
         r0 = float(ranks.reshape(-1)[0])
         if np.max(np.abs(ranks - r0)) > 1e-8 or abs(r0 - round(r0)) > 1e-8:
             raise ValueError("section must have constant integral rank")
-        c = 0.0
-        for ax in range(grid.ndim):
-            if grid.periodic[ax]:
-                d = _roll(v, grid, ax, +1) - v
-            else:
-                d = np.diff(v, axis=ax)
-            if d.size:
-                c = max(c, float(np.max(np.linalg.norm(d, ord=2, axis=(-2, -1)))) / grid.spacing[ax])
-        return cls(grid=grid, values=v, base_rank=int(round(r0)), smoothness=c)
+        return cls(grid=grid, values=_readonly(v), base_rank=int(round(r0)))
 
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
+
+    @property
+    def smoothness(self) -> float:
+        """Constant C with ||P(b+e) - P(b)|| <= C*h over all grid edges."""
+        if "smoothness" not in self._derived:
+            g, v, c = self.grid, self.values, 0.0
+            for ax in range(g.ndim):
+                d = _roll(v, g, ax, +1) - v if g.periodic[ax] else np.diff(v, axis=ax)
+                if d.size:
+                    c = max(c, float(np.max(np.linalg.norm(d, ord=2, axis=(-2, -1)))) / g.spacing[ax])
+            self._derived["smoothness"] = c
+        return self._derived["smoothness"]
 
     def at(self, idx) -> np.ndarray:
         idx = idx if isinstance(idx, tuple) else (idx,)
         return self.values[idx]
 
     def frames(self) -> np.ndarray:
-        return frames_of(self.values, self.base_rank)
+        """Read-only orthonormal range frames, shape grid.shape + (dim, base_rank)."""
+        if "frames" not in self._derived:
+            self._derived["frames"] = _readonly(frames_of(self.values, self.base_rank))
+        return self._derived["frames"]
 
     def complement(self) -> "ProjectionSection":
-        eye = np.eye(self.dim)
-        return ProjectionSection(self.grid, eye - self.values, self.dim - self.base_rank,
-                                 smoothness=self.smoothness)
+        """Section of I - P; its own complement is this section again."""
+        if "complement" not in self._derived:
+            comp = ProjectionSection(self.grid, _readonly(np.eye(self.dim) - self.values),
+                                     self.dim - self.base_rank)
+            comp._derived["complement"] = self
+            self._derived["complement"] = comp
+        return self._derived["complement"]
 
-    def conjugate(self, u: np.ndarray) -> "ProjectionSection":
-        """Apply a constant unitary change of ambient frame."""
-        u = as_matrix(u)
-        return ProjectionSection.build(self.grid, u @ self.values @ u.conj().T)
 
-
-def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
-    """Projection onto the span of eigenvectors with non-negative eigenvalues.
+def spectral_projection_field(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
+    """Projections onto the non-negative spectral subspaces of a stack of Hermitian matrices.
 
     Zero eigenvalues belong to the non-negative side; roundoff-scale negatives
     are snapped to zero so exact kernels survive eigh jitter.  Eigenvalues
     inside (-gap_tol, -snap] make the split ill-posed and raise
     DegenerateSpectrum.
     """
+    if gap_tol <= 0:
+        raise ValueError("gap_tol must be positive")
+    ah = np.swapaxes(a.conj(), -1, -2)
+    if np.any(np.linalg.norm(a - ah, axis=(-2, -1))
+              > 1e-10 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))):
+        raise ValueError("spectral projection needs self-adjoint matrices")
+    w, v = np.linalg.eigh(a)
+    snap = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    snap = np.minimum(snap, 0.5 * gap_tol)[..., None]
+    if np.any((w > -gap_tol) & (w < -snap)):
+        raise DegenerateSpectrum("eigenvalue inside the forbidden band below zero")
+    # eigh sorts ascending, so the kept eigenvectors are the trailing columns
+    n = a.shape[-1]
+    kept = (w >= -snap).sum(axis=-1)
+    out = np.empty_like(v)
+    for k in np.unique(kept):
+        vk = v[kept == k][..., n - k:]
+        out[kept == k] = vk @ np.swapaxes(vk.conj(), -1, -2)
+    return out
+
+
+def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
+    """Projection onto the span of eigenvectors with non-negative eigenvalues."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
-    if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise ValueError("spectral projection needs a self-adjoint matrix")
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
-    w, v = np.linalg.eigh(m)
-    snap = 64 * np.finfo(float).eps * max(1.0, float(np.abs(w).max(initial=0.0)))
-    snap = min(snap, 0.5 * gap_tol)
-    if np.any((w > -gap_tol) & (w < -snap)):
-        raise DegenerateSpectrum("eigenvalue inside the forbidden band below zero")
-    keep = w >= -snap
-    vk = v[:, keep]
-    return Projection(vk @ vk.conj().T)
+    return Projection(spectral_projection_field(m, gap_tol))
+
+
+def graph_projection_field(t: np.ndarray) -> np.ndarray:
+    """Graph projections onto {(v, T v)} inside C^n (+) C^n for a stack of square blocks."""
+    th = np.swapaxes(t.conj(), -1, -2)
+    n = t.shape[-1]
+    g = np.linalg.inv(np.eye(n) + th @ t)
+    top = np.concatenate([g, g @ th], axis=-1)
+    bot = np.concatenate([t @ g, t @ g @ th], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def graph_projection(t) -> Projection:
@@ -377,11 +394,7 @@ def graph_projection(t) -> Projection:
     tm = as_matrix(t)
     if tm.shape[0] != tm.shape[1]:
         raise ValueError("graph projection expects a square block")
-    n = tm.shape[0]
-    g = np.linalg.inv(np.eye(n) + tm.conj().T @ tm)
-    top = np.concatenate([g, g @ tm.conj().T], axis=1)
-    bot = np.concatenate([tm @ g, tm @ g @ tm.conj().T], axis=1)
-    return Projection(np.concatenate([top, bot], axis=0))
+    return Projection(graph_projection_field(tm))
 
 
 def toeplitz(p0: Projection, p1: Projection) -> np.ndarray:
@@ -436,11 +449,15 @@ def second_fundamental_form(section: ProjectionSection, idx, axis: int) -> np.nd
 
 
 def _plaquette_corners(values: np.ndarray, grid: BaseGrid):
+    """Per plaquette: corner-averaged P and [d0 P, d1 P] of face-averaged central differences."""
     c00 = values
     c10 = _roll(values, grid, 0, +1)
     c01 = _roll(values, grid, 1, +1)
     c11 = _roll(c10, grid, 1, +1)
-    return c00, c10, c01, c11
+    pc = 0.25 * (c00 + c10 + c01 + c11)
+    d0 = (c10 + c11 - c00 - c01) / (2.0 * grid.spacing[0])
+    d1 = (c01 + c11 - c00 - c10) / (2.0 * grid.spacing[1])
+    return pc, d0 @ d1 - d1 @ d0
 
 
 def curvature_trace_form(section: ProjectionSection) -> DiscreteForm:
@@ -453,49 +470,8 @@ def curvature_trace_form(section: ProjectionSection) -> DiscreteForm:
     if g.ndim != 2:
         raise ValueError("curvature needs a 2-axis grid")
     g.require_periodic()
-    c00, c10, c01, c11 = _plaquette_corners(section.values, g)
-    pc = 0.25 * (c00 + c10 + c01 + c11)
-    d0 = (c10 + c11 - c00 - c01) / (2.0 * g.spacing[0])
-    d1 = (c01 + c11 - c00 - c10) / (2.0 * g.spacing[1])
-    comm = d0 @ d1 - d1 @ d0
+    pc, comm = _plaquette_corners(section.values, g)
     vals = np.trace(pc @ comm, axis1=-2, axis2=-1) * g.plaquette_area()
-    return DiscreteForm(g, 2, vals)
-
-
-def trace_one_form(section: ProjectionSection) -> DiscreteForm:
-    """Edge 1-form Tr(P(b) (P(b+e) - P(b))), the discrete shadow of Tr(P dP)."""
-    g = section.grid
-    g.require_periodic()
-    comps = []
-    for ax in range(g.ndim):
-        nxt = _roll(section.values, g, ax, +1)
-        comps.append(np.trace(section.values @ (nxt - section.values), axis1=-2, axis2=-1))
-    return DiscreteForm(g, 1, np.stack(comps, axis=g.ndim))
-
-
-def form_wedge_trace(alpha: DiscreteForm, beta: DiscreteForm) -> DiscreteForm:
-    """Scalar 2-form Tr(alpha ^ beta) of two matrix-valued edge 1-forms.
-
-    Components are recentered on plaquettes by averaging the two parallel
-    edges; the product of integrated edge samples already carries the area.
-    """
-    if alpha.degree != 1 or beta.degree != 1 or alpha.grid is not beta.grid and alpha.grid != beta.grid:
-        raise ValueError("need two 1-forms on a common grid")
-    g = alpha.grid
-    if g.ndim != 2:
-        raise ValueError("wedge needs a 2-axis grid")
-    g.require_periodic()
-
-    def centered(f):
-        e0 = f.samples.take(0, axis=2)
-        e1 = f.samples.take(1, axis=2)
-        a0 = 0.5 * (e0 + _roll(e0, g, 1, +1))
-        a1 = 0.5 * (e1 + _roll(e1, g, 0, +1))
-        return a0, a1
-
-    a0, a1 = centered(alpha)
-    b0, b1 = centered(beta)
-    vals = np.trace(a0 @ b1 - a1 @ b0, axis1=-2, axis2=-1)
     return DiscreteForm(g, 2, vals)
 
 

@@ -11,15 +11,13 @@ stability studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grassmann import BaseGrid, ProjectionSection, spectral_projection
+from .grassmann import BaseGrid, ProjectionSection, graph_projection_field, spectral_projection_field
 
 __all__ = [
-    "CauchyData",
     "Dirac1DFamily",
     "CylinderFamily",
     "demo_family",
@@ -40,28 +38,6 @@ PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-
-
-@dataclass(frozen=True)
-class CauchyData:
-    """Boundary value pair (psi(0), psi(pi)) of a half-circle solution."""
-
-    at_zero: np.ndarray
-    at_cut: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.at_zero), np.asarray(self.at_cut)])
-
-
-def _batched_graph_projection(t: np.ndarray) -> np.ndarray:
-    """Graph projections {(v, T v)} for a stack of square blocks."""
-    th = np.swapaxes(t.conj(), -1, -2)
-    n = t.shape[-1]
-    g = np.linalg.inv(np.eye(n) + th @ t)
-    top = np.concatenate([g, g @ th], axis=-1)
-    bot = np.concatenate([t @ g, t @ g @ th], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
 
 
 class Dirac1DFamily:
@@ -165,9 +141,9 @@ class Dirac1DFamily:
         if side in self._sections:
             return self._sections[side]
         if side == "left":
-            vals = _batched_graph_projection(self.transfer_field(0.0, np.pi))
+            vals = graph_projection_field(self.transfer_field(0.0, np.pi))
         elif side == "right":
-            pg = _batched_graph_projection(self.transfer_field(np.pi, 2.0 * np.pi))
+            pg = graph_projection_field(self.transfer_field(np.pi, 2.0 * np.pi))
             n = self.rank
             swap = np.zeros((2 * n, 2 * n), dtype=complex)
             swap[:n, n:] = np.eye(n)
@@ -500,8 +476,7 @@ class CylinderFamily:
         b = grid.coords()
         self._b1 = b[0]
         self._b2 = b[1] if grid.ndim == 2 else np.zeros_like(b[0])
-        self._ops: np.ndarray | None = None
-        self._sections: dict[str, ProjectionSection] = {}
+        self._aps: ProjectionSection | None = None
 
     @property
     def dim(self) -> int:
@@ -515,45 +490,29 @@ class CylinderFamily:
         return f1[..., None, None] * s1 + f2[..., None, None] * s2
 
     def boundary_operator_field(self) -> np.ndarray:
-        """A_b = diag(k) + V_b over the grid; gap condition enforced."""
-        if self._ops is not None:
-            return self._ops
+        """A_b = diag(k) + V_b over the grid."""
         d = np.diag(self.modes.astype(complex))
         if self.style == "conjugated":
             u = _expi(self._phase_matrix())
-            ops = u @ d[(None,) * self.grid.ndim] @ np.swapaxes(u.conj(), -1, -2)
-        else:
-            v = smoothing_perturbation(self.seed, self.gamma, self.truncation).copy()
-            zero = self.truncation
-            v[zero, :] = 0.0
-            v[:, zero] = 0.0
-            f = 0.35 * np.cos(self._b1) * np.cos(self._b2) if self.grid.ndim == 2 \
-                else 0.35 * np.cos(self._b1)
-            ops = d[(None,) * self.grid.ndim] + f[..., None, None] * v
-        w = np.linalg.eigvalsh(ops)
-        snap = 64 * np.finfo(float).eps * max(1.0, float(np.abs(w).max(initial=0.0)))
-        snap = min(snap, 0.5 * self.gap_tol)
-        bad = (w > -self.gap_tol) & (w < -snap)
-        if np.any(bad):
-            raise ValueError("family violates the spectral gap condition below zero")
-        self._ops = ops
-        return ops
-
-    def boundary_operator(self, idx) -> np.ndarray:
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        return self.boundary_operator_field()[idx]
+            return u @ d[(None,) * self.grid.ndim] @ np.swapaxes(u.conj(), -1, -2)
+        v = smoothing_perturbation(self.seed, self.gamma, self.truncation).copy()
+        zero = self.truncation
+        v[zero, :] = 0.0
+        v[:, zero] = 0.0
+        f = 0.35 * np.cos(self._b1) * np.cos(self._b2) if self.grid.ndim == 2 \
+            else 0.35 * np.cos(self._b1)
+        return d[(None,) * self.grid.ndim] + f[..., None, None] * v
 
     def aps_section(self) -> ProjectionSection:
-        """Non-negative spectral projections of the boundary family."""
-        if "aps" in self._sections:
-            return self._sections["aps"]
-        ops = self.boundary_operator_field()
-        vals = np.empty_like(ops)
-        for idx in np.ndindex(*self.grid.shape):
-            vals[idx] = spectral_projection(ops[idx], self.gap_tol).matrix
-        sec = ProjectionSection.build(self.grid, vals)
-        self._sections["aps"] = sec
-        return sec
+        """Non-negative spectral projections of the boundary family.
+
+        Raises DegenerateSpectrum when an eigenvalue violates the spectral
+        gap condition below zero at some grid point.
+        """
+        if self._aps is None:
+            vals = spectral_projection_field(self.boundary_operator_field(), self.gap_tol)
+            self._aps = ProjectionSection.build(self.grid, vals)
+        return self._aps
 
     def conjugated_section(self, scale: float = 1.0, seed_offset: int = 0) -> ProjectionSection:
         """Closed-form section exp(i S(b)) P0 exp(-i S(b)) with P0 = diag(k >= 0)."""

@@ -97,18 +97,19 @@ def _power_traces(a: np.ndarray, rmax: int) -> np.ndarray:
     return p
 
 
-def _elementary_from_powers(p: np.ndarray, rmax: int) -> np.ndarray:
+def _elementary_from_powers(p: np.ndarray):
+    """Yield e_1, e_2, ... of the eigenvalues from the power sums p[0..rmax]."""
     # Newton's identities: r*e_r = sum_{k=1..r} (-1)^(k-1) e_{r-k} p_k
-    e = np.zeros(rmax + 1, dtype=complex)
+    e = np.zeros(len(p), dtype=complex)
     e[0] = 1.0
-    for r in range(1, rmax + 1):
+    for r in range(1, len(p)):
         acc = 0.0 + 0.0j
         sign = 1.0
         for k in range(1, r + 1):
             acc += sign * e[r - k] * p[k]
             sign = -sign
         e[r] = acc / r
-    return e
+        yield e[r]
 
 
 def wedge_trace(a, r: int) -> complex:
@@ -126,8 +127,8 @@ def wedge_trace(a, r: int) -> complex:
         return 1.0 + 0.0j
     if r > n:
         return 0.0 + 0.0j
-    p = _power_traces(m, r)
-    return complex(_elementary_from_powers(p, r)[r])
+    *_, e_r = _elementary_from_powers(_power_traces(m, r))
+    return complex(e_r)
 
 
 def fredholm_det(a, method: str = "dense", tol: float = 1e-12) -> complex:
@@ -146,19 +147,10 @@ def fredholm_det(a, method: str = "dense", tol: float = 1e-12) -> complex:
         return complex(np.linalg.det(np.eye(n) + m))
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    p = _power_traces(m, n)
-    e = np.zeros(n + 1, dtype=complex)
-    e[0] = 1.0
     total = 1.0 + 0.0j
-    for r in range(1, n + 1):
-        acc = 0.0 + 0.0j
-        sign = 1.0
-        for k in range(1, r + 1):
-            acc += sign * e[r - k] * p[k]
-            sign = -sign
-        e[r] = acc / r
-        total += e[r]
-        if abs(e[r]) < tol * (1.0 + abs(total)):
+    for e_r in _elementary_from_powers(_power_traces(m, n)):
+        total += e_r
+        if abs(e_r) < tol * (1.0 + abs(total)):
             break
     return complex(total)
 

@@ -45,7 +45,6 @@ from .curvature import (
     curvature_of,
     default_cover,
     pair_metric_field,
-    pair_overlap_field,
     patching_residuals,
     swap_trace_identity,
 )

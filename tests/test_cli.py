@@ -58,6 +58,21 @@ def test_build_family_rejects_bad_numbers():
         build_family(cfg, None)
 
 
+@pytest.mark.parametrize("text", [
+    "[potential]\ns0.one.one.one = nan\n",
+    "[model]\nkind = cylinder\n[cylinder]\namplitude = inf\n",
+    "[run]\nmax_excluded = nan\n",
+    "[model]\nkind = constant_scalar\nvalue = -inf\n",
+], ids=["potential_nan", "cylinder_amplitude_inf", "max_excluded_nan", "model_value_inf"])
+def test_non_finite_config_numbers_exit_two(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["curvature", "--config", str(cfg), "--grid", "8",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 # -- verify ------------------------------------------------------------------------
 
 

@@ -5,7 +5,13 @@ import pytest
 
 from detbundle.errors import CoverageError, VortexOnLink
 from detbundle.grassmann import BaseGrid, ProjectionSection
-from detbundle.models import bloch_section, constant_scalar_family, demo_family, vortex_interface
+from detbundle.models import (
+    bloch_section,
+    constant_scalar_family,
+    demo_family,
+    rotated_interface,
+    vortex_interface,
+)
 from detbundle.curvature import (
     additivity_residual,
     chern_number,
@@ -23,7 +29,7 @@ from detbundle.curvature import (
     swap_trace_identity,
 )
 
-from conftest import random_complex, random_projection
+from conftest import STEPS, random_complex, random_projection
 
 
 def _constant_pair(grid, p):
@@ -152,6 +158,21 @@ def test_additivity_report_demo(demo16, rot16):
     assert s["grid"] == [16, 16]
     assert set(s["chern"]) == {"full", "left", "right", "additive"}
     assert set(s["residuals"]) == set(r)
+
+
+def test_additivity_diagonalises_each_section_once(monkeypatch):
+    # sections cache their frames and complement, so the whole report needs
+    # one eigendecomposition per section: the two boundary legs and the interface
+    fam = demo_family(BaseGrid.torus(16, 16), steps_per_half=STEPS)
+    sec = rotated_interface(fam)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    additivity_residual(fam, sec)
+    assert len(calls) <= 3
+    assert sec.frames() is sec.frames()
+    assert sec.complement().complement() is sec
+    with pytest.raises(ValueError):
+        sec.values[0, 0, 0, 0] = 1.0
 
 
 def test_additivity_residual_refines_at_second_order(demo16, rot16, demo32, rot32):

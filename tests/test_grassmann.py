@@ -16,6 +16,7 @@ from detbundle.grassmann import (
     second_fundamental_form,
     section_links,
     spectral_projection,
+    spectral_projection_field,
     toeplitz,
     toeplitz_inverse,
 )
@@ -86,6 +87,21 @@ def test_spectral_projection_keeps_exact_kernel():
 def test_spectral_projection_rejects_forbidden_band():
     with pytest.raises(DegenerateSpectrum):
         spectral_projection(np.diag([1.0, -1e-9, -1.0]), gap_tol=1e-8)
+
+
+def test_spectral_projection_field_matches_pointwise_across_ranks():
+    # one stack mixing ranks 4, 3, 0 and 3; the pointwise view is the oracle
+    q, _ = np.linalg.qr(random_complex(np.random.default_rng(32), 4, 4))
+    spectra = ([1.0, 2.0, 3.0, 4.0], [-1.0, 0.0, 2.0, 3.0], [-4.0, -3.0, -2.0, -1.0],
+               [-2.0, 1.0, 1.5, 5.0])
+    stack = np.stack([(q * np.array(w)) @ q.conj().T for w in spectra])
+    field = spectral_projection_field(stack)
+    for m, p in zip(stack, field):
+        np.testing.assert_allclose(p, spectral_projection(m).matrix, atol=1e-12)
+    assert [round(np.trace(p).real) for p in field] == [4, 3, 0, 3]
+    stack[2] = np.diag([1.0, -1e-9, -1.0, 2.0])
+    with pytest.raises(DegenerateSpectrum):
+        spectral_projection_field(stack, gap_tol=1e-8)
 
 
 def test_graph_projection_of_zero_block():
@@ -292,6 +308,15 @@ def test_form_total_skips_masked_cells():
     mask[0, 0] = True
     f = DiscreteForm(g, 2, samples, mask=mask)
     assert f.total() == pytest.approx(15.0)
+
+
+def test_form_total_sums_matrix_samples_over_cells_only():
+    g = BaseGrid.line(5, 0.0, 1.0)
+    samples = random_complex(np.random.default_rng(31), 5, 2, 2)
+    plain = DiscreteForm(g, 0, samples).total()
+    masked = DiscreteForm(g, 0, samples, mask=np.zeros(5, dtype=bool)).total()
+    assert plain.shape == (2, 2)
+    np.testing.assert_allclose(plain, masked, atol=1e-14)
 
 
 def test_form_csv_schema(tmp_path):
