@@ -17,11 +17,11 @@ in the imaginary part at second order in the mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .detline import Trivialization, frame_metric_sq
+from .detline import frame_metric_sq
 from .errors import CoverageError, NearSingular, VortexOnLink
 from .grassmann import (
     BaseGrid,
@@ -146,38 +146,41 @@ def restricted_shift_field(sec0: ProjectionSection, sec1: ProjectionSection,
     return np.swapaxes(f1.conj(), -1, -2) @ (c @ f0)
 
 
+def _guard(m: np.ndarray, sing_floor: float):
+    """Chart domain smin(M) >= sing_floor, and M with the identity outside it.
+
+    An empty overlap (rank 0) is the trivial line: its smallest singular
+    value counts as +inf, so every point is in the domain.
+    """
+    k = m.shape[-1]
+    smin = np.linalg.svd(m, compute_uv=False)[..., -1] if k else np.full(m.shape[:-2], np.inf)
+    healthy = smin >= sing_floor
+    return healthy, np.where(healthy[..., None, None], m, np.eye(k, dtype=complex))
+
+
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
                      chart: PairChart, sing_floor: float) -> dict:
     """Edge samples of the chart connection form plus health bookkeeping."""
     g = sec0.grid
     g.require_periodic()
     f0, f1 = _frames_pair(sec0, sec1)
-    k = sec0.base_rank
     amb = chart.ambient(sec0.dim)
     f1h = np.swapaxes(f1.conj(), -1, -2)
-    m = f1h @ (amb @ f0)
-    smin = np.linalg.svd(m, compute_uv=False)[..., -1] if k else np.zeros(g.shape)
-    healthy = smin >= sing_floor
-    msafe = np.where(healthy[..., None, None], m, np.eye(k, dtype=complex))
-    _, logabs = np.linalg.slogdet(msafe)
-    logm = 2.0 * logabs
-    det = np.where(healthy, np.linalg.det(m), 1.0)
+    healthy, msafe = _guard(f1h @ (amb @ f0), sing_floor)
+    logm = 2.0 * np.linalg.slogdet(msafe)[1]
 
     phi = (sec1.values @ amb) @ sec0.values
     comps, masks = [], []
     for ax in range(g.ndim):
         dphi = (_roll(phi, g, ax, +1) - _roll(phi, g, ax, -1)) / (2.0 * g.spacing[ax])
         t = f1h @ dphi @ f0
-        dens = np.trace(np.linalg.solve(msafe, t), axis1=-2, axis2=-1)
-        di = dens.imag
+        di = np.trace(np.linalg.solve(msafe, t), axis1=-2, axis2=-1).imag
         re = 0.5 * (_roll(logm, g, ax, +1) - logm)
         im = 0.5 * g.spacing[ax] * (di + _roll(di, g, ax, +1))
         comps.append(re + 1j * im)
         masks.append(~(healthy & _roll(healthy, g, ax, +1)))
-    omega = np.stack(comps, axis=g.ndim)
-    emask = np.stack(masks, axis=g.ndim)
-    return {"omega": omega, "edge_mask": emask, "healthy": healthy,
-            "overlap": m, "logm": logm, "det": det, "smin": smin}
+    return {"omega": np.stack(comps, axis=g.ndim), "edge_mask": np.stack(masks, axis=g.ndim),
+            "healthy": healthy, "det": np.linalg.det(msafe)}
 
 
 @dataclass
@@ -185,27 +188,15 @@ class ChartedConnection:
     """Connection data of a projection pair, one edge 1-form per chart.
 
     omega[i] carries the edge samples of chart i with its exclusion mask;
-    healthy[i] is the point-wise chart domain.  On overlaps the forms differ
-    by the discrete d log of the transition ratio, up to O(h^2) density.
+    healthy[i] is the point-wise chart domain and det[i] the chart
+    determinant, set to 1 outside it.  On overlaps the forms differ by the
+    discrete d log of the transition ratio, up to O(h^2) density.
     """
 
     grid: BaseGrid
-    charts: list[PairChart]
     omega: list[DiscreteForm]
     healthy: list[np.ndarray]
-    trivializations: list[Trivialization] = field(default_factory=list)
-    sing_floor: float = 0.1
-
-    def coverage(self) -> np.ndarray:
-        """Points lying in at least one chart domain."""
-        out = np.zeros(self.grid.shape, dtype=bool)
-        for h in self.healthy:
-            out |= h
-        return out
-
-    @property
-    def excluded_fraction(self) -> float:
-        return float(1.0 - self.coverage().mean())
+    det: list[np.ndarray]
 
 
 def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -223,21 +214,18 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
         cover = default_cover(sec0.dim)
     if not cover:
         raise ValueError("cover must contain at least one chart")
-    omegas, healthy, trivs = [], [], []
+    conn = ChartedConnection(sec0.grid, [], [], [])
     for chart in cover:
         data = _chart_edge_data(sec0, sec1, chart, sing_floor)
         mask = data["edge_mask"] if data["edge_mask"].any() else None
-        omegas.append(DiscreteForm(sec0.grid, 1, data["omega"], mask=mask))
-        healthy.append(data["healthy"])
-        trivs.append(Trivialization(sec0.grid, restricted_shift_field(sec0, sec1, chart),
-                                    cond_bound=1.0 / max(sing_floor, 1e-15), label=chart.label))
-    covered = np.zeros(sec0.grid.shape, dtype=bool)
-    for h in healthy:
-        covered |= h
+        conn.omega.append(DiscreteForm(sec0.grid, 1, data["omega"], mask=mask))
+        conn.healthy.append(data["healthy"])
+        conn.det.append(data["det"])
+    covered = np.logical_or.reduce(conn.healthy)
     if not covered.all():
         raise CoverageError(
             f"{int((~covered).sum())} grid points lie outside every chart domain")
-    return ChartedConnection(sec0.grid, list(cover), omegas, healthy, trivs, sing_floor)
+    return conn
 
 
 _PLAQ_STENCIL = (
@@ -349,10 +337,7 @@ def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
     f0c = frames_of(pc0, k)
     f1c = frames_of(pc1, k)
     f1ch = np.swapaxes(f1c.conj(), -1, -2)
-    mc = f1ch @ f0c
-    smin = np.linalg.svd(mc, compute_uv=False)[..., -1] if k else np.zeros(g.shape)
-    healthy = smin >= sing_floor
-    mcsafe = np.where(healthy[..., None, None], mc, np.eye(k, dtype=complex))
+    healthy, mcsafe = _guard(f1ch @ f0c, sing_floor)
     n = f1ch @ r1 @ f0c
     vals = np.trace(np.linalg.solve(mcsafe, n), axis1=-2, axis2=-1) - tr0
     mask = ~healthy
@@ -360,6 +345,16 @@ def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
 
 
 # -- splitting comparison function ---------------------------------------------
+
+
+def _f_ratio(dets, domains):
+    """(F, healthy) from the full, left and right overlap dets and chart domains.
+
+    F = det M_full / (det M_right det M_left), set to 1 outside the joint domain.
+    """
+    full, left, right = dets
+    healthy = np.logical_and.reduce(domains)
+    return np.where(healthy, full / np.where(healthy, right * left, 1.0), 1.0), healthy
 
 
 def f_function_field(sec_a: ProjectionSection, sec_mid: ProjectionSection,
@@ -373,16 +368,12 @@ def f_function_field(sec_a: ProjectionSection, sec_mid: ProjectionSection,
     fa, fb = _frames_pair(sec_a, sec_b)
     fm, _ = _frames_pair(sec_mid, sec_b)
     fbh = np.swapaxes(fb.conj(), -1, -2)
-    full, left, right = fbh @ fa, np.swapaxes(fm.conj(), -1, -2) @ fa, fbh @ fm
-    healthy = np.ones(sec_a.grid.shape, dtype=bool)
-    if sec_a.base_rank:
-        for m in (full, left, right):
-            healthy &= np.linalg.svd(m, compute_uv=False)[..., -1] >= sing_floor
-    vals = np.where(healthy,
-                    np.linalg.det(full)
-                    / np.where(healthy, np.linalg.det(right) * np.linalg.det(left), 1.0),
-                    1.0)
-    return vals, healthy
+    dets, domains = [], []
+    for m in (fbh @ fa, np.swapaxes(fm.conj(), -1, -2) @ fa, fbh @ fm):
+        healthy, msafe = _guard(m, sing_floor)
+        dets.append(np.linalg.det(msafe))
+        domains.append(healthy)
+    return _f_ratio(dets, domains)
 
 
 def f_function(model, section: ProjectionSection, idx, sing_floor: float = 1e-8) -> complex:
@@ -494,15 +485,15 @@ class CurvatureReport:
 
 def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0.1,
                         max_excluded: float = 0.05,
-                        cover: list[PairChart] | None = None,
                         vortex_tol: float = 1e-8, label: str = "") -> CurvatureReport:
     """Split the boundary pair through a section and compare connection data.
 
     Checks the identity omega_full = omega_left + omega_right + d log F on
     every co-healthy edge (plain charts), reports the plaquette defect with
     the winding of F removed, and computes the three Chern numbers by
-    independent link sums.  Raises CoverageError when the exclusions exceed
-    max_excluded of the edges.
+    independent link sums.  Raises CoverageError when a point lies outside
+    every chart domain or when the exclusions exceed max_excluded of the
+    edges.
     """
     sec_a, sec_b = model.boundary_pair("full")
     g = sec_a.grid
@@ -510,24 +501,22 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
     if g.ndim != 2:
         raise ValueError("the additivity comparison needs a 2-axis grid")
 
-    plain = PairChart()
-    d_full = _chart_edge_data(sec_a, sec_b, plain, sing_floor)
-    d_left = _chart_edge_data(sec_a, section, plain, sing_floor)
-    d_right = _chart_edge_data(section, sec_b, plain, sing_floor)
-    f_vals, f_healthy = f_function_field(sec_a, section, sec_b, sing_floor)
+    # one charted connection per pair; chart 0 of the default cover is the
+    # plain overlap chart, which carries the one-form identity and F
+    pairs = ((sec_a, sec_b), (sec_a, section), (section, sec_b))
+    conns = [connection_one_form(s0, s1, sing_floor=sing_floor) for s0, s1 in pairs]
+    f_vals, f_healthy = _f_ratio([c.det[0] for c in conns], [c.healthy[0] for c in conns])
+    full, left, right = (c.omega[0].samples for c in conns)
 
-    comps, fcomps, masks, fmasks = [], [], [], []
+    # an edge is masked in some plain chart exactly when an end of it leaves
+    # the joint domain of F, so the F edge mask is the union of the three
+    comps, fcomps, masks = [], [], []
     for ax in range(g.ndim):
         dlog_f = np.log(_roll(f_vals, g, ax, +1) / f_vals)
-        resid = (d_full["omega"][..., ax] - d_left["omega"][..., ax]
-                 - d_right["omega"][..., ax] - dlog_f)
-        comps.append(_wrap_branch(resid))
+        comps.append(_wrap_branch(full[..., ax] - left[..., ax] - right[..., ax] - dlog_f))
         fcomps.append(dlog_f)
-        fmasks.append(~(f_healthy & _roll(f_healthy, g, ax, +1)))
-        masks.append(d_full["edge_mask"][..., ax] | d_left["edge_mask"][..., ax]
-                     | d_right["edge_mask"][..., ax] | fmasks[-1])
+        masks.append(~(f_healthy & _roll(f_healthy, g, ax, +1)))
     emask = np.stack(masks, axis=g.ndim)
-    fmask = np.stack(fmasks, axis=g.ndim)
 
     excluded = float(emask.mean())
     if excluded > max_excluded:
@@ -536,22 +525,13 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
         err.fraction = excluded
         raise err
 
-    one_form = DiscreteForm(g, 1, np.stack(comps, axis=g.ndim),
-                            mask=emask if emask.any() else None)
+    emask = emask if emask.any() else None
+    one_form = DiscreteForm(g, 1, np.stack(comps, axis=g.ndim), mask=emask)
     defect = one_form.coboundary()
     defect.samples = _wrap_branch(defect.samples)
-    f_wind_form = DiscreteForm(g, 1, np.stack(fcomps, axis=g.ndim),
-                               mask=fmask if fmask.any() else None).coboundary()
-
-    if cover is None:
-        cover = default_cover(sec_a.dim)
-    curv_full = curvature_of(connection_one_form(sec_a, sec_b, cover, sing_floor))
-    curv_left = curvature_of(connection_one_form(sec_a, section, cover, sing_floor))
-    curv_right = curvature_of(connection_one_form(section, sec_b, cover, sing_floor))
-
-    c_full = chern_of_pair(sec_a, sec_b, vortex_tol)
-    c_left = chern_of_pair(sec_a, section, vortex_tol)
-    c_right = chern_of_pair(section, sec_b, vortex_tol)
+    f_wind_form = DiscreteForm(g, 1, np.stack(fcomps, axis=g.ndim), mask=emask).coboundary()
+    curv_full, curv_left, curv_right = (curvature_of(c) for c in conns)
+    c_full, c_left, c_right = (chern_of_pair(s0, s1, vortex_tol) for s0, s1 in pairs)
 
     wind = f_wind_form.samples / (2j * np.pi)
     keep_w = ~f_wind_form.mask if f_wind_form.mask is not None else np.ones(g.shape, bool)

@@ -282,8 +282,8 @@ class ProjectionSection:
     """Field of projections over a BaseGrid with constant rank.
 
     An immutable value: ``build`` keeps a read-only copy of the projections,
-    and the frames, the complement and the smoothness constant are derived
-    on first use and cached on the instance.
+    and the frames, the complement, the smoothness constant and the
+    ``section_links`` are derived on first use and cached on the instance.
     """
 
     grid: BaseGrid
@@ -479,13 +479,14 @@ def section_links(section: ProjectionSection) -> np.ndarray:
     """Frame overlap determinants det(F(b)* F(b+e)) along each axis.
 
     The per-point frame gauge is arbitrary; closed-loop products of these
-    links are gauge independent.  Shape: grid.shape + (ndim,).
+    links are gauge independent.  Shape: grid.shape + (ndim,).  Computed
+    once per section and cached read-only, like its frames.
     """
-    g = section.grid
-    g.require_periodic()
-    f = section.frames()
-    fh = np.swapaxes(f.conj(), -1, -2)
-    out = []
-    for ax in range(g.ndim):
-        out.append(np.linalg.det(fh @ _roll(f, g, ax, +1)))
-    return np.stack(out, axis=g.ndim)
+    if "links" not in section._derived:
+        g = section.grid
+        g.require_periodic()
+        f = section.frames()
+        fh = np.swapaxes(f.conj(), -1, -2)
+        out = [np.linalg.det(fh @ _roll(f, g, ax, +1)) for ax in range(g.ndim)]
+        section._derived["links"] = _readonly(np.stack(out, axis=g.ndim))
+    return section._derived["links"]

@@ -166,17 +166,22 @@ class Dirac1DFamily:
 
     def boundary_pair(self, which: str = "full", section: ProjectionSection | None = None):
         """Compression pair (P0, P1) for the full, left or right determinant."""
-        left = self.calderon_section("left")
-        right_c = self.calderon_section("right").complement()
-        if which == "full":
-            return left, right_c
-        if section is None:
-            raise ValueError("left/right pairs need the interface section")
-        if which == "left":
-            return left, section
-        if which == "right":
-            return section, right_c
-        raise ValueError("which must be 'full', 'left' or 'right'")
+        return _split_pair(self.calderon_section("left"),
+                           self.calderon_section("right").complement(), which, section)
+
+
+def _split_pair(first: ProjectionSection, second: ProjectionSection, which: str,
+                section: ProjectionSection | None):
+    """The full pair (first, second), or its left/right half through section."""
+    if which == "full":
+        return first, second
+    if section is None:
+        raise ValueError("left/right pairs need the interface section")
+    if which == "left":
+        return first, section
+    if which == "right":
+        return section, second
+    raise ValueError("which must be 'full', 'left' or 'right'")
 
 
 # -- shipped families ---------------------------------------------------------
@@ -388,10 +393,8 @@ def rotated_interface(fam: Dirac1DFamily, strength: float = 0.4) -> ProjectionSe
     """
     base = fam.calderon_section("left")
     n = fam.rank
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    gen1 = np.kron(sx, np.eye(n, dtype=complex))
-    gen2 = np.kron(sy, np.eye(n, dtype=complex))
+    gen1 = np.kron(PAULI[0], np.eye(n, dtype=complex))
+    gen2 = np.kron(PAULI[1], np.eye(n, dtype=complex))
     b = fam.grid.coords()
     b1 = b[0]
     b2 = b[1] if fam.grid.ndim == 2 else np.zeros_like(b[0])
@@ -482,18 +485,19 @@ class CylinderFamily:
     def dim(self) -> int:
         return 2 * self.truncation + 1
 
-    def _phase_matrix(self) -> np.ndarray:
-        s1 = smoothing_perturbation(self.seed, self.gamma, self.truncation)
-        s2 = smoothing_perturbation(self.seed + 1, self.gamma, self.truncation)
-        f1 = self.amplitude * np.cos(self._b1)
-        f2 = self.amplitude * np.sin(self._b2)
+    def _phase_matrix(self, scale: float, seed: int) -> np.ndarray:
+        """S(b) = scale (cos b1 S_seed + sin b2 S_seed+1) from seeded smoothing matrices."""
+        s1 = smoothing_perturbation(seed, self.gamma, self.truncation)
+        s2 = smoothing_perturbation(seed + 1, self.gamma, self.truncation)
+        f1 = scale * np.cos(self._b1)
+        f2 = scale * np.sin(self._b2)
         return f1[..., None, None] * s1 + f2[..., None, None] * s2
 
     def boundary_operator_field(self) -> np.ndarray:
         """A_b = diag(k) + V_b over the grid."""
         d = np.diag(self.modes.astype(complex))
         if self.style == "conjugated":
-            u = _expi(self._phase_matrix())
+            u = _expi(self._phase_matrix(self.amplitude, self.seed))
             return u @ d[(None,) * self.grid.ndim] @ np.swapaxes(u.conj(), -1, -2)
         v = smoothing_perturbation(self.seed, self.gamma, self.truncation).copy()
         zero = self.truncation
@@ -516,11 +520,7 @@ class CylinderFamily:
 
     def conjugated_section(self, scale: float = 1.0, seed_offset: int = 0) -> ProjectionSection:
         """Closed-form section exp(i S(b)) P0 exp(-i S(b)) with P0 = diag(k >= 0)."""
-        s1 = smoothing_perturbation(self.seed + seed_offset, self.gamma, self.truncation)
-        s2 = smoothing_perturbation(self.seed + seed_offset + 1, self.gamma, self.truncation)
-        f1 = scale * np.cos(self._b1)
-        f2 = scale * np.sin(self._b2)
-        u = _expi(f1[..., None, None] * s1 + f2[..., None, None] * s2)
+        u = _expi(self._phase_matrix(scale, self.seed + seed_offset))
         p0 = np.diag((self.modes >= 0).astype(complex))
         vals = u @ p0[(None,) * self.grid.ndim] @ np.swapaxes(u.conj(), -1, -2)
         return ProjectionSection.build(self.grid, vals)
@@ -532,13 +532,4 @@ class CylinderFamily:
         section and an independently rotated copy of it.
         """
         base = self.aps_section() if self.style == "additive" else self.conjugated_section(self.amplitude, 0)
-        partner = self.conjugated_section(0.7 * self.amplitude, 2)
-        if which == "full":
-            return base, partner
-        if section is None:
-            raise ValueError("left/right pairs need the interface section")
-        if which == "left":
-            return base, section
-        if which == "right":
-            return section, partner
-        raise ValueError("which must be 'full', 'left' or 'right'")
+        return _split_pair(base, self.conjugated_section(0.7 * self.amplitude, 2), which, section)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detbundle.errors import CoverageError, VortexOnLink
-from detbundle.grassmann import BaseGrid, ProjectionSection
+from detbundle.grassmann import BaseGrid, ProjectionSection, section_links
 from detbundle.models import (
     bloch_section,
     constant_scalar_family,
@@ -160,16 +160,26 @@ def test_additivity_report_demo(demo16, rot16):
     assert set(s["residuals"]) == set(r)
 
 
+def _count_calls(monkeypatch, name):
+    kernel, calls = getattr(np.linalg, name), []
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    return calls
+
+
 def test_additivity_diagonalises_each_section_once(monkeypatch):
-    # sections cache their frames and complement, so the whole report needs
-    # one eigendecomposition per section: the two boundary legs and the interface
+    # sections cache their frames, complement and links, so the whole report
+    # needs one eigendecomposition per section (the two boundary legs and the
+    # interface), and each pair's four charts are evaluated once: one svd per
+    # chart, one det per chart plus two per section for the links
     fam = demo_family(BaseGrid.torus(16, 16), steps_per_half=STEPS)
     sec = rotated_interface(fam)
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = {name: _count_calls(monkeypatch, name) for name in ("eigh", "svd", "det")}
     additivity_residual(fam, sec)
-    assert len(calls) <= 3
+    assert len(calls["eigh"]) <= 3
+    assert len(calls["svd"]) <= 12
+    assert len(calls["det"]) <= 18
     assert sec.frames() is sec.frames()
+    assert section_links(sec) is section_links(sec)
     assert sec.complement().complement() is sec
     with pytest.raises(ValueError):
         sec.values[0, 0, 0, 0] = 1.0
@@ -192,6 +202,30 @@ def test_flat_family_reports_identically_zero():
     for form in (rep.curvature, rep.curvature_left, rep.curvature_right,
                  rep.defect, rep.one_form_residual):
         assert np.abs(form.samples).max() <= 1e-12
+
+
+class _FixedPairModel:
+    """Model stub whose full boundary pair is one fixed pair of sections."""
+
+    def __init__(self, sec0, sec1):
+        self.pair = (sec0, sec1)
+
+    def boundary_pair(self, which="full", section=None):
+        return self.pair
+
+
+def test_rank_zero_pair_is_the_trivial_line():
+    g = BaseGrid.torus(8, 8)
+    zero = ProjectionSection.build(g, np.zeros(g.shape + (2, 2)))
+    conn = connection_one_form(zero, zero)
+    assert all(h.all() for h in conn.healthy)
+    for form in conn.omega:
+        assert form.mask is None and not np.abs(form.samples).any()
+    fam_form = curvature_families_formula(zero, zero)
+    assert fam_form.mask is None and not np.abs(fam_form.samples).any()
+    rep = additivity_residual(_FixedPairModel(zero, zero), zero)
+    assert (rep.chern, rep.chern_left, rep.chern_right) == (0, 0, 0)
+    assert all(v == 0.0 for v in rep.residuals.values())
 
 
 def test_degenerate_family_raises_coverage_error():
