@@ -143,26 +143,29 @@ def _positive(value: float, name: str) -> float:
 def build_family(cfg: dict[str, dict[str, str]], grid: BaseGrid):
     kind = cfg["model"]["kind"].strip().lower()
     steps = _as_int(cfg, "model", "steps_per_half")
-    if kind == "dirac":
-        coeffs = {key: _as_float(cfg, "potential", key) for key in cfg["potential"]}
-        try:
+    try:
+        if kind == "dirac":
+            coeffs = {key: _as_float(cfg, "potential", key) for key in cfg["potential"]}
             return coefficient_family(grid, coeffs, steps_per_half=steps)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-    if kind == "constant_scalar":
-        value = _as_float(cfg, "model", "value") if cfg["model"]["value"].strip() else None
-        rank = _as_int(cfg, "model", "rank")
-        return constant_scalar_family(grid, value=value, rank=rank,
-                                      steps_per_half=steps)
-    if kind == "cylinder":
-        return CylinderFamily(
-            grid,
-            truncation=_as_int(cfg, "cylinder", "truncation"),
-            gamma=_positive(_as_float(cfg, "cylinder", "gamma"), "cylinder.gamma"),
-            seed=_as_int(cfg, "run", "seed"),
-            amplitude=_as_float(cfg, "cylinder", "amplitude"),
-            style=cfg["cylinder"]["style"].strip().lower(),
-        )
+        if kind == "constant_scalar":
+            value = _as_float(cfg, "model", "value") if cfg["model"]["value"].strip() else None
+            rank = _as_int(cfg, "model", "rank")
+            return constant_scalar_family(grid, value=value, rank=rank,
+                                          steps_per_half=steps)
+        if kind == "cylinder":
+            return CylinderFamily(
+                grid,
+                truncation=_as_int(cfg, "cylinder", "truncation"),
+                gamma=_positive(_as_float(cfg, "cylinder", "gamma"), "cylinder.gamma"),
+                seed=_as_int(cfg, "run", "seed"),
+                amplitude=_as_float(cfg, "cylinder", "amplitude"),
+                style=cfg["cylinder"]["style"].strip().lower(),
+            )
+    except ConfigError:
+        raise
+    except ValueError as err:
+        # the constructors only validate their arguments
+        raise ConfigError(str(err)) from err
     raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
 
 
@@ -174,9 +177,10 @@ def build_interface(cfg: dict[str, dict[str, str]], family):
     if kind == "rotated":
         return rotated_interface(family, strength=_as_float(cfg, "interface", "strength"))
     if kind == "vortex":
-        return vortex_interface(family,
-                                radius=_positive(_as_float(cfg, "interface", "radius"),
-                                                 "interface.radius"),
+        radius = _as_float(cfg, "interface", "radius")
+        if not 0 < radius < math.pi:
+            raise ConfigError("interface.radius must lie in (0, pi)")
+        return vortex_interface(family, radius=radius,
                                 orientation=_as_int(cfg, "interface", "orientation"))
     raise ConfigError(f"unknown interface kind {cfg['interface']['kind']!r}")
 
@@ -305,7 +309,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     metric = pair_metric_field(sec0, sec1)
     mono = family.monodromy_field()
     shifts = restricted_shift_field(sec0, sec1, default_cover(sec0.dim)[1])
-    triv = Trivialization(grid, shifts, cond_bound=1e8, label="shifted")
+    triv = Trivialization(grid, shifts, cond_bound=1e8)
     coord = np.empty(samples, dtype=complex)
     for k in range(samples):
         coord[k] = coordinate(canonical_det(overlap[k]), triv, (k,))

@@ -29,6 +29,7 @@ from .grassmann import (
     Projection,
     ProjectionSection,
     _plaquette_corners,
+    _readonly,
     _roll,
     frames_of,
     nearest_projection,
@@ -61,18 +62,19 @@ __all__ = [
     "composition_trace_identity",
 ]
 
+# link overlaps below this modulus leave the plaquette holonomy undefined
+VORTEX_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class PairChart:
-    """Chart datum for a projection pair: compress I + scale*block.
+    """Chart datum for a projection pair: compress I + block.
 
     block=None is the plain overlap chart.  The ambient block is constant
     over the base, so the chart datum is smooth wherever it is invertible.
     """
 
     block: np.ndarray | None = None
-    scale: float = 1.0
-    label: str = "0"
 
     def ambient(self, dim: int) -> np.ndarray:
         out = np.eye(dim, dtype=complex)
@@ -81,10 +83,10 @@ class PairChart:
         c = as_matrix(self.block)
         if c.shape != (dim, dim):
             raise ValueError("chart block does not match the ambient dimension")
-        return out + self.scale * c
+        return out + c
 
 
-def default_cover(dim: int, scale: float = 1.0) -> list[PairChart]:
+def default_cover(dim: int) -> list[PairChart]:
     """Plain chart plus three constant-block shifts that bridge degeneracies."""
     n = dim // 2
     upper = np.zeros((dim, dim), dtype=complex)
@@ -94,12 +96,7 @@ def default_cover(dim: int, scale: float = 1.0) -> list[PairChart]:
     swap = np.zeros((dim, dim), dtype=complex)
     swap[:n, n:] = np.eye(n, dim - n)
     swap[n:, :n] = np.eye(dim - n, n)
-    return [
-        PairChart(None, 0.0, "0"),
-        PairChart(upper, scale, "upper"),
-        PairChart(lower, scale, "lower"),
-        PairChart(swap, scale, "swap"),
-    ]
+    return [PairChart(), PairChart(upper), PairChart(lower), PairChart(swap)]
 
 
 def _wrap_branch(values: np.ndarray) -> np.ndarray:
@@ -122,12 +119,10 @@ def _frames_pair(sec0: ProjectionSection, sec1: ProjectionSection):
     return sec0.frames(), sec1.frames()
 
 
-def pair_overlap_field(sec0: ProjectionSection, sec1: ProjectionSection,
-                       chart: PairChart | None = None) -> np.ndarray:
-    """Compressed chart datum M_alpha(b) = F1(b)* (I + shift) F0(b)."""
+def pair_overlap_field(sec0: ProjectionSection, sec1: ProjectionSection) -> np.ndarray:
+    """Plain overlap M(b) = F1(b)* F0(b), the compressed datum of the plain chart."""
     f0, f1 = _frames_pair(sec0, sec1)
-    amb = (chart or PairChart()).ambient(sec0.dim)
-    return np.swapaxes(f1.conj(), -1, -2) @ (amb @ f0)
+    return np.swapaxes(f1.conj(), -1, -2) @ f0
 
 
 def pair_metric_field(sec0: ProjectionSection, sec1: ProjectionSection) -> np.ndarray:
@@ -142,8 +137,7 @@ def restricted_shift_field(sec0: ProjectionSection, sec1: ProjectionSection,
     k = sec0.base_rank
     if chart.block is None:
         return np.zeros(sec0.grid.shape + (k, k), dtype=complex)
-    c = chart.scale * as_matrix(chart.block)
-    return np.swapaxes(f1.conj(), -1, -2) @ (c @ f0)
+    return np.swapaxes(f1.conj(), -1, -2) @ (as_matrix(chart.block) @ f0)
 
 
 def _guard(m: np.ndarray, sing_floor: float):
@@ -243,13 +237,13 @@ def _plaquette_ok(healthy: np.ndarray, grid: BaseGrid) -> np.ndarray:
     return ok
 
 
-def curvature_of(conn: ChartedConnection, require_cover: bool = False) -> DiscreteForm:
+def curvature_of(conn: ChartedConnection) -> DiscreteForm:
     """Curvature plaquettes: oriented edge sums of the connection form.
 
     Each plaquette is evaluated in the first chart of the cover that is
     healthy on the full difference stencil; the chart choice moves the value
     only at O(h^2) since transition contributions are discretely closed.
-    Uncovered plaquettes are masked, or raise CoverageError when required.
+    Plaquettes that no chart covers are masked.
     """
     g = conn.grid
     if g.ndim != 2:
@@ -257,15 +251,11 @@ def curvature_of(conn: ChartedConnection, require_cover: bool = False) -> Discre
     vals = np.zeros(g.shape, dtype=complex)
     chosen = np.full(g.shape, -1, dtype=int)
     for i, (form, healthy) in enumerate(zip(conn.omega, conn.healthy)):
-        o0 = form.samples.take(0, axis=2)
-        o1 = form.samples.take(1, axis=2)
-        pl = o0 + _roll(o1, g, 0, +1) - _roll(o0, g, 1, +1) - o1
+        pl = form.coboundary().samples
         take = _plaquette_ok(healthy, g) & (chosen < 0)
         vals[take] = pl[take]
         chosen[take] = i
     mask = chosen < 0
-    if require_cover and mask.any():
-        raise CoverageError(f"{int(mask.sum())} plaquettes not covered by any chart")
     return DiscreteForm(g, 2, vals, mask=mask if mask.any() else None)
 
 
@@ -303,10 +293,16 @@ def patching_residuals(sec0: ProjectionSection, sec1: ProjectionSection,
 
 
 def _plaquette_curvature_blocks(sec: ProjectionSection):
-    """Center projection and sandwiched curvature block per plaquette."""
-    pc, comm = _plaquette_corners(sec.values, sec.grid)
-    pc = nearest_projection(pc)
-    return pc, pc @ comm @ pc * sec.grid.plaquette_area()
+    """Center projection and sandwiched curvature block per plaquette.
+
+    Computed once per section and cached read-only, like its links.
+    """
+    if "plaquette_blocks" not in sec._derived:
+        pc, comm = _plaquette_corners(sec.values, sec.grid)
+        pc = nearest_projection(pc)
+        sec._derived["plaquette_blocks"] = (
+            _readonly(pc), _readonly(pc @ comm @ pc * sec.grid.plaquette_area()))
+    return sec._derived["plaquette_blocks"]
 
 
 def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -358,7 +354,7 @@ def _f_ratio(dets, domains):
 
 
 def f_function_field(sec_a: ProjectionSection, sec_mid: ProjectionSection,
-                     sec_b: ProjectionSection, sing_floor: float = 0.1):
+                     sec_b: ProjectionSection, sing_floor: float):
     """Determinant ratio comparing the outer pair with its two-stage split.
 
     Returns (field, healthy) with field(b) = det M_full / (det M_right *
@@ -376,7 +372,7 @@ def f_function_field(sec_a: ProjectionSection, sec_mid: ProjectionSection,
     return _f_ratio(dets, domains)
 
 
-def f_function(model, section: ProjectionSection, idx, sing_floor: float = 1e-8) -> complex:
+def f_function(model, section: ProjectionSection, idx) -> complex:
     """Point value of the splitting comparison function at grid index idx.
 
     Compares the full boundary pair of the model with the composition of the
@@ -384,7 +380,7 @@ def f_function(model, section: ProjectionSection, idx, sing_floor: float = 1e-8)
     the first Cauchy-data bundle.  Raises NearSingular at excluded points.
     """
     sec_a, sec_b = model.boundary_pair("full")
-    vals, healthy = f_function_field(sec_a, section, sec_b, sing_floor)
+    vals, healthy = f_function_field(sec_a, section, sec_b, 1e-8)
     if not healthy[idx]:
         raise NearSingular(f"a compression is near-singular at {idx}")
     return complex(vals[idx])
@@ -399,8 +395,7 @@ def pair_links(sec0: ProjectionSection, sec1: ProjectionSection) -> np.ndarray:
     return np.conj(section_links(sec0)) * section_links(sec1)
 
 
-def plaquette_winding(grid: BaseGrid, links: np.ndarray,
-                      vortex_tol: float = 1e-8) -> DiscreteForm:
+def plaquette_winding(grid: BaseGrid, links: np.ndarray) -> DiscreteForm:
     """Principal-log plaquette holonomy of normalized link overlaps."""
     if grid.ndim != 2:
         raise ValueError("plaquette holonomy needs a 2-axis grid")
@@ -409,7 +404,7 @@ def plaquette_winding(grid: BaseGrid, links: np.ndarray,
     if links.shape != grid.shape + (2,):
         raise ValueError("links must carry one complex overlap per edge")
     mags = np.abs(links)
-    if np.any(mags < vortex_tol):
+    if np.any(mags < VORTEX_TOL):
         raise VortexOnLink("link overlap below the vortex threshold; refine the grid")
     u = links / mags
     u0 = u[..., 0]
@@ -418,26 +413,24 @@ def plaquette_winding(grid: BaseGrid, links: np.ndarray,
     return DiscreteForm(grid, 2, np.log(w))
 
 
-def chern_number(grid: BaseGrid, links: np.ndarray, vortex_tol: float = 1e-8,
-                 integrality_tol: float = 1e-3) -> int:
+def chern_number(grid: BaseGrid, links: np.ndarray) -> int:
     """Integer holonomy sum of the line bundle described by the link field."""
-    total = plaquette_winding(grid, links, vortex_tol).total()
+    total = plaquette_winding(grid, links).total()
     c = complex(total) / (2j * np.pi)
     n = int(round(c.real))
-    if abs(c - n) > integrality_tol:
-        raise ValueError(f"holonomy sum {c} is not integral within {integrality_tol}")
+    if abs(c - n) > 1e-3:
+        raise ValueError(f"holonomy sum {c} is not integral within 0.001")
     return n
 
 
-def chern_of_section(section: ProjectionSection, vortex_tol: float = 1e-8) -> int:
+def chern_of_section(section: ProjectionSection) -> int:
     """Chern number of det(ran P) from frame-overlap link variables."""
-    return chern_number(section.grid, section_links(section), vortex_tol)
+    return chern_number(section.grid, section_links(section))
 
 
-def chern_of_pair(sec0: ProjectionSection, sec1: ProjectionSection,
-                  vortex_tol: float = 1e-8) -> int:
+def chern_of_pair(sec0: ProjectionSection, sec1: ProjectionSection) -> int:
     """Chern number of the pair's determinant line (dual leg 0, direct leg 1)."""
-    return chern_number(sec0.grid, pair_links(sec0, sec1), vortex_tol)
+    return chern_number(sec0.grid, pair_links(sec0, sec1))
 
 
 # -- additivity report ----------------------------------------------------------
@@ -451,7 +444,8 @@ class CurvatureReport:
     holds the plaquette residual curvature_full - curvature_left -
     curvature_right - winding, which is the coboundary of one_form_residual.
     residuals maps statistic names to nonnegative reals; cherns are computed
-    independently per bundle by the link method.
+    independently per bundle by the link method.  connections holds the
+    charted connections of the full, left and right pairs.
     """
 
     grid: BaseGrid
@@ -465,6 +459,7 @@ class CurvatureReport:
     chern_left: int
     chern_right: int
     residuals: dict[str, float]
+    connections: tuple[ChartedConnection, ChartedConnection, ChartedConnection]
     label: str = ""
 
     @property
@@ -484,8 +479,7 @@ class CurvatureReport:
 
 
 def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0.1,
-                        max_excluded: float = 0.05,
-                        vortex_tol: float = 1e-8, label: str = "") -> CurvatureReport:
+                        max_excluded: float = 0.05, label: str = "") -> CurvatureReport:
     """Split the boundary pair through a section and compare connection data.
 
     Checks the identity omega_full = omega_left + omega_right + d log F on
@@ -531,7 +525,7 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
     defect.samples = _wrap_branch(defect.samples)
     f_wind_form = DiscreteForm(g, 1, np.stack(fcomps, axis=g.ndim), mask=emask).coboundary()
     curv_full, curv_left, curv_right = (curvature_of(c) for c in conns)
-    c_full, c_left, c_right = (chern_of_pair(s0, s1, vortex_tol) for s0, s1 in pairs)
+    c_full, c_left, c_right = (chern_of_pair(s0, s1) for s0, s1 in pairs)
 
     wind = f_wind_form.samples / (2j * np.pi)
     keep_w = ~f_wind_form.mask if f_wind_form.mask is not None else np.ones(g.shape, bool)
@@ -554,7 +548,8 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
         "chern_additivity_gap": float(abs(c_full - (c_left + c_right))),
     }
     return CurvatureReport(g, curv_full, curv_left, curv_right, defect, one_form,
-                           f_wind_form, c_full, c_left, c_right, residuals, label)
+                           f_wind_form, c_full, c_left, c_right, residuals,
+                           tuple(conns), label)
 
 
 # -- trace identities ------------------------------------------------------------
@@ -564,7 +559,7 @@ def _as_projection(p) -> Projection:
     return p if isinstance(p, Projection) else Projection(p)
 
 
-def swap_trace_identity(p0, p1, phi, end0, end1, cond_tol: float = 1e12):
+def swap_trace_identity(p0, p1, phi, end0, end1):
     """Move a pair of sandwiched endomorphisms through an invertible compression.
 
     Returns the two evaluations (trace on range(P0), trace on range(P1)) of
@@ -576,13 +571,13 @@ def swap_trace_identity(p0, p1, phi, end0, end1, cond_tol: float = 1e12):
     phi_s = p1.matrix @ as_matrix(phi) @ p0.matrix
     r0 = p0.matrix @ as_matrix(end0) @ p0.matrix
     r1 = p1.matrix @ as_matrix(end1) @ p1.matrix
-    x = toeplitz_inverse(p0, p1, phi_s, cond_tol)
+    x = toeplitz_inverse(p0, p1, phi_s)
     lhs = np.trace(r0 - x @ r1 @ phi_s)
     rhs = np.trace(phi_s @ r0 @ x - r1)
     return complex(lhs), complex(rhs)
 
 
-def composition_trace_identity(p0, p1, p2, phi01, phi12, end2, cond_tol: float = 1e12):
+def composition_trace_identity(p0, p1, p2, phi01, phi12, end2):
     """Telescope a sandwiched endomorphism through a composed compression.
 
     Returns tr(X02 R2 Phi02) for the one-step pair and tr(X01 X12 R2 Phi12
@@ -593,9 +588,9 @@ def composition_trace_identity(p0, p1, p2, phi01, phi12, end2, cond_tol: float =
     phi12_s = p2.matrix @ as_matrix(phi12) @ p1.matrix
     phi02 = phi12_s @ phi01_s
     r2 = p2.matrix @ as_matrix(end2) @ p2.matrix
-    x01 = toeplitz_inverse(p0, p1, phi01_s, cond_tol)
-    x12 = toeplitz_inverse(p1, p2, phi12_s, cond_tol)
-    x02 = toeplitz_inverse(p0, p2, phi02, cond_tol)
+    x01 = toeplitz_inverse(p0, p1, phi01_s)
+    x12 = toeplitz_inverse(p1, p2, phi12_s)
+    x02 = toeplitz_inverse(p0, p2, phi02)
     lhs = np.trace(x02 @ r2 @ phi02)
     rhs = np.trace(x01 @ x12 @ r2 @ phi12_s @ phi01_s)
     return complex(lhs), complex(rhs)

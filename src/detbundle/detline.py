@@ -93,34 +93,39 @@ def canonical_det(a) -> LineElement:
     return LineElement(pad_square(a), pad_square(a), 1.0)
 
 
-def _cond_ok(m: np.ndarray, cond_bound: float) -> bool:
+# condition-number bound of a chart domain: sigma_max <= COND_BOUND * sigma_min
+COND_BOUND = 1e10
+
+
+def _cond_ok(m: np.ndarray, cond_bound: float) -> np.ndarray:
+    """Per matrix of a stack: nonzero and within the condition bound."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0:
-        return False
-    return bool(s[-1] * cond_bound >= s[0])
+    return (s[..., -1] * cond_bound >= s[..., 0]) & (s[..., 0] > 0)
 
 
-def chart_coordinate(e: LineElement, alpha, cond_bound: float = 1e10) -> complex:
+def _chart_det(m: np.ndarray, rhs: np.ndarray, cond_bound: float, message: str) -> complex:
+    """det(m^-1 rhs) as fredholm_det(q - I); OutOfChart(message) when m fails the bound."""
+    if not _cond_ok(m, cond_bound):
+        raise OutOfChart(message)
+    q = np.linalg.solve(m, rhs)
+    return fredholm_det(q - np.eye(q.shape[0]))
+
+
+def chart_coordinate(e: LineElement, alpha, cond_bound: float = COND_BOUND) -> complex:
     """Coordinate of ``e`` in the chart shifted by the finite-rank matrix alpha.
 
     Equals scale * det((A + alpha)^-1  rep); raises OutOfChart when A + alpha
     fails the chart's condition bound.
     """
-    m = e.base + as_matrix(alpha)
-    if not _cond_ok(m, cond_bound):
-        raise OutOfChart("base + shift is not invertible within the condition bound")
-    q = np.linalg.solve(m, e.rep)
-    return e.scale * fredholm_det(q - np.eye(e.dim))
+    return e.scale * _chart_det(e.base + as_matrix(alpha), e.rep, cond_bound,
+                                "base + shift is not invertible within the condition bound")
 
 
-def transition(a, alpha, beta, cond_bound: float = 1e10) -> complex:
+def transition(a, alpha, beta) -> complex:
     """Chart transition factor det((A + alpha)(A + beta)^-1) between two shifts."""
     a = pad_square(a)
-    mb = a + as_matrix(beta)
-    if not _cond_ok(mb, cond_bound):
-        raise OutOfChart("beta-chart is not invertible at this point")
-    q = np.linalg.solve(mb, a + as_matrix(alpha))
-    return complex(fredholm_det(q - np.eye(a.shape[0])))
+    return _chart_det(a + as_matrix(beta), a + as_matrix(alpha), COND_BOUND,
+                      "beta-chart is not invertible at this point")
 
 
 @dataclass
@@ -129,8 +134,7 @@ class Trivialization:
 
     grid: object
     shifts: np.ndarray
-    cond_bound: float = 1e10
-    label: str = ""
+    cond_bound: float = COND_BOUND
 
     def __post_init__(self):
         self.shifts = np.asarray(self.shifts, dtype=complex)
@@ -149,9 +153,7 @@ class Trivialization:
         Never cached: the same shifts may be reused against different
         families.
         """
-        m = np.asarray(family_values) + self.shifts
-        s = np.linalg.svd(m, compute_uv=False)
-        return (s[..., -1] * self.cond_bound >= s[..., 0]) & (s[..., 0] > 0)
+        return _cond_ok(np.asarray(family_values) + self.shifts, self.cond_bound)
 
 
 def coordinate(e: LineElement, triv: Trivialization, idx) -> complex:
@@ -182,7 +184,7 @@ def sew(e01: LineElement, e12: LineElement) -> LineElement:
     return LineElement(e12.base @ e01.base, e12.rep @ e01.rep, e12.scale * e01.scale)
 
 
-def sew_gauge_factor(phi01, phi12, alpha, beta, gamma, cond_bound: float = 1e10) -> complex:
+def sew_gauge_factor(phi01, phi12, alpha, beta, gamma) -> complex:
     """Chart correction relating sewn coordinates to the product of factors.
 
     With z evaluated in charts alpha, beta for the two segments and gamma for
@@ -192,12 +194,9 @@ def sew_gauge_factor(phi01, phi12, alpha, beta, gamma, cond_bound: float = 1e10)
     """
     phi01 = as_matrix(phi01)
     phi12 = as_matrix(phi12)
-    composed = phi12 @ phi01
-    mg = composed + as_matrix(gamma)
-    if not _cond_ok(mg, cond_bound):
-        raise OutOfChart("composite chart is not invertible at this point")
-    q = np.linalg.solve(mg, (phi12 + as_matrix(beta)) @ (phi01 + as_matrix(alpha)))
-    return complex(fredholm_det(q - np.eye(q.shape[0])))
+    return _chart_det(phi12 @ phi01 + as_matrix(gamma),
+                      (phi12 + as_matrix(beta)) @ (phi01 + as_matrix(alpha)),
+                      COND_BOUND, "composite chart is not invertible at this point")
 
 
 def frame_metric_sq(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -217,14 +216,8 @@ def pair_metric_sq(p0_matrix, p1_matrix) -> float:
     return float(frame_metric_sq(p0.frame(), p1.frame()))
 
 
-def metric_norm_sq(model, idx, which: str = "full", section=None) -> float:
-    """Canonical metric of the splitting determinant at one grid point.
-
-    ``which`` selects the compression pair: "full" couples the two boundary
-    value spaces, "left"/"right" couple one of them with the interface
-    section P (required then).  The model supplies the projections through
-    boundary_pair(which, section).
-    """
-    sec0, sec1 = model.boundary_pair(which, section)
+def metric_norm_sq(model, idx) -> float:
+    """Canonical metric of the model's full boundary pair at one grid point."""
+    sec0, sec1 = model.boundary_pair("full")
     idx = idx if isinstance(idx, tuple) else (idx,)
     return pair_metric_sq(sec0.at(idx), sec1.at(idx))

@@ -65,8 +65,9 @@ class BaseGrid:
             raise ValueError("grid spacing must be positive")
 
     @classmethod
-    def torus(cls, n1: int, n2: int | None = None, length: float = 2.0 * np.pi):
-        """Flat periodic grid with axis length ``length`` (default 2*pi)."""
+    def torus(cls, n1: int, n2: int | None = None):
+        """Flat periodic grid with axis length 2*pi."""
+        length = 2.0 * np.pi
         if n2 is None:
             return cls((n1,), (length / n1,), (True,))
         return cls((n1, n2), (length / n1, length / n2), (True, True))
@@ -230,13 +231,13 @@ class DiscreteForm:
 class Projection:
     """Validated orthogonal projection matrix."""
 
-    def __init__(self, matrix, tol: float = PROJECTION_TOL):
+    def __init__(self, matrix):
         m = as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("projection must be square")
-        if np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m)):
+        if np.linalg.norm(m - m.conj().T) > PROJECTION_TOL * max(1.0, np.linalg.norm(m)):
             raise ValueError("projection must be self-adjoint")
-        if np.linalg.norm(m @ m - m) > tol * max(1.0, np.linalg.norm(m)):
+        if np.linalg.norm(m @ m - m) > PROJECTION_TOL * max(1.0, np.linalg.norm(m)):
             raise ValueError("projection must be idempotent")
         r = float(np.trace(m).real)
         if abs(r - round(r)) > 1e-8:
@@ -292,13 +293,13 @@ class ProjectionSection:
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def build(cls, grid: BaseGrid, values, tol: float = PROJECTION_TOL) -> "ProjectionSection":
+    def build(cls, grid: BaseGrid, values) -> "ProjectionSection":
         v = np.array(values, dtype=complex)
         if v.shape[: grid.ndim] != grid.shape or v.ndim != grid.ndim + 2 or v.shape[-1] != v.shape[-2]:
             raise ValueError("values must be a grid of square matrices")
         herm = np.max(np.abs(v - np.swapaxes(v.conj(), -1, -2)))
         idem = np.max(np.abs(v @ v - v))
-        if max(herm, idem) > tol * max(1.0, float(np.max(np.abs(v)))):
+        if max(herm, idem) > PROJECTION_TOL * max(1.0, float(np.max(np.abs(v)))):
             raise ValueError("section values must be orthogonal projections")
         ranks = np.trace(v, axis1=-2, axis2=-1).real
         r0 = float(ranks.reshape(-1)[0])
@@ -404,11 +405,11 @@ def toeplitz(p0: Projection, p1: Projection) -> np.ndarray:
     return p1.matrix @ p0.matrix
 
 
-def toeplitz_inverse(p0: Projection, p1: Projection, phi, cond_tol: float = 1e12) -> np.ndarray:
+def toeplitz_inverse(p0: Projection, p1: Projection, phi) -> np.ndarray:
     """Ambient inverse X of a map phi: range(P0) -> range(P1).
 
     X satisfies X phi = P0 and phi X = P1.  Raises NearSingular when the
-    smallest restricted singular value drops below 1/cond_tol.
+    smallest restricted singular value drops below 1e-12.
     """
     if p0.rank != p1.rank:
         raise ValueError("ranks differ; the restriction cannot be invertible")
@@ -417,8 +418,8 @@ def toeplitz_inverse(p0: Projection, p1: Projection, phi, cond_tol: float = 1e12
     if p0.rank == 0:
         return np.zeros((p0.dim, p0.dim), dtype=complex)
     smin = np.linalg.svd(m, compute_uv=False)[-1]
-    if smin < 1.0 / cond_tol:
-        raise NearSingular(f"restricted singular value {smin:.3e} below 1/cond_tol")
+    if smin < 1e-12:
+        raise NearSingular(f"restricted singular value {smin:.3e} below 1e-12")
     return f0 @ np.linalg.inv(m) @ f1.conj().T
 
 

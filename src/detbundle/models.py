@@ -57,8 +57,7 @@ class Dirac1DFamily:
         Fixed RK4 steps per half circle; cut points stay on the step lattice.
     """
 
-    def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int = 256,
-                 label: str = "dirac1d"):
+    def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int = 256):
         if rank < 1:
             raise ValueError("rank must be at least 1")
         if steps_per_half < 8:
@@ -67,7 +66,6 @@ class Dirac1DFamily:
         self.potential = potential
         self.rank = int(rank)
         self.steps_per_half = int(steps_per_half)
-        self.label = label
         b = grid.coords()
         self._b1 = b[0]
         self._b2 = b[1] if grid.ndim == 2 else np.zeros_like(b[0])
@@ -127,10 +125,6 @@ class Dirac1DFamily:
 
     # -- boundary data -------------------------------------------------------
 
-    @property
-    def boundary_dim(self) -> int:
-        return 2 * self.rank
-
     def calderon_section(self, side: str) -> ProjectionSection:
         """Cauchy-data projections of the chosen half circle.
 
@@ -187,11 +181,10 @@ def _split_pair(first: ProjectionSection, second: ProjectionSection, which: str,
 # -- shipped families ---------------------------------------------------------
 
 
-def demo_family(grid: BaseGrid | None = None, mu: float = 0.5, r: float = 0.22,
-                eps: float = 0.18, steps_per_half: int = 256) -> Dirac1DFamily:
+def demo_family(grid: BaseGrid | None = None, steps_per_half: int = 256) -> Dirac1DFamily:
     """Rank-2 family over the torus, periodic in both parameters.
 
-    The constant part mu*I keeps the local spectrum inside (0, 1), so the
+    The constant part 0.5*I keeps the local spectrum inside (0, 1), so the
     period map never develops a unit eigenvalue and the full compression
     stays invertible across the grid, while the sphere-valued direction
     field makes the half-circle Cauchy bundles genuinely curved.
@@ -203,14 +196,14 @@ def demo_family(grid: BaseGrid | None = None, mu: float = 0.5, r: float = 0.22,
         n1 = np.cos(b1)
         n2 = np.sin(b1) * np.cos(b2)
         n3 = np.sin(b1) * np.sin(b2)
-        base = (mu * np.eye(2))[(None,) * n1.ndim]
-        bulk = r * (n1[..., None, None] * PAULI[0]
-                    + n2[..., None, None] * PAULI[1]
-                    + n3[..., None, None] * PAULI[2])
-        drive = eps * (np.cos(x) * PAULI[0] + np.sin(x) * PAULI[1])
+        base = (0.5 * np.eye(2))[(None,) * n1.ndim]
+        bulk = 0.22 * (n1[..., None, None] * PAULI[0]
+                       + n2[..., None, None] * PAULI[1]
+                       + n3[..., None, None] * PAULI[2])
+        drive = 0.18 * (np.cos(x) * PAULI[0] + np.sin(x) * PAULI[1])
         return base + bulk + drive[(None,) * n1.ndim]
 
-    return Dirac1DFamily(grid, pot, rank=2, steps_per_half=steps_per_half, label="demo")
+    return Dirac1DFamily(grid, pot, rank=2, steps_per_half=steps_per_half)
 
 
 def constant_scalar_family(grid: BaseGrid, value: float | None = None, rank: int = 1,
@@ -225,8 +218,7 @@ def constant_scalar_family(grid: BaseGrid, value: float | None = None, rank: int
         c = np.full_like(b1, value) if value is not None else b1
         return c[..., None, None] * np.eye(rank)
 
-    return Dirac1DFamily(grid, pot, rank=rank, steps_per_half=steps_per_half,
-                         label="constant_scalar")
+    return Dirac1DFamily(grid, pot, rank=rank, steps_per_half=steps_per_half)
 
 
 _TRIG_BASIS = {"one": lambda t: np.ones_like(t), "cos": np.cos, "sin": np.sin}
@@ -274,10 +266,10 @@ def potential_from_coefficients(coefficients: dict[str, float]):
 
 
 def coefficient_family(grid: BaseGrid, coefficients: dict[str, float],
-                       steps_per_half: int = 256, label: str = "table") -> Dirac1DFamily:
+                       steps_per_half: int = 256) -> Dirac1DFamily:
     """Dirac1DFamily built from a potential coefficient table."""
     return Dirac1DFamily(grid, potential_from_coefficients(coefficients),
-                         rank=2, steps_per_half=steps_per_half, label=label)
+                         rank=2, steps_per_half=steps_per_half)
 
 
 # -- rank-1 control family over the torus -------------------------------------
@@ -306,31 +298,14 @@ def bloch_curvature_density(b1, b2, mass: float = 1.0) -> np.ndarray:
     return 0.5j * triple / norm**3
 
 
-def bloch_section(grid: BaseGrid, mass: float = 1.0, dim: int = 2,
-                  block: tuple[int, int] = (0, 1), extra_modes: tuple[int, ...] = ()
-                  ) -> ProjectionSection:
-    """Projection field (1/2)(I + nhat . sigma) embedded on two ambient modes.
-
-    extra_modes adds fixed rank-one summands |e_k><e_k| outside the block, so
-    the section can match the rank of a Cauchy-data bundle.
-    """
+def bloch_section(grid: BaseGrid, mass: float = 1.0) -> ProjectionSection:
+    """Rank-one projection field (1/2)(I + nhat . sigma) of the upper band."""
     b1, b2 = grid.coords()
     nhat = bloch_vector(b1, b2, mass)
     p2 = 0.5 * (np.eye(2) + nhat[..., 0, None, None] * PAULI[0]
                 + nhat[..., 1, None, None] * PAULI[1]
                 + nhat[..., 2, None, None] * PAULI[2])
-    if dim == 2 and not extra_modes and block == (0, 1):
-        return ProjectionSection.build(grid, p2)
-    i, j = block
-    vals = np.zeros(grid.shape + (dim, dim), dtype=complex)
-    for r in range(2):
-        for c in range(2):
-            vals[..., (i, j)[r], (i, j)[c]] = p2[..., r, c]
-    for k in extra_modes:
-        if k in (i, j):
-            raise ValueError("extra modes must avoid the active block")
-        vals[..., k, k] = 1.0
-    return ProjectionSection.build(grid, vals)
+    return ProjectionSection.build(grid, p2)
 
 
 def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
@@ -338,15 +313,16 @@ def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def vortex_interface(fam: Dirac1DFamily, center: tuple[float, float] | None = None,
-                     radius: float = 1.1, orientation: int = 1) -> ProjectionSection:
+def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
+                     orientation: int = 1) -> ProjectionSection:
     """Interface section: the left Cauchy bundle with one line twisted in a disc.
 
-    Outside the disc the section equals the left Cauchy-data projections
-    exactly, so compressions against them are perfectly conditioned there.
-    Inside, the first frame line is rotated through the orthogonal complement
-    by a degree-one sphere map, which shifts the Chern number by
-    -orientation and confines every near-degeneracy to the disc.
+    Outside the disc, centred at (pi, pi), the section equals the left
+    Cauchy-data projections exactly, so compressions against them are
+    perfectly conditioned there.  Inside, the first frame line is rotated
+    through the orthogonal complement by a degree-one sphere map, which
+    shifts the Chern number by -orientation and confines every
+    near-degeneracy to the disc.
     """
     g = fam.grid
     if g.ndim != 2:
@@ -364,11 +340,10 @@ def vortex_interface(fam: Dirac1DFamily, center: tuple[float, float] | None = No
     gvec = frame_c[..., :, 0]
 
     b1, b2 = g.coords()
-    c1, c2 = center if center is not None else (np.pi, np.pi)
     span1 = g.spacing[0] * g.shape[0]
     span2 = g.spacing[1] * g.shape[1]
-    dx = (b1 - c1 + 0.5 * span1) % span1 - 0.5 * span1
-    dy = (b2 - c2 + 0.5 * span2) % span2 - 0.5 * span2
+    dx = (b1 - np.pi + 0.5 * span1) % span1 - 0.5 * span1
+    dy = (b2 - np.pi + 0.5 * span2) % span2 - 0.5 * span2
     rho = np.hypot(dx, dy)
     phi = np.arctan2(orientation * dy, dx)
     theta = np.pi * np.where(rho < radius, np.cos(0.5 * np.pi * rho / radius) ** 2, 0.0)
@@ -462,8 +437,7 @@ class CylinderFamily:
     """
 
     def __init__(self, grid: BaseGrid, truncation: int, gamma: float = 0.6,
-                 seed: int = 0, amplitude: float = 1.0, style: str = "conjugated",
-                 gap_tol: float = 1e-8):
+                 seed: int = 0, amplitude: float = 1.0, style: str = "conjugated"):
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
         if style not in ("conjugated", "additive"):
@@ -474,7 +448,6 @@ class CylinderFamily:
         self.seed = int(seed)
         self.amplitude = float(amplitude)
         self.style = style
-        self.gap_tol = float(gap_tol)
         self.modes = np.arange(-truncation, truncation + 1)
         b = grid.coords()
         self._b1 = b[0]
@@ -514,7 +487,7 @@ class CylinderFamily:
         gap condition below zero at some grid point.
         """
         if self._aps is None:
-            vals = spectral_projection_field(self.boundary_operator_field(), self.gap_tol)
+            vals = spectral_projection_field(self.boundary_operator_field())
             self._aps = ProjectionSection.build(self.grid, vals)
         return self._aps
 

@@ -131,17 +131,15 @@ def wedge_trace(a, r: int) -> complex:
     return complex(e_r)
 
 
-def fredholm_det(a, method: str = "dense", tol: float = 1e-12) -> complex:
+def fredholm_det(a, method: str = "dense") -> complex:
     """Regularized determinant det(I + A) of a finite matrix A.
 
     method="dense" evaluates det(I + A) by LU.  method="series" sums the
     exterior-power traces and truncates once the incremental term drops
-    below tol * (1 + |partial sum|); the series is finite (order <= dim)
+    below 1e-12 * (1 + |partial sum|); the series is finite (order <= dim)
     so truncation only saves work.
     """
     m = _square(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = m.shape[0]
     if method == "dense":
         return complex(np.linalg.det(np.eye(n) + m))
@@ -150,7 +148,7 @@ def fredholm_det(a, method: str = "dense", tol: float = 1e-12) -> complex:
     total = 1.0 + 0.0j
     for e_r in _elementary_from_powers(_power_traces(m, n)):
         total += e_r
-        if abs(e_r) < tol * (1.0 + abs(total)):
+        if abs(e_r) < 1e-12 * (1.0 + abs(total)):
             break
     return complex(total)
 

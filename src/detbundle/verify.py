@@ -34,15 +34,12 @@ from .models import (
     bloch_section,
     constant_scalar_family,
     demo_family,
-    rotated_interface,
     smoothing_perturbation,
 )
 from .curvature import (
     additivity_residual,
     composition_trace_identity,
-    connection_one_form,
     curvature_families_formula,
-    curvature_of,
     default_cover,
     pair_metric_field,
     patching_residuals,
@@ -102,12 +99,12 @@ def _rel(x, y, floor: float = 1e-12) -> float:
 # -- opcalc ---------------------------------------------------------------------
 
 
-def suite_opcalc(seed: int = 0, tol: float = 1e-9, samples: int = 60) -> list[CheckResult]:
+def suite_opcalc(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
     rng = _rng(seed, 1)
     worst_series = 0.0
     worst_mult = 0.0
     worst_slope = 0.0
-    for _ in range(samples):
+    for _ in range(60):
         dim = int(rng.integers(2, 41))
         a = _random_contraction(rng, dim, float(rng.uniform(0.2, 4.0)))
         b = _random_contraction(rng, dim, float(rng.uniform(0.2, 4.0)))
@@ -144,7 +141,7 @@ def suite_opcalc(seed: int = 0, tol: float = 1e-9, samples: int = 60) -> list[Ch
 
     return [
         _result("fredholm_series_vs_dense", worst_series, tol,
-                f"{samples} random matrices, dims 2-40"),
+                "60 random matrices, dims 2-40"),
         _result("fredholm_multiplicativity", worst_mult, tol,
                 "det(I+A)(I+B) against the joint argument"),
         _result("trace_slope_richardson", worst_slope, 1e-8,
@@ -161,14 +158,14 @@ def suite_opcalc(seed: int = 0, tol: float = 1e-9, samples: int = 60) -> list[Ch
 # -- grassmann --------------------------------------------------------------------
 
 
-def _matrix_sign_projection(h: np.ndarray, iters: int = 60) -> np.ndarray:
+def _matrix_sign_projection(h: np.ndarray) -> np.ndarray:
     x = h.copy()
-    for _ in range(iters):
+    for _ in range(60):
         x = 0.5 * (x + np.linalg.inv(x))
     return 0.5 * (np.eye(h.shape[0]) + x)
 
 
-def suite_grassmann(seed: int = 0, tol: float = 1e-10) -> list[CheckResult]:
+def suite_grassmann(seed: int = 0) -> list[CheckResult]:
     rng = _rng(seed, 11)
     worst_laws = 0.0
     worst_sign = 0.0
@@ -229,9 +226,9 @@ def suite_grassmann(seed: int = 0, tol: float = 1e-10) -> list[CheckResult]:
     return [
         _result("projection_laws", worst_laws, 1e-12,
                 "graph projections idempotent and self-adjoint"),
-        _result("spectral_vs_matrix_sign", worst_sign, tol,
+        _result("spectral_vs_matrix_sign", worst_sign, 1e-10,
                 "spectral projection against the Newton sign iteration"),
-        _result("toeplitz_inverse_laws", worst_toep, tol,
+        _result("toeplitz_inverse_laws", worst_toep, 1e-10,
                 "X phi = P0 and phi X = P1 on random compressions"),
         _result("lattice_vs_exact_curvature_density", bloch_err, 0.05,
                 "rank-1 band at 24^2 against the closed-form density"),
@@ -245,11 +242,11 @@ def suite_grassmann(seed: int = 0, tol: float = 1e-10) -> list[CheckResult]:
 # -- detline ----------------------------------------------------------------------
 
 
-def suite_detline(seed: int = 0, tol: float = 1e-9, samples: int = 100) -> list[CheckResult]:
+def suite_detline(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
     rng = _rng(seed, 21)
     worst_cocycle = 0.0
     worst_gauge = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         dim = int(rng.integers(2, 13))
         a = _random_contraction(rng, dim, float(rng.uniform(0.5, 3.0)))
         shifts = [np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
@@ -276,7 +273,7 @@ def suite_detline(seed: int = 0, tol: float = 1e-9, samples: int = 100) -> list[
     worst_sew = 0.0
     worst_assoc = 0.0
     worst_herm = 0.0
-    for _ in range(samples // 2):
+    for _ in range(50):
         dim = int(rng2.integers(3, 25))
         mats = [np.eye(dim) + _random_contraction(rng2, dim, 1.5) for _ in range(3)]
         e01, e12, e23 = (detline.canonical_det(m - np.eye(dim)) for m in mats)
@@ -337,7 +334,7 @@ def suite_detline(seed: int = 0, tol: float = 1e-9, samples: int = 100) -> list[
 
     return [
         _result("transition_cocycle", worst_cocycle, tol,
-                f"g_ab g_bc g_ca = 1 on {samples} random chart triples"),
+                "g_ab g_bc g_ca = 1 on 100 random chart triples"),
         _result("coordinate_gauge_law", worst_gauge, 1e-10,
                 "z_b equals the a-to-b transition times z_a"),
         _result("sew_multiplicativity", worst_sew, tol,
@@ -356,8 +353,7 @@ def suite_detline(seed: int = 0, tol: float = 1e-9, samples: int = 100) -> list[
 # -- models -----------------------------------------------------------------------
 
 
-def suite_models(seed: int = 0, tol: float = 1e-9,
-                 steps_per_half: int = 128) -> list[CheckResult]:
+def suite_models(seed: int = 0) -> list[CheckResult]:
     fine_steps = 512
     line = BaseGrid.line(8, 0.3, 0.74)
     fam_c = constant_scalar_family(line, steps_per_half=fine_steps)
@@ -367,7 +363,7 @@ def suite_models(seed: int = 0, tol: float = 1e-9,
     closed = float(np.abs(t[..., 0, 0] - exact).max())
 
     g = BaseGrid.torus(6, 6)
-    fam = demo_family(grid=g, steps_per_half=steps_per_half)
+    fam = demo_family(grid=g, steps_per_half=128)
     t01 = fam.transfer_field(0.0, np.pi / 2)
     t12 = fam.transfer_field(np.pi / 2, np.pi)
     t02 = fam.transfer_field(0.0, np.pi)
@@ -409,7 +405,7 @@ def suite_models(seed: int = 0, tol: float = 1e-9,
 
     jump = cyl.aps_section().smoothness * max(cyl_g.spacing)
     return [
-        _result("transfer_constant_closed_form", closed, tol,
+        _result("transfer_constant_closed_form", closed, 1e-9,
                 "scalar potential against exp(i c dx)"),
         _result("transfer_composition", comp, 1e-10,
                 "T(0,pi) = T(pi/2,pi) T(0,pi/2)"),
@@ -417,9 +413,9 @@ def suite_models(seed: int = 0, tol: float = 1e-9,
                 "Hermitian potential gives unitary transport"),
         _result("calderon_projection_laws", worst_cald, 1e-10,
                 "Cauchy-data projections idempotent and self-adjoint"),
-        _result("monodromy_half_integer_value", half_err, tol,
+        _result("monodromy_half_integer_value", half_err, 1e-9,
                 "det(I - T(0,2pi)) = 2 at c = 1/2"),
-        _result("kernel_locus_integer", kern_err, tol,
+        _result("kernel_locus_integer", kern_err, 1e-9,
                 "monodromy and pair metric both vanish at c = 1"),
         _result("cylinder_spectral_closed_form", cyl_err, 1e-10,
                 "pointwise spectral projections equal the conjugated form"),
@@ -435,17 +431,12 @@ def suite_models(seed: int = 0, tol: float = 1e-9,
 # -- curvature ----------------------------------------------------------------------
 
 
-def suite_curvature(seed: int = 0, tol: float = 1e-9, family=None, section=None,
-                    sing_floor: float = 0.1, max_excluded: float = 0.05,
-                    steps_per_half: int = 64) -> list[CheckResult]:
-    if family is None:
-        family = demo_family(grid=BaseGrid.torus(16, 16), steps_per_half=steps_per_half)
-    if section is None:
-        section = rotated_interface(family, strength=0.4)
+def suite_curvature(seed: int = 0, tol: float = 1e-9, *, family, section,
+                    sing_floor: float, max_excluded: float) -> list[CheckResult]:
     g = family.grid
     checks: list[CheckResult] = []
 
-    sec_a, sec_b = family.boundary_pair("full")
+    sec_a = family.boundary_pair("full")[0]
     try:
         report = additivity_residual(family, section, sing_floor=sing_floor,
                                      max_excluded=max_excluded)
@@ -472,7 +463,8 @@ def suite_curvature(seed: int = 0, tol: float = 1e-9, family=None, section=None,
                           f"chern triple {report.chern}, {report.chern_left}, "
                           f"{report.chern_right}"))
 
-    conn = connection_one_form(sec_a, section, sing_floor=sing_floor)
+    # the left pair's connection and curvature come from the report
+    conn = report.connections[1]
     m = pair_metric_field(sec_a, section)
     worst_mc = 0.0
     for ax in range(g.ndim):
@@ -491,7 +483,7 @@ def suite_curvature(seed: int = 0, tol: float = 1e-9, family=None, section=None,
     checks.append(_result("patching_identities", worst_patch, 0.1,
                           "chart-change identities at the working resolution"))
 
-    curv = curvature_of(conn)
+    curv = report.curvature_left
     fam_form = curvature_families_formula(sec_a, section, variant="full",
                                           sing_floor=sing_floor)
     both = np.ones(g.shape, bool)

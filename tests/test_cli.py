@@ -63,7 +63,13 @@ def test_build_family_rejects_bad_numbers():
     "[model]\nkind = cylinder\n[cylinder]\namplitude = inf\n",
     "[run]\nmax_excluded = nan\n",
     "[model]\nkind = constant_scalar\nvalue = -inf\n",
-], ids=["potential_nan", "cylinder_amplitude_inf", "max_excluded_nan", "model_value_inf"])
+    "[model]\nkind = cylinder\n[cylinder]\nstyle = foo\n",
+    "[model]\nkind = cylinder\n[cylinder]\ntruncation = 0\n",
+    "[model]\nkind = constant_scalar\nrank = 0\n",
+    "[interface]\nkind = vortex\nradius = 5\n",
+], ids=["potential_nan", "cylinder_amplitude_inf", "max_excluded_nan", "model_value_inf",
+        "cylinder_style_unknown", "cylinder_truncation_zero", "scalar_rank_zero",
+        "vortex_radius_beyond_pi"])
 def test_non_finite_config_numbers_exit_two(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

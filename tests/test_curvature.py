@@ -160,9 +160,16 @@ def test_additivity_report_demo(demo16, rot16):
     assert set(s["residuals"]) == set(r)
 
 
-def _count_calls(monkeypatch, name):
-    kernel, calls = getattr(np.linalg, name), []
-    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or kernel(*a, **k))
+def _count_calls(monkeypatch, name, modules=(np.linalg,)):
+    """Count calls of ``name`` through every one of ``modules`` that binds it."""
+    calls = []
+
+    def wrap(fn):
+        return lambda *a, **k: calls.append(1) or fn(*a, **k)
+
+    for mod in modules:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, wrap(getattr(mod, name)))
     return calls
 
 
@@ -183,6 +190,31 @@ def test_additivity_diagonalises_each_section_once(monkeypatch):
     assert sec.complement().complement() is sec
     with pytest.raises(ValueError):
         sec.values[0, 0, 0, 0] = 1.0
+
+
+def test_verify_curvature_suite_reuses_the_report(monkeypatch):
+    # the suite reads the left pair's connection and curvature from the
+    # additivity report, and both variants of the families formula share
+    # each section's cached plaquette blocks: one connection per pair and one
+    # nearest_projection per section
+    from detbundle import curvature as curvature_module, verify
+    from detbundle.cli import build_family, build_interface, load_config
+
+    cfg = load_config(None)
+    fam = build_family(cfg, BaseGrid.torus(16, 16))
+    sec = build_interface(cfg, fam)
+    calls = {name: _count_calls(monkeypatch, name, (curvature_module, verify))
+             for name in ("connection_one_form", "nearest_projection")}
+    checks = verify.run_suite("curvature", family=fam, section=sec,
+                              sing_floor=0.1, max_excluded=0.05)
+    assert len(calls["connection_one_form"]) == 3
+    assert len(calls["nearest_projection"]) == 2
+    assert len(checks) == 12
+    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    for s in (fam.boundary_pair("full")[0], sec):
+        for block in s._derived["plaquette_blocks"]:
+            with pytest.raises(ValueError):
+                block[(0,) * block.ndim] = 0.0
 
 
 def test_additivity_residual_refines_at_second_order(demo16, rot16, demo32, rot32):

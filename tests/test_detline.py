@@ -256,7 +256,7 @@ def test_metric_agrees_between_trivializations(demo16, rot16):
     overlap = pair_overlap_field(sec0, sec1)
     charts = default_cover(sec0.dim)
     trivs = [Trivialization(demo16.grid, restricted_shift_field(sec0, sec1, c),
-                            cond_bound=1e8, label=c.label) for c in charts[1:3]]
+                            cond_bound=1e8) for c in charts[1:3]]
     domains = [t.domain(overlap) for t in trivs]
     both = domains[0] & domains[1]
     assert both.mean() >= 0.95
