@@ -15,7 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grassmann import BaseGrid, ProjectionSection, graph_projection_field, spectral_projection_field
+from .grassmann import (
+    BaseGrid,
+    ProjectionSection,
+    _readonly,
+    graph_projection_field,
+    spectral_projection_field,
+)
 
 __all__ = [
     "Dirac1DFamily",
@@ -54,7 +60,12 @@ class Dirac1DFamily:
     rank : int
         Block size n.
     steps_per_half : int
-        Fixed RK4 steps per half circle; cut points stay on the step lattice.
+        Fixed steps per half circle; cut points stay on the step lattice.
+
+    Each step is the 4th-order Magnus step with two Gauss points and one
+    commutator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)).  Its
+    exponential of a Hermitian generator is exactly unitary, and for rank 1
+    and 2 both the exponential and the block products are closed forms.
     """
 
     def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int = 256):
@@ -67,8 +78,9 @@ class Dirac1DFamily:
         self.rank = int(rank)
         self.steps_per_half = int(steps_per_half)
         b = grid.coords()
-        self._b1 = b[0]
-        self._b2 = b[1] if grid.ndim == 2 else np.zeros_like(b[0])
+        # read-only, so a potential may cache what it derives from them
+        self._b1 = _readonly(b[0])
+        self._b2 = _readonly(b[1] if grid.ndim == 2 else np.zeros_like(b[0]))
         self._flows: dict[tuple[int, int], np.ndarray] = {}
         self._sections: dict[str, ProjectionSection] = {}
 
@@ -104,17 +116,15 @@ class Dirac1DFamily:
             return out
         h = self._step
         t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
-        a_right = self._a(k0 * h)
+        gauss = np.sqrt(3.0) / 6.0
         for k in range(k0, k1):
-            x = k * h
-            a0 = a_right
-            am = self._a(x + 0.5 * h)
-            a_right = self._a(x + h)
-            k1m = 1j * (a0 @ t)
-            k2m = 1j * (am @ (t + 0.5 * h * k1m))
-            k3m = 1j * (am @ (t + 0.5 * h * k2m))
-            k4m = 1j * (a_right @ (t + h * k3m))
-            t = t + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            a1 = self._a((k + 0.5 - gauss) * h)
+            a2 = self._a((k + 0.5 + gauss) * h)
+            # X - X^H is the commutator [a2, a1] for Hermitian blocks
+            x = _bmm(a2, a1)
+            comm = x - np.swapaxes(x.conj(), -1, -2)
+            gen = (0.5 * h) * (a1 + a2) + (1j * gauss * 0.5 * h * h) * comm
+            t = _bmm(_expi(gen), t)
         self._flows[key] = t
         return t
 
@@ -150,8 +160,11 @@ class Dirac1DFamily:
         return sec
 
     def monodromy_field(self) -> np.ndarray:
-        """det(I - T(0 -> 2pi)) over the grid; zero exactly at periodic solutions."""
-        t = self.transfer_field(0.0, 2.0 * np.pi)
+        """det(I - T(0 -> 2pi)) over the grid; zero exactly at periodic solutions.
+
+        T(0 -> 2pi) is composed from the two cached half-circle transfers.
+        """
+        t = _bmm(self.transfer_field(np.pi, 2.0 * np.pi), self.transfer_field(0.0, np.pi))
         return np.linalg.det(np.eye(self.rank) - t)
 
     def full_monodromy_det(self, idx) -> complex:
@@ -184,26 +197,17 @@ def _split_pair(first: ProjectionSection, second: ProjectionSection, which: str,
 def demo_family(grid: BaseGrid | None = None, steps_per_half: int = 256) -> Dirac1DFamily:
     """Rank-2 family over the torus, periodic in both parameters.
 
-    The constant part 0.5*I keeps the local spectrum inside (0, 1), so the
-    period map never develops a unit eigenvalue and the full compression
-    stays invertible across the grid, while the sphere-valued direction
-    field makes the half-circle Cauchy bundles genuinely curved.
+    a(b, x) = 0.5 I + 0.22 n(b) . sigma + 0.18 (cos x sigma_1 + sin x sigma_2)
+    with the sphere-valued direction field
+    n(b) = (cos b1, sin b1 cos b2, sin b1 sin b2); DEMO_COEFFICIENTS is this
+    table.  The constant part 0.5*I keeps the local spectrum inside (0, 1), so
+    the period map never develops a unit eigenvalue and the full compression
+    stays invertible across the grid, while the direction field makes the
+    half-circle Cauchy bundles genuinely curved.
     """
     if grid is None:
         grid = BaseGrid.torus(16, 16)
-
-    def pot(b1, b2, x):
-        n1 = np.cos(b1)
-        n2 = np.sin(b1) * np.cos(b2)
-        n3 = np.sin(b1) * np.sin(b2)
-        base = (0.5 * np.eye(2))[(None,) * n1.ndim]
-        bulk = 0.22 * (n1[..., None, None] * PAULI[0]
-                       + n2[..., None, None] * PAULI[1]
-                       + n3[..., None, None] * PAULI[2])
-        drive = 0.18 * (np.cos(x) * PAULI[0] + np.sin(x) * PAULI[1])
-        return base + bulk + drive[(None,) * n1.ndim]
-
-    return Dirac1DFamily(grid, pot, rank=2, steps_per_half=steps_per_half)
+    return coefficient_family(grid, DEMO_COEFFICIENTS, steps_per_half=steps_per_half)
 
 
 def constant_scalar_family(grid: BaseGrid, value: float | None = None, rank: int = 1,
@@ -242,7 +246,12 @@ def potential_from_coefficients(coefficients: dict[str, float]):
     (identity and the three Pauli directions) and each factor in
     {one, cos, sin}.  Real coefficients keep the sample Hermitian, and every
     basis function is 2 pi periodic, so any table yields an admissible
-    torus family.  DEMO_COEFFICIENTS reproduces demo_family exactly.
+    torus family.  DEMO_COEFFICIENTS is the table of demo_family.
+
+    The x-independent fields sum(c f(b1) g(b2) channel), one per factor h(x),
+    are computed once for read-only coordinate arrays (those of a
+    Dirac1DFamily) and reused while the same arrays come back; writable
+    inputs are evaluated afresh.
     """
     parsed = []
     for key, value in coefficients.items():
@@ -254,12 +263,26 @@ def potential_from_coefficients(coefficients: dict[str, float]):
     if not parsed:
         raise ValueError("potential coefficient table is empty")
 
+    def fields_of(b1, b2) -> dict[str, np.ndarray]:
+        fields: dict[str, np.ndarray] = {}
+        for mat, f, g, h, c in parsed:
+            term = (c * _TRIG_BASIS[f](b1) * _TRIG_BASIS[g](b2))[..., None, None] * mat
+            fields[h] = fields[h] + term if h in fields else term
+        return fields
+
+    memo: list = []  # [b1, b2, fields] for the last read-only coordinates
+
     def pot(b1, b2, x):
+        if memo and memo[0] is b1 and memo[1] is b2:
+            fields = memo[2]
+        else:
+            fields = fields_of(b1, b2)
+            if all(isinstance(b, np.ndarray) and not b.flags.writeable for b in (b1, b2)):
+                memo[:] = [b1, b2, fields]
         xarr = np.asarray(x, dtype=float)
         out = np.zeros(np.shape(b1) + (2, 2), dtype=complex)
-        for mat, f, g, h, c in parsed:
-            profile = c * _TRIG_BASIS[f](b1) * _TRIG_BASIS[g](b2) * _TRIG_BASIS[h](xarr)
-            out = out + profile[..., None, None] * mat
+        for h, field in fields.items():
+            out = out + _TRIG_BASIS[h](xarr)[..., None, None] * field
         return out
 
     return pot
@@ -419,10 +442,50 @@ def smoothing_perturbation(seed: int, gamma: float, truncation: int) -> np.ndarr
     return _smoothing_cached(int(seed), float(gamma), int(truncation)).copy()
 
 
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched block product a @ b; elementwise for 1x1 and 2x2 blocks.
+
+    np.matmul makes one BLAS call per block, which dominates on stacks of
+    thousands of tiny blocks.
+    """
+    n = a.shape[-1]
+    if n == 1:
+        return a * b
+    if n != 2:
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
 def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H (batched)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    """exp(i H) for Hermitian H (batched); closed forms for 1x1 and 2x2 blocks.
+
+    Like eigh, the closed forms read only the diagonal and lower triangle.
+    For 2x2, H = h0 I + hvec . sigma gives
+    exp(i H) = exp(i h0) (cos|hvec| I + i sin|hvec|/|hvec| hvec . sigma).
+    """
+    n = h.shape[-1]
+    if n == 1:
+        return np.exp(1j * h.real)
+    if n != 2:
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+    h0, h3 = 0.5 * (d0 + d1), 0.5 * (d0 - d1)
+    low = h[..., 1, 0]  # h1 + i h2
+    theta = np.sqrt(h3 * h3 + low.real * low.real + low.imag * low.imag)
+    phase = np.exp(1j * h0)
+    c = phase * np.cos(theta)
+    s = 1j * phase * np.sinc(theta / np.pi)
+    out = np.empty(h.shape, dtype=complex)
+    out[..., 0, 0] = c + s * h3
+    out[..., 1, 1] = c - s * h3
+    out[..., 1, 0] = s * low
+    out[..., 0, 1] = s * low.conj()
+    return out
 
 
 class CylinderFamily:

@@ -353,7 +353,7 @@ def suite_detline(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
 # -- models -----------------------------------------------------------------------
 
 
-def suite_models(seed: int = 0) -> list[CheckResult]:
+def suite_models(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
     fine_steps = 512
     line = BaseGrid.line(8, 0.3, 0.74)
     fam_c = constant_scalar_family(line, steps_per_half=fine_steps)
@@ -405,7 +405,7 @@ def suite_models(seed: int = 0) -> list[CheckResult]:
 
     jump = cyl.aps_section().smoothness * max(cyl_g.spacing)
     return [
-        _result("transfer_constant_closed_form", closed, 1e-9,
+        _result("transfer_constant_closed_form", closed, tol,
                 "scalar potential against exp(i c dx)"),
         _result("transfer_composition", comp, 1e-10,
                 "T(0,pi) = T(pi/2,pi) T(0,pi/2)"),
@@ -413,9 +413,9 @@ def suite_models(seed: int = 0) -> list[CheckResult]:
                 "Hermitian potential gives unitary transport"),
         _result("calderon_projection_laws", worst_cald, 1e-10,
                 "Cauchy-data projections idempotent and self-adjoint"),
-        _result("monodromy_half_integer_value", half_err, 1e-9,
+        _result("monodromy_half_integer_value", half_err, tol,
                 "det(I - T(0,2pi)) = 2 at c = 1/2"),
-        _result("kernel_locus_integer", kern_err, 1e-9,
+        _result("kernel_locus_integer", kern_err, tol,
                 "monodromy and pair metric both vanish at c = 1"),
         _result("cylinder_spectral_closed_form", cyl_err, 1e-10,
                 "pointwise spectral projections equal the conjugated form"),
@@ -542,7 +542,7 @@ def run_suite(name: str, seed: int = 0, tol: float = 1e-9, **kwargs) -> list[Che
     if name == "detline":
         return suite_detline(seed=seed, tol=tol)
     if name == "models":
-        return suite_models(seed=seed)
+        return suite_models(seed=seed, tol=tol)
     if name == "curvature":
         return suite_curvature(seed=seed, tol=tol, **kwargs)
     raise ValueError(f"unknown suite {name!r}")

@@ -15,8 +15,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 # integrator resolution shared by the refinement fixtures; the b-grid is the
-# refined quantity, so the x-step only needs to keep RK4 error below the
-# O(h^2) signal being measured
+# refined quantity, so the x-step only needs to keep the 4th-order Magnus
+# error below the O(h^2) signal being measured
 STEPS = 64
 
 

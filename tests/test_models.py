@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from detbundle import verify
 from detbundle.detline import canonical_det, chart_coordinate, metric_norm_sq
 from detbundle.errors import OutOfChart
 from detbundle.grassmann import BaseGrid, graph_projection
 from detbundle.models import (
     DEMO_COEFFICIENTS,
     CylinderFamily,
+    Dirac1DFamily,
+    _expi,
     coefficient_family,
     constant_scalar_family,
     demo_family,
@@ -60,6 +63,91 @@ def test_transfer_unitarity_for_hermitian_potential():
     t = fam.transfer_field(0.0, 2.0 * np.pi)
     th = np.swapaxes(t.conj(), -1, -2)
     assert np.abs(th @ t - np.eye(2)).max() <= 1e-8
+
+
+def test_magnus_step_is_fourth_order():
+    # doubling the steps shrinks the gap to a 4x finer lattice by 2^4
+    grid = BaseGrid.torus(16, 16)
+
+    def gap(steps):
+        coarse = coefficient_family(grid, DEMO_COEFFICIENTS, steps_per_half=steps)
+        fine = coefficient_family(grid, DEMO_COEFFICIENTS, steps_per_half=4 * steps)
+        return np.abs(coarse.transfer_field(0.0, np.pi) - fine.transfer_field(0.0, np.pi)).max()
+
+    assert 12.0 <= gap(64) / gap(128) <= 20.0
+
+
+def test_magnus_transfer_is_unitary_to_rounding():
+    fam = demo_family(BaseGrid.torus(6, 6), steps_per_half=128)
+    t = fam.transfer_field(0.0, 2.0 * np.pi)
+    th = np.swapaxes(t.conj(), -1, -2)
+    assert np.abs(th @ t - np.eye(2)).max() <= 1e-13
+
+
+def test_magnus_is_exact_for_commuting_potential():
+    # a constant scalar potential commutes with itself at every x, so even
+    # a coarse lattice reproduces exp(i c dx) to rounding
+    g = BaseGrid.line(5, 0.3, 0.7)
+    fam = constant_scalar_family(g, steps_per_half=16)
+    t = fam.transfer_field(0.0, 0.5 * np.pi)
+    expected = np.exp(1j * g.axis_coords(0) * 0.5 * np.pi)
+    assert np.abs(t[:, 0, 0] - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_expi_closed_forms_match_eigh(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+    h = a + np.swapaxes(a.conj(), -1, -2)
+    h[0] = 0.0
+    h[1] = 0.7 * np.eye(n)
+    h[2] = -2.5 * np.eye(n)
+    w, v = np.linalg.eigh(h)
+    oracle = (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    assert np.abs(_expi(h) - oracle).max() <= 1e-14
+
+
+def _count_linalg_calls(monkeypatch):
+    calls = []
+
+    def wrap(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, wrap(name, fn))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["rank2_table", "rank1_scalar"])
+def test_transfer_makes_no_linalg_calls(monkeypatch, kind):
+    # the rank-1 and rank-2 steps are closed forms, with no per-block BLAS
+    # or LAPACK call
+    if kind == "rank2_table":
+        fam = coefficient_family(BaseGrid.torus(32, 32), DEMO_COEFFICIENTS, steps_per_half=16)
+    else:
+        fam = constant_scalar_family(BaseGrid.line(9, 0.0, 1.0), steps_per_half=16)
+    calls = _count_linalg_calls(monkeypatch)
+    fam.transfer_field(0.0, np.pi)
+    assert calls == []
+
+
+def test_monodromy_composes_the_cached_halves():
+    fam = demo_family(BaseGrid.torus(6, 6), steps_per_half=32)
+    mono = fam.monodromy_field()
+    assert (0, 64) not in fam._flows
+    assert {(0, 32), (32, 64)} <= set(fam._flows)
+    whole = demo_family(BaseGrid.torus(6, 6), steps_per_half=32).transfer_field(0.0, 2.0 * np.pi)
+    assert np.abs(mono - np.linalg.det(np.eye(2) - whole)).max() <= 1e-12
+
+
+def test_models_suite_takes_the_base_tolerance():
+    checks = {c.name: c for c in verify.run_suite("models", tol=1e-3)}
+    for name in ("transfer_constant_closed_form", "monodromy_half_integer_value",
+                 "kernel_locus_integer"):
+        assert checks[name].threshold == 1e-3
+    assert checks["transfer_composition"].threshold == 1e-10
 
 
 def test_transfer_requires_lattice_aligned_endpoints():
@@ -133,11 +221,37 @@ def test_kernel_locus_matches_pair_determinant():
 # -- potential coefficient tables ---------------------------------------------------
 
 
+SIGMA = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def _demo_potential(b1, b2, x):
+    # the demo family written out by hand: 0.5 I + 0.22 n(b) . sigma
+    # + 0.18 (cos x sigma_1 + sin x sigma_2)
+    n1 = np.cos(b1)
+    n2 = np.sin(b1) * np.cos(b2)
+    n3 = np.sin(b1) * np.sin(b2)
+    base = (0.5 * np.eye(2))[(None,) * n1.ndim]
+    bulk = 0.22 * (n1[..., None, None] * SIGMA[0]
+                   + n2[..., None, None] * SIGMA[1]
+                   + n3[..., None, None] * SIGMA[2])
+    drive = 0.18 * (np.cos(x) * SIGMA[0] + np.sin(x) * SIGMA[1])
+    return base + bulk + drive[(None,) * n1.ndim]
+
+
 def test_coefficient_table_reproduces_demo_potential():
     grid = BaseGrid.torus(8, 8)
     table = coefficient_family(grid, DEMO_COEFFICIENTS, steps_per_half=16)
+    for x in (0.0, 0.4, 1.3, np.pi, 5.9):
+        a_table = table.potential(table._b1, table._b2, x)
+        a_oracle = _demo_potential(table._b1, table._b2, x)
+        assert np.abs(a_table - a_oracle).max() <= 1e-14
+    oracle = Dirac1DFamily(grid, _demo_potential, rank=2, steps_per_half=16)
     demo = demo_family(grid, steps_per_half=16)
-    t0 = table.transfer_field(0.0, np.pi)
+    t0 = oracle.transfer_field(0.0, np.pi)
     t1 = demo.transfer_field(0.0, np.pi)
     assert np.abs(t0 - t1).max() <= 1e-13
 
