@@ -1,0 +1,116 @@
+"""Kernels on stacks of small blocks.
+
+np.linalg and np.matmul make one LAPACK or BLAS call per block, which
+dominates on stacks of thousands of tiny blocks.  Blocks with at most two
+rows and columns get elementwise closed forms here; larger blocks fall
+through to numpy.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched product a @ b; elementwise when the output block is at most 2x2.
+
+    The inner dimension is arbitrary.  Terms are summed left to right, so
+    1x1 and 2x2 square blocks give a*b and a0*b0 + a1*b1 exactly.
+    """
+    p, n, q = a.shape[-2], a.shape[-1], b.shape[-1]
+    if n == 1:
+        return a * b
+    if p > 2 or q > 2:
+        return a @ b
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (p, q)
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    for i in range(p):
+        for j in range(q):
+            acc = a[..., i, 0] * b[..., 0, j]
+            for m in range(1, n):
+                acc += a[..., i, m] * b[..., m, j]
+            out[..., i, j] = acc
+    return out
+
+
+def expi(h: np.ndarray) -> np.ndarray:
+    """exp(i H) for Hermitian H (batched); closed forms for 1x1 and 2x2 blocks.
+
+    Like eigh, the closed forms read only the diagonal and lower triangle.
+    For 2x2, H = h0 I + hvec . sigma gives
+    exp(i H) = exp(i h0) (cos|hvec| I + i sin|hvec|/|hvec| hvec . sigma).
+    """
+    n = h.shape[-1]
+    if n == 1:
+        return np.exp(1j * h.real)
+    if n != 2:
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+    h0, h3 = 0.5 * (d0 + d1), 0.5 * (d0 - d1)
+    low = h[..., 1, 0]  # h1 + i h2
+    theta = np.sqrt(h3 * h3 + low.real * low.real + low.imag * low.imag)
+    phase = np.exp(1j * h0)
+    c = phase * np.cos(theta)
+    s = 1j * phase * np.sinc(theta / np.pi)
+    out = np.empty(h.shape, dtype=complex)
+    out[..., 0, 0] = c + s * h3
+    out[..., 1, 1] = c - s * h3
+    out[..., 1, 0] = s * low
+    out[..., 0, 1] = s * low.conj()
+    return out
+
+
+def det(m: np.ndarray) -> np.ndarray:
+    """Determinant of every block; closed forms up to 2x2, 1 for 0x0 blocks."""
+    k = m.shape[-1]
+    if k == 0:
+        return np.ones(m.shape[:-2], dtype=m.dtype)
+    if k == 1:
+        return m[..., 0, 0].copy()
+    if k == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.linalg.det(m)
+
+
+def smallest_singular_value(m: np.ndarray) -> np.ndarray:
+    """Smallest singular value of every block; +inf for 0x0 blocks.
+
+    For 2x2, s_min = |det| / s_max with
+    s_max^2 = (|M|_F^2 + sqrt(|M|_F^4 - 4 |det|^2)) / 2.  With column norms
+    p, r and column overlap w, |M|_F^4 - 4 |det|^2 = (p - r)^2 + 4 |w|^2,
+    which is evaluated in that form: it does not cancel when the two singular
+    values are close (scalar multiples of unitaries).
+    """
+    k = m.shape[-1]
+    if k == 0:
+        return np.full(m.shape[:-2], np.inf)
+    if k == 1:
+        return np.abs(m[..., 0, 0])
+    if k != 2:
+        return np.linalg.svd(m, compute_uv=False)[..., -1]
+    c0, c1 = m[..., :, 0], m[..., :, 1]
+    p = (c0.real * c0.real + c0.imag * c0.imag).sum(axis=-1)
+    r = (c1.real * c1.real + c1.imag * c1.imag).sum(axis=-1)
+    w = np.abs((c0.conj() * c1).sum(axis=-1))
+    half_gap = 0.5 * (p - r)
+    smax = np.sqrt(0.5 * (p + r) + np.sqrt(half_gap * half_gap + w * w))
+    d = np.abs(det(m))
+    return np.where(smax > 0, d / np.where(smax > 0, smax, 1.0), 0.0)
+
+
+def trace_solve(m: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """tr(M^-1 T) for blocks of at most 2x2, given d = det M; 0 for 0x0 blocks.
+
+    For 2x2 it is tr(adj(M) T) / det M.
+    """
+    k = m.shape[-1]
+    if k == 0:
+        return np.zeros(m.shape[:-2], dtype=complex)
+    if k == 1:
+        return t[..., 0, 0] / d
+    if k != 2:
+        raise ValueError("closed-form trace_solve needs blocks of at most 2x2")
+    adj_t = (m[..., 1, 1] * t[..., 0, 0] - m[..., 0, 1] * t[..., 1, 0]
+             - m[..., 1, 0] * t[..., 0, 1] + m[..., 0, 0] * t[..., 1, 1])
+    return adj_t / d

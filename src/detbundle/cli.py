@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CoverageError
+from .errors import CoverageError, DegenerateSpectrum, NearSingular, OutOfChart, VortexOnLink
 from .grassmann import BaseGrid
-from .detline import Trivialization, canonical_det, coordinate
+from .detline import Trivialization
 from .models import (
     DEMO_COEFFICIENTS,
     CylinderFamily,
@@ -309,10 +309,15 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     metric = pair_metric_field(sec0, sec1)
     mono = family.monodromy_field()
     shifts = restricted_shift_field(sec0, sec1, default_cover(sec0.dim)[1])
+    # coordinate of the canonical element [M, 1] in the shifted chart at every
+    # point: det((M + shift)^-1 M), evaluated as det(I + (q - I)) like
+    # fredholm_det
     triv = Trivialization(grid, shifts, cond_bound=1e8)
-    coord = np.empty(samples, dtype=complex)
-    for k in range(samples):
-        coord[k] = coordinate(canonical_det(overlap[k]), triv, (k,))
+    if not triv.domain(overlap).all():
+        raise OutOfChart("base + shift is not invertible within the condition bound")
+    q = np.linalg.solve(overlap + shifts, overlap)
+    eye = np.eye(q.shape[-1])
+    coord = np.linalg.det(eye + (q - eye))
 
     params = grid.axis_coords(0)
     header = ["param", "value_re", "value_im"]
@@ -399,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CoverageError as err:
         print(f"coverage failure: {err}", file=sys.stderr)
+        return 1
+    except (VortexOnLink, NearSingular, OutOfChart, DegenerateSpectrum) as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
         return 1
 
 

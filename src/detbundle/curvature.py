@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import bmm, det, smallest_singular_value, trace_solve
 from .detline import frame_metric_sq
 from .errors import CoverageError, NearSingular, VortexOnLink
 from .grassmann import (
@@ -28,6 +29,7 @@ from .grassmann import (
     DiscreteForm,
     Projection,
     ProjectionSection,
+    _frame_transports,
     _plaquette_corners,
     _readonly,
     _roll,
@@ -146,35 +148,62 @@ def _guard(m: np.ndarray, sing_floor: float):
     An empty overlap (rank 0) is the trivial line: its smallest singular
     value counts as +inf, so every point is in the domain.
     """
-    k = m.shape[-1]
-    smin = np.linalg.svd(m, compute_uv=False)[..., -1] if k else np.full(m.shape[:-2], np.inf)
-    healthy = smin >= sing_floor
-    return healthy, np.where(healthy[..., None, None], m, np.eye(k, dtype=complex))
+    healthy = smallest_singular_value(m) >= sing_floor
+    return healthy, np.where(healthy[..., None, None], m, np.eye(m.shape[-1], dtype=complex))
+
+
+def _chart_datum(f0: np.ndarray, f1h: np.ndarray, chart: PairChart) -> np.ndarray:
+    """Compressed chart datum M = F1* (I + C) F0 over the grid."""
+    if chart.block is None:
+        return bmm(f1h, f0)
+    # one product for the whole stack of frames, not one per point
+    amb_f0 = np.moveaxis(np.tensordot(chart.ambient(f0.shape[-2]), f0, axes=(1, -2)), 0, -2)
+    return bmm(f1h, amb_f0)
 
 
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
                      chart: PairChart, sing_floor: float) -> dict:
-    """Edge samples of the chart connection form plus health bookkeeping."""
+    """Edge samples of the chart connection form plus health bookkeeping.
+
+    Everything is computed on k x k blocks.  With the frame transport
+    U(b, b') = F(b)* F(b') and the chart datum M, the compressed central
+    difference of Phi = P1 (I + C) P0 is
+    F1(b)* dPhi F0(b) = [U1(b,b+e) M(b+e) U0(b+e,b) - U1(b,b-e) M(b-e) U0(b-e,b)] / 2h,
+    and the backward transports are the adjoints of the forward ones at b-e.
+    """
     g = sec0.grid
     g.require_periodic()
     f0, f1 = _frames_pair(sec0, sec1)
-    amb = chart.ambient(sec0.dim)
-    f1h = np.swapaxes(f1.conj(), -1, -2)
-    healthy, msafe = _guard(f1h @ (amb @ f0), sing_floor)
-    logm = 2.0 * np.linalg.slogdet(msafe)[1]
-
-    phi = (sec1.values @ amb) @ sec0.values
-    comps, masks = [], []
+    k = sec0.base_rank
+    m = _chart_datum(f0, np.swapaxes(f1.conj(), -1, -2), chart)
+    healthy, msafe = _guard(m, sing_floor)
+    u0, u1 = _frame_transports(sec0), _frame_transports(sec1)
+    ts = []
     for ax in range(g.ndim):
-        dphi = (_roll(phi, g, ax, +1) - _roll(phi, g, ax, -1)) / (2.0 * g.spacing[ax])
-        t = f1h @ dphi @ f0
-        di = np.trace(np.linalg.solve(msafe, t), axis1=-2, axis2=-1).imag
+        u0f, u1f = u0[..., ax, :, :], u1[..., ax, :, :]
+        u0fh, u1fh = np.swapaxes(u0f.conj(), -1, -2), np.swapaxes(u1f.conj(), -1, -2)
+        fwd = bmm(bmm(u1f, _roll(m, g, ax, +1)), u0fh)
+        bwd = _roll(bmm(bmm(u1fh, m), u0f), g, ax, -1)
+        ts.append((fwd - bwd) / (2.0 * g.spacing[ax]))
+    if k <= 2:
+        dets = det(msafe)
+        logm = 2.0 * np.log(np.abs(dets))
+        dis = [trace_solve(msafe, t, dets).imag for t in ts]
+    else:
+        # one solve and one slogdet per chart, both axes stacked
+        sign, logabs = np.linalg.slogdet(msafe)
+        dets, logm = sign * np.exp(logabs), 2.0 * logabs
+        x = np.linalg.solve(msafe, np.concatenate(ts, axis=-1))
+        dis = [np.trace(x[..., ax * k:(ax + 1) * k], axis1=-2, axis2=-1).imag
+               for ax in range(g.ndim)]
+    comps, masks = [], []
+    for ax, di in enumerate(dis):
         re = 0.5 * (_roll(logm, g, ax, +1) - logm)
         im = 0.5 * g.spacing[ax] * (di + _roll(di, g, ax, +1))
         comps.append(re + 1j * im)
         masks.append(~(healthy & _roll(healthy, g, ax, +1)))
     return {"omega": np.stack(comps, axis=g.ndim), "edge_mask": np.stack(masks, axis=g.ndim),
-            "healthy": healthy, "det": np.linalg.det(msafe)}
+            "healthy": healthy, "det": dets}
 
 
 @dataclass

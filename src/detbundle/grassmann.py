@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blocks import bmm, det
 from .errors import DegenerateSpectrum, GridDomainError, NearSingular
 from .opcalc import as_matrix
 
@@ -283,8 +284,9 @@ class ProjectionSection:
     """Field of projections over a BaseGrid with constant rank.
 
     An immutable value: ``build`` keeps a read-only copy of the projections,
-    and the frames, the complement, the smoothness constant and the
-    ``section_links`` are derived on first use and cached on the instance.
+    and the frames, the complement, the smoothness constant, the frame
+    transports and the ``section_links`` are derived on first use and cached
+    on the instance.
     """
 
     grid: BaseGrid
@@ -330,7 +332,8 @@ class ProjectionSection:
     def frames(self) -> np.ndarray:
         """Read-only orthonormal range frames, shape grid.shape + (dim, base_rank)."""
         if "frames" not in self._derived:
-            self._derived["frames"] = _readonly(frames_of(self.values, self.base_rank))
+            # a copy, so that the cache does not hold all dim eigenvectors
+            self._derived["frames"] = _readonly(frames_of(self.values, self.base_rank).copy())
         return self._derived["frames"]
 
     def complement(self) -> "ProjectionSection":
@@ -476,18 +479,30 @@ def curvature_trace_form(section: ProjectionSection) -> DiscreteForm:
     return DiscreteForm(g, 2, vals)
 
 
-def section_links(section: ProjectionSection) -> np.ndarray:
-    """Frame overlap determinants det(F(b)* F(b+e)) along each axis.
+def _frame_transports(section: ProjectionSection) -> np.ndarray:
+    """Forward frame transports U(b, b+e) = F(b)* F(b+e) along each axis.
 
-    The per-point frame gauge is arbitrary; closed-loop products of these
-    links are gauge independent.  Shape: grid.shape + (ndim,).  Computed
-    once per section and cached read-only, like its frames.
+    Shape grid.shape + (ndim, k, k).  The backward transport U(b, b-e) is the
+    adjoint of the forward one at b-e, so it is not stored.  Computed once
+    per section and cached read-only, like its frames.
     """
-    if "links" not in section._derived:
+    if "transports" not in section._derived:
         g = section.grid
         g.require_periodic()
         f = section.frames()
         fh = np.swapaxes(f.conj(), -1, -2)
-        out = [np.linalg.det(fh @ _roll(f, g, ax, +1)) for ax in range(g.ndim)]
-        section._derived["links"] = _readonly(np.stack(out, axis=g.ndim))
+        out = [bmm(fh, _roll(f, g, ax, +1)) for ax in range(g.ndim)]
+        section._derived["transports"] = _readonly(np.stack(out, axis=g.ndim))
+    return section._derived["transports"]
+
+
+def section_links(section: ProjectionSection) -> np.ndarray:
+    """Frame overlap determinants det(F(b)* F(b+e)) along each axis.
+
+    The per-point frame gauge is arbitrary; closed-loop products of these
+    links are gauge independent.  Shape: grid.shape + (ndim,).  These are
+    the determinants of the cached frame transports, cached read-only too.
+    """
+    if "links" not in section._derived:
+        section._derived["links"] = _readonly(det(_frame_transports(section)))
     return section._derived["links"]

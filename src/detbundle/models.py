@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._blocks import bmm as _bmm, expi as _expi
 from .grassmann import (
     BaseGrid,
     ProjectionSection,
@@ -440,52 +441,6 @@ def smoothing_perturbation(seed: int, gamma: float, truncation: int) -> np.ndarr
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     return _smoothing_cached(int(seed), float(gamma), int(truncation)).copy()
-
-
-def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched block product a @ b; elementwise for 1x1 and 2x2 blocks.
-
-    np.matmul makes one BLAS call per block, which dominates on stacks of
-    thousands of tiny blocks.
-    """
-    n = a.shape[-1]
-    if n == 1:
-        return a * b
-    if n != 2:
-        return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    for i in range(2):
-        for j in range(2):
-            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
-    return out
-
-
-def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H (batched); closed forms for 1x1 and 2x2 blocks.
-
-    Like eigh, the closed forms read only the diagonal and lower triangle.
-    For 2x2, H = h0 I + hvec . sigma gives
-    exp(i H) = exp(i h0) (cos|hvec| I + i sin|hvec|/|hvec| hvec . sigma).
-    """
-    n = h.shape[-1]
-    if n == 1:
-        return np.exp(1j * h.real)
-    if n != 2:
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
-    h0, h3 = 0.5 * (d0 + d1), 0.5 * (d0 - d1)
-    low = h[..., 1, 0]  # h1 + i h2
-    theta = np.sqrt(h3 * h3 + low.real * low.real + low.imag * low.imag)
-    phase = np.exp(1j * h0)
-    c = phase * np.cos(theta)
-    s = 1j * phase * np.sinc(theta / np.pi)
-    out = np.empty(h.shape, dtype=complex)
-    out[..., 0, 0] = c + s * h3
-    out[..., 1, 1] = c - s * h3
-    out[..., 1, 0] = s * low
-    out[..., 0, 1] = s * low.conj()
-    return out
 
 
 class CylinderFamily:

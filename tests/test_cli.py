@@ -175,6 +175,19 @@ def test_curvature_vortex_chern_triple(tmp_path):
                                          "additive": True}
 
 
+def test_curvature_numerical_failure_exits_one(tmp_path, capsys):
+    # on an 8x8 grid a small vortex sits on a link, so the holonomy of the
+    # interface bundle is undefined: a typed numerical error, not a traceback
+    cfg = tmp_path / "vortex8.cfg"
+    cfg.write_text("[grid]\nn1 = 8\nn2 = 8\n[interface]\nkind = vortex\nradius = 0.3\n")
+    code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # -- sweep --------------------------------------------------------------------------
 
 

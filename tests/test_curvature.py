@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from detbundle.errors import CoverageError, VortexOnLink
-from detbundle.grassmann import BaseGrid, ProjectionSection, section_links
+from detbundle.grassmann import (
+    BaseGrid,
+    ProjectionSection,
+    _frame_transports,
+    _roll,
+    section_links,
+)
 from detbundle.models import (
+    CylinderFamily,
     bloch_section,
     constant_scalar_family,
     demo_family,
@@ -13,6 +20,7 @@ from detbundle.models import (
     vortex_interface,
 )
 from detbundle.curvature import (
+    _chart_edge_data,
     additivity_residual,
     chern_number,
     chern_of_pair,
@@ -99,6 +107,71 @@ def test_metric_compatibility_is_exact(demo16, rot16):
     assert worst <= 1e-12
 
 
+def _ambient_chart_edge_data(sec0, sec1, chart, sing_floor):
+    """Reference chart data from the ambient compression Phi = P1 (I + C) P0.
+
+    Phi is differenced in the ambient space and then compressed with the
+    frames at the centre point; every block goes through numpy.linalg.
+    """
+    g = sec0.grid
+    f0, f1 = sec0.frames(), sec1.frames()
+    amb = chart.ambient(sec0.dim)
+    f1h = np.swapaxes(f1.conj(), -1, -2)
+    m = f1h @ (amb @ f0)
+    k = m.shape[-1]
+    smin = np.linalg.svd(m, compute_uv=False)[..., -1] if k else np.full(g.shape, np.inf)
+    healthy = smin >= sing_floor
+    msafe = np.where(healthy[..., None, None], m, np.eye(k, dtype=complex))
+    logm = 2.0 * np.linalg.slogdet(msafe)[1]
+    phi = (sec1.values @ amb) @ sec0.values
+    comps, masks = [], []
+    for ax in range(g.ndim):
+        dphi = (_roll(phi, g, ax, +1) - _roll(phi, g, ax, -1)) / (2.0 * g.spacing[ax])
+        t = f1h @ dphi @ f0
+        di = np.trace(np.linalg.solve(msafe, t), axis1=-2, axis2=-1).imag
+        re = 0.5 * (_roll(logm, g, ax, +1) - logm)
+        im = 0.5 * g.spacing[ax] * (di + _roll(di, g, ax, +1))
+        comps.append(re + 1j * im)
+        masks.append(~(healthy & _roll(healthy, g, ax, +1)))
+    return {"omega": np.stack(comps, axis=g.ndim), "edge_mask": np.stack(masks, axis=g.ndim),
+            "healthy": healthy, "det": np.linalg.det(msafe)}
+
+
+def _oracle_pair(name, request):
+    if name == "rank0":
+        zero = ProjectionSection.build(BaseGrid.torus(8, 8), np.zeros((8, 8, 2, 2)))
+        return zero, zero
+    if name.startswith("scalar_rank"):
+        fam = constant_scalar_family(BaseGrid.torus(8, 8), rank=int(name[-1]),
+                                     steps_per_half=32)
+        return fam.boundary_pair("full")
+    if name == "cylinder_t6":
+        return CylinderFamily(BaseGrid.torus(8, 8), truncation=6).boundary_pair("full")
+    if name == "vortex_12x20":
+        fam = demo_family(BaseGrid.torus(12, 20), steps_per_half=STEPS)
+        return fam.boundary_pair("left", vortex_interface(fam))
+    demo16 = request.getfixturevalue("demo16")
+    if name == "demo_full":
+        return demo16.boundary_pair("full")
+    which, kind = name.split("_")
+    sec = request.getfixturevalue("rot16") if kind == "rotated" else vortex_interface(demo16)
+    return demo16.boundary_pair(which, sec)
+
+
+@pytest.mark.parametrize("name", [
+    "demo_full", "left_rotated", "right_rotated", "left_vortex", "right_vortex",
+    "vortex_12x20", "scalar_rank1", "scalar_rank3", "cylinder_t6", "rank0"])
+def test_rank_space_chart_data_matches_ambient_oracle(name, request):
+    sec0, sec1 = _oracle_pair(name, request)
+    for chart in default_cover(sec0.dim):
+        got = _chart_edge_data(sec0, sec1, chart, 0.1)
+        ref = _ambient_chart_edge_data(sec0, sec1, chart, 0.1)
+        assert np.array_equal(got["healthy"], ref["healthy"])
+        assert np.array_equal(got["edge_mask"], ref["edge_mask"])
+        assert np.abs(got["omega"] - ref["omega"]).max(initial=0.0) <= 1e-13
+        assert np.abs(got["det"] - ref["det"]).max(initial=0.0) <= 1e-13
+
+
 # -- curvature formulas --------------------------------------------------------------
 
 
@@ -176,20 +249,47 @@ def _count_calls(monkeypatch, name, modules=(np.linalg,)):
 def test_additivity_diagonalises_each_section_once(monkeypatch):
     # sections cache their frames, complement and links, so the whole report
     # needs one eigendecomposition per section (the two boundary legs and the
-    # interface), and each pair's four charts are evaluated once: one svd per
-    # chart, one det per chart plus two per section for the links
+    # interface); each pair's four charts are evaluated once, on rank-2
+    # blocks, with closed forms and no further numpy.linalg call
     fam = demo_family(BaseGrid.torus(16, 16), steps_per_half=STEPS)
     sec = rotated_interface(fam)
-    calls = {name: _count_calls(monkeypatch, name) for name in ("eigh", "svd", "det")}
+    calls = {name: _count_calls(monkeypatch, name)
+             for name in ("eigh", "svd", "solve", "slogdet", "det")}
     additivity_residual(fam, sec)
     assert len(calls["eigh"]) <= 3
-    assert len(calls["svd"]) <= 12
-    assert len(calls["det"]) <= 18
+    for name in ("svd", "solve", "slogdet", "det"):
+        assert len(calls[name]) == 0, name
     assert sec.frames() is sec.frames()
     assert section_links(sec) is section_links(sec)
     assert sec.complement().complement() is sec
     with pytest.raises(ValueError):
         sec.values[0, 0, 0, 0] = 1.0
+
+
+def test_frame_transports_are_cached_read_only(rot16):
+    u = _frame_transports(rot16)
+    assert u is _frame_transports(rot16)
+    assert u.shape == rot16.grid.shape + (2, 2, 2)
+    with pytest.raises(ValueError):
+        u[0, 0, 0, 0, 0] = 1.0
+    # the links are the determinants of the forward transports
+    f = rot16.frames()
+    fwd = np.swapaxes(f.conj(), -1, -2) @ np.roll(f, -1, axis=1)
+    assert np.abs(u[:, :, 1] - fwd).max() <= 1e-15
+    assert np.abs(section_links(rot16)[..., 1] - np.linalg.det(fwd)).max() <= 1e-14
+
+
+def test_cylinder_charts_solve_once_and_take_no_det(monkeypatch):
+    # rank 9 is past the closed forms: each chart makes one solve for both
+    # axes and reads its determinant off the slogdet, and each section makes
+    # one det for the links of both axes
+    fam = CylinderFamily(BaseGrid.torus(8, 8), truncation=8)
+    sec = fam.conjugated_section(0.5, seed_offset=4)
+    calls = {name: _count_calls(monkeypatch, name) for name in ("solve", "det")}
+    rep = additivity_residual(fam, sec)
+    assert rep.chern_additive
+    assert len(calls["solve"]) <= 12
+    assert len(calls["det"]) <= 3
 
 
 def test_verify_curvature_suite_reuses_the_report(monkeypatch):
@@ -291,6 +391,15 @@ def test_chern_of_pair_with_itself_is_zero(rot16):
 def test_vortex_interface_chern_triple(demo32):
     sec = vortex_interface(demo32)
     rep = additivity_residual(demo32, sec, max_excluded=0.2, label="vortex")
+    assert (rep.chern, rep.chern_left, rep.chern_right) == (0, -1, 1)
+    assert rep.chern_additive
+
+
+def test_non_square_torus_vortex_chern_triple():
+    # unequal axes: every roll and stencil has to keep the axes apart
+    fam = demo_family(BaseGrid.torus(12, 20), steps_per_half=STEPS)
+    rep = additivity_residual(fam, vortex_interface(fam))
+    assert rep.grid.shape == (12, 20)
     assert (rep.chern, rep.chern_left, rep.chern_right) == (0, -1, 1)
     assert rep.chern_additive
 
