@@ -99,18 +99,28 @@ def smallest_singular_value(m: np.ndarray) -> np.ndarray:
     return np.where(smax > 0, d / np.where(smax > 0, smax, 1.0), 0.0)
 
 
-def trace_solve(m: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """tr(M^-1 T) for blocks of at most 2x2, given d = det M; 0 for 0x0 blocks.
+def det_logabs(m: np.ndarray):
+    """(det M, log|det M|) of every block; closed forms up to 2x2, one slogdet above."""
+    if m.shape[-1] > 2:
+        sign, logabs = np.linalg.slogdet(m)
+        return sign * np.exp(logabs), logabs
+    d = det(m)
+    return d, np.log(np.abs(d))
 
-    For 2x2 it is tr(adj(M) T) / det M.
+
+def trace_solve(m: np.ndarray, ts, d: np.ndarray) -> list[np.ndarray]:
+    """tr(M^-1 T) of every block for each T in ts, given d = det M; 0 for 0x0 blocks.
+
+    Up to 2x2 it is tr(adj(M) T) / det M; larger blocks make one solve with
+    the right-hand sides stacked.
     """
     k = m.shape[-1]
+    if k > 2:
+        x = np.linalg.solve(m, np.concatenate(ts, axis=-1))
+        return [np.trace(x[..., i * k:(i + 1) * k], axis1=-2, axis2=-1) for i in range(len(ts))]
     if k == 0:
-        return np.zeros(m.shape[:-2], dtype=complex)
+        return [np.zeros(m.shape[:-2], dtype=complex) for _ in ts]
     if k == 1:
-        return t[..., 0, 0] / d
-    if k != 2:
-        raise ValueError("closed-form trace_solve needs blocks of at most 2x2")
-    adj_t = (m[..., 1, 1] * t[..., 0, 0] - m[..., 0, 1] * t[..., 1, 0]
-             - m[..., 1, 0] * t[..., 0, 1] + m[..., 0, 0] * t[..., 1, 1])
-    return adj_t / d
+        return [t[..., 0, 0] / d for t in ts]
+    return [(m[..., 1, 1] * t[..., 0, 0] - m[..., 0, 1] * t[..., 1, 0]
+             - m[..., 1, 0] * t[..., 0, 1] + m[..., 0, 0] * t[..., 1, 1]) / d for t in ts]

@@ -140,6 +140,22 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
+def _seed(cfg) -> int:
+    seed = _as_int(cfg, "run", "seed")
+    if seed < 0:
+        raise ConfigError("run.seed must be non-negative")
+    return seed
+
+
+def _chart_settings(cfg) -> dict:
+    """run.sing_floor and run.max_excluded, checked before any numerics run."""
+    sing_floor = _positive(_as_float(cfg, "run", "sing_floor"), "run.sing_floor")
+    max_excluded = _as_float(cfg, "run", "max_excluded")
+    if not 0 <= max_excluded <= 1:
+        raise ConfigError("run.max_excluded must lie in [0, 1]")
+    return {"sing_floor": sing_floor, "max_excluded": max_excluded}
+
+
 def build_family(cfg: dict[str, dict[str, str]], grid: BaseGrid):
     kind = cfg["model"]["kind"].strip().lower()
     steps = _as_int(cfg, "model", "steps_per_half")
@@ -157,7 +173,7 @@ def build_family(cfg: dict[str, dict[str, str]], grid: BaseGrid):
                 grid,
                 truncation=_as_int(cfg, "cylinder", "truncation"),
                 gamma=_positive(_as_float(cfg, "cylinder", "gamma"), "cylinder.gamma"),
-                seed=_as_int(cfg, "run", "seed"),
+                seed=_seed(cfg),
                 amplitude=_as_float(cfg, "cylinder", "amplitude"),
                 style=cfg["cylinder"]["style"].strip().lower(),
             )
@@ -199,7 +215,7 @@ def _meta(cfg, command: str) -> dict:
         "config_hash": config_hash(cfg),
         "grid": [_as_int(cfg, "grid", "n1"), _as_int(cfg, "grid", "n2")],
         "library_version": __version__,
-        "seed": _as_int(cfg, "run", "seed"),
+        "seed": _seed(cfg),
     }
 
 
@@ -220,23 +236,17 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
     names = list(SUITE_NAMES) if suite == "all" else [suite]
-    seed = _as_int(cfg, "run", "seed")
+    report = _meta(cfg, f"verify {suite}")
     tol = _positive(_as_float(cfg, "run", "tol"), "run.tol")
     curvature_kwargs = {}
     if "curvature" in names:
         grid = _torus_from(cfg)
         if min(grid.shape) < 8:
             raise ConfigError("curvature suites need grid axes of at least 8 points")
+        curvature_kwargs = _chart_settings(cfg)
         family = build_family(cfg, grid)
-        curvature_kwargs = {
-            "family": family,
-            "section": build_interface(cfg, family),
-            "sing_floor": _positive(_as_float(cfg, "run", "sing_floor"),
-                                    "run.sing_floor"),
-            "max_excluded": _as_float(cfg, "run", "max_excluded"),
-        }
-    results = run_suites(names, seed=seed, tol=tol, curvature_kwargs=curvature_kwargs)
-    report = _meta(cfg, f"verify {suite}")
+        curvature_kwargs.update(family=family, section=build_interface(cfg, family))
+    results = run_suites(names, seed=report["seed"], tol=tol, curvature_kwargs=curvature_kwargs)
     report["suites"] = {name: [c.as_dict() for c in checks]
                         for name, checks in results.items()}
     failures = [f"{name}.{c.name}" for name, checks in results.items()
@@ -257,16 +267,14 @@ def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_curvature(cfg: dict, out_dir: Path) -> int:
+    payload = _meta(cfg, "curvature")
+    chart_settings = _chart_settings(cfg)
     grid = _torus_from(cfg)
     if min(grid.shape) < 8:
         raise ConfigError("curvature reports need grid axes of at least 8 points")
     family = build_family(cfg, grid)
     section = build_interface(cfg, family)
-    report = additivity_residual(
-        family, section,
-        sing_floor=_positive(_as_float(cfg, "run", "sing_floor"), "run.sing_floor"),
-        max_excluded=_as_float(cfg, "run", "max_excluded"),
-        label=cfg["model"]["kind"])
+    report = additivity_residual(family, section, label=cfg["model"]["kind"], **chart_settings)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.curvature.to_csv(out_dir / "curvature_full.csv")
     report.curvature_left.to_csv(out_dir / "curvature_left.csv")
@@ -274,12 +282,8 @@ def cmd_curvature(cfg: dict, out_dir: Path) -> int:
     report.defect.to_csv(out_dir / "additivity_residual.csv")
     report.f_winding.to_csv(out_dir / "f_winding.csv")
     excl = report.defect.mask
-    rows = []
-    for idx in np.ndindex(*grid.shape):
-        flag = bool(excl[idx]) if excl is not None else False
-        rows.append([*idx, int(flag), 0])
+    rows = ([*idx, int(excl[idx]), 0] for idx in np.ndindex(*grid.shape))
     _write_rows(out_dir / "exclusions.csv", ["i", "j", "re", "im"], rows)
-    payload = _meta(cfg, "curvature")
     payload["report"] = report.summary()
     payload["verdict"] = ("chern additivity holds" if report.chern_additive
                           else "chern additivity FAILED")
@@ -300,6 +304,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     stop = _as_float(cfg, "sweep", "stop")
     if not stop > start:
         raise ConfigError("sweep.stop must exceed sweep.start")
+    payload = _meta(cfg, "sweep")
     grid = BaseGrid.line(samples, start, stop)
     family = build_family(cfg, grid)
     if isinstance(family, CylinderFamily):
@@ -337,7 +342,6 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         return [k for k in range(1, len(v) - 1)
                 if v[k] <= v[k - 1] and v[k] <= v[k + 1] and v[k] < thr]
 
-    payload = _meta(cfg, "sweep")
     payload["grid"] = [samples]
     payload["range"] = [start, stop]
     payload["zero_indices"] = {
@@ -405,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except CoverageError as err:
         print(f"coverage failure: {err}", file=sys.stderr)
         return 1
-    except (VortexOnLink, NearSingular, OutOfChart, DegenerateSpectrum) as err:
+    except (VortexOnLink, NearSingular, OutOfChart, DegenerateSpectrum, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import bmm, det, smallest_singular_value, trace_solve
+from ._blocks import bmm, det_logabs, smallest_singular_value, trace_solve
 from .detline import frame_metric_sq
 from .errors import CoverageError, NearSingular, VortexOnLink
 from .grassmann import (
@@ -174,7 +174,6 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
     g = sec0.grid
     g.require_periodic()
     f0, f1 = _frames_pair(sec0, sec1)
-    k = sec0.base_rank
     m = _chart_datum(f0, np.swapaxes(f1.conj(), -1, -2), chart)
     healthy, msafe = _guard(m, sing_floor)
     u0, u1 = _frame_transports(sec0), _frame_transports(sec1)
@@ -185,21 +184,12 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
         fwd = bmm(bmm(u1f, _roll(m, g, ax, +1)), u0fh)
         bwd = _roll(bmm(bmm(u1fh, m), u0f), g, ax, -1)
         ts.append((fwd - bwd) / (2.0 * g.spacing[ax]))
-    if k <= 2:
-        dets = det(msafe)
-        logm = 2.0 * np.log(np.abs(dets))
-        dis = [trace_solve(msafe, t, dets).imag for t in ts]
-    else:
-        # one solve and one slogdet per chart, both axes stacked
-        sign, logabs = np.linalg.slogdet(msafe)
-        dets, logm = sign * np.exp(logabs), 2.0 * logabs
-        x = np.linalg.solve(msafe, np.concatenate(ts, axis=-1))
-        dis = [np.trace(x[..., ax * k:(ax + 1) * k], axis1=-2, axis2=-1).imag
-               for ax in range(g.ndim)]
+    dets, logabs = det_logabs(msafe)
     comps, masks = [], []
-    for ax, di in enumerate(dis):
-        re = 0.5 * (_roll(logm, g, ax, +1) - logm)
-        im = 0.5 * g.spacing[ax] * (di + _roll(di, g, ax, +1))
+    for ax, tr in enumerate(trace_solve(msafe, ts, dets)):
+        # half the increment of log|det M|^2 is the increment of log|det M|
+        re = _roll(logabs, g, ax, +1) - logabs
+        im = 0.5 * g.spacing[ax] * (tr.imag + _roll(tr.imag, g, ax, +1))
         comps.append(re + 1j * im)
         masks.append(~(healthy & _roll(healthy, g, ax, +1)))
     return {"omega": np.stack(comps, axis=g.ndim), "edge_mask": np.stack(masks, axis=g.ndim),
@@ -240,8 +230,7 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
     conn = ChartedConnection(sec0.grid, [], [], [])
     for chart in cover:
         data = _chart_edge_data(sec0, sec1, chart, sing_floor)
-        mask = data["edge_mask"] if data["edge_mask"].any() else None
-        conn.omega.append(DiscreteForm(sec0.grid, 1, data["omega"], mask=mask))
+        conn.omega.append(DiscreteForm(sec0.grid, 1, data["omega"], mask=data["edge_mask"]))
         conn.healthy.append(data["healthy"])
         conn.det.append(data["det"])
     covered = np.logical_or.reduce(conn.healthy)
@@ -284,37 +273,32 @@ def curvature_of(conn: ChartedConnection) -> DiscreteForm:
         take = _plaquette_ok(healthy, g) & (chosen < 0)
         vals[take] = pl[take]
         chosen[take] = i
-    mask = chosen < 0
-    return DiscreteForm(g, 2, vals, mask=mask if mask.any() else None)
+    return DiscreteForm(g, 2, vals, mask=chosen < 0)
 
 
-def patching_residuals(sec0: ProjectionSection, sec1: ProjectionSection,
-                       chart_a: PairChart, chart_b: PairChart,
-                       sing_floor: float = 0.1) -> dict[str, DiscreteForm]:
-    """Edge residuals of the two transition identities between two charts.
+def patching_residuals(conn: ChartedConnection, a: int, b: int) -> dict[str, DiscreteForm]:
+    """Edge residuals of the two transition identities between charts a and b of conn.
 
     inverse_ratio: omega_a - omega_b - d Log det(M_b^{-1} M_a).
     adjoint_ratio: omega_a + conj(omega_b) - d Log det(M_b* M_a).
     Both vanish to O(h^2) density on the common domain; their real parts
     cancel exactly because |ratio| is the corresponding metric ratio.
     """
-    g = sec0.grid
-    da = _chart_edge_data(sec0, sec1, chart_a, sing_floor)
-    db = _chart_edge_data(sec0, sec1, chart_b, sing_floor)
-    both = da["healthy"] & db["healthy"]
-    t_ratio = np.where(both, da["det"] / db["det"], 1.0)
-    r_ratio = np.where(both, np.conj(db["det"]) * da["det"], 1.0)
+    g = conn.grid
+    det_a, det_b = conn.det[a], conn.det[b]
+    both = conn.healthy[a] & conn.healthy[b]
+    t_ratio = np.where(both, det_a / det_b, 1.0)
+    r_ratio = np.where(both, np.conj(det_b) * det_a, 1.0)
     inv_comps, adj_comps, masks = [], [], []
     for ax in range(g.ndim):
         dlog_t = np.log(_roll(t_ratio, g, ax, +1) / t_ratio)
         dlog_r = np.log(_roll(r_ratio, g, ax, +1) / r_ratio)
-        oa = da["omega"][..., ax]
-        ob = db["omega"][..., ax]
+        oa = conn.omega[a].samples[..., ax]
+        ob = conn.omega[b].samples[..., ax]
         inv_comps.append(_wrap_branch(oa - ob - dlog_t))
         adj_comps.append(_wrap_branch(oa + np.conj(ob) - dlog_r))
         masks.append(~(both & _roll(both, g, ax, +1)))
     emask = np.stack(masks, axis=g.ndim)
-    emask = emask if emask.any() else None
     return {
         "inverse_ratio": DiscreteForm(g, 1, np.stack(inv_comps, axis=g.ndim), mask=emask),
         "adjoint_ratio": DiscreteForm(g, 1, np.stack(adj_comps, axis=g.ndim), mask=emask),
@@ -365,8 +349,7 @@ def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
     healthy, mcsafe = _guard(f1ch @ f0c, sing_floor)
     n = f1ch @ r1 @ f0c
     vals = np.trace(np.linalg.solve(mcsafe, n), axis1=-2, axis2=-1) - tr0
-    mask = ~healthy
-    return DiscreteForm(g, 2, vals, mask=mask if mask.any() else None)
+    return DiscreteForm(g, 2, vals, mask=~healthy)
 
 
 # -- splitting comparison function ---------------------------------------------
@@ -548,7 +531,6 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
         err.fraction = excluded
         raise err
 
-    emask = emask if emask.any() else None
     one_form = DiscreteForm(g, 1, np.stack(comps, axis=g.ndim), mask=emask)
     defect = one_form.coboundary()
     defect.samples = _wrap_branch(defect.samples)
@@ -557,14 +539,11 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
     c_full, c_left, c_right = (chern_of_pair(s0, s1) for s0, s1 in pairs)
 
     wind = f_wind_form.samples / (2j * np.pi)
-    keep_w = ~f_wind_form.mask if f_wind_form.mask is not None else np.ones(g.shape, bool)
+    keep_w = ~f_wind_form.mask
     integ = float(np.max(np.abs(wind - np.round(wind.real))[keep_w])) if keep_w.any() else 0.0
 
     def real_max(form: DiscreteForm) -> float:
-        v = np.abs(form.samples.real)
-        if form.mask is not None:
-            v = np.where(form.mask, 0.0, v)
-        return float(v.max())
+        return float(np.where(form.mask, 0.0, np.abs(form.samples.real)).max())
 
     residuals = {
         "one_form_max_density": one_form.max_density_residual(),
@@ -572,7 +551,7 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
         "curvature_real_max": max(real_max(curv_full), real_max(curv_left),
                                   real_max(curv_right)),
         "excluded_edge_fraction": excluded,
-        "excluded_plaquette_fraction": float(defect.mask.mean()) if defect.mask is not None else 0.0,
+        "excluded_plaquette_fraction": float(defect.mask.mean()),
         "f_winding_integrality": integ,
         "chern_additivity_gap": float(abs(c_full - (c_left + c_right))),
     }

@@ -11,7 +11,6 @@ normalized by cell volume, so second-order schemes show O(h^2) densities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,12 +128,11 @@ def _roll(values: np.ndarray, grid: BaseGrid, axis: int, step: int) -> np.ndarra
 
 @dataclass
 class DiscreteForm:
-    """Cell-integrated scalar or matrix valued k-form on a BaseGrid.
+    """Cell-integrated scalar k-form on a BaseGrid.
 
-    samples shape: degree 0 -> grid.shape (+ matrix dims), degree 1 ->
-    grid.shape + (ndim,) (+ matrix dims), degree 2 -> grid.shape.  mask, when
-    given, marks excluded cells (True = excluded) and has the samples' cell
-    shape.
+    samples shape: degree 0 and 2 -> grid.shape, degree 1 -> grid.shape +
+    (ndim,).  mask marks excluded cells (True = excluded) and always has the
+    samples' shape; mask=None builds the all-False mask.
     """
 
     grid: BaseGrid
@@ -148,25 +146,12 @@ class DiscreteForm:
         if self.degree == 2 and self.grid.ndim != 2:
             raise ValueError("degree-2 forms need a 2-axis grid")
         self.samples = np.asarray(self.samples)
-        base = self.cell_shape
-        if self.samples.shape[: len(base)] != base:
-            raise ValueError(f"sample shape {self.samples.shape} does not match degree-{self.degree} cells {base}")
-        extra = self.samples.shape[len(base):]
-        if extra not in ((), ) and (len(extra) != 2 or extra[0] != extra[1]):
-            raise ValueError("extra sample dims must form square matrices")
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != base:
-                raise ValueError("mask shape must match cell layout")
-
-    @property
-    def cell_shape(self) -> tuple[int, ...]:
-        """Leading sample axes that index cells: the grid, plus the edge axis for 1-forms."""
-        return self.grid.shape if self.degree != 1 else self.grid.shape + (self.grid.ndim,)
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.samples.shape == self.cell_shape
+        cells = self.grid.shape + ((self.grid.ndim,) if self.degree == 1 else ())
+        if self.samples.shape != cells:
+            raise ValueError(f"sample shape {self.samples.shape} does not match degree-{self.degree} cells {cells}")
+        self.mask = np.zeros(cells, dtype=bool) if self.mask is None else np.asarray(self.mask, dtype=bool)
+        if self.mask.shape != cells:
+            raise ValueError("mask shape must match cell layout")
 
     def coboundary(self) -> "DiscreteForm":
         """Discrete exterior derivative (oriented sum of face samples)."""
@@ -184,49 +169,37 @@ class DiscreteForm:
             e0 = self.samples.take(0, axis=2)
             e1 = self.samples.take(1, axis=2)
             out = e0 + _roll(e1, g, 0, +1) - _roll(e0, g, 1, +1) - e1
-            m = None
-            if self.mask is not None:
-                m0 = self.mask.take(0, axis=2)
-                m1 = self.mask.take(1, axis=2)
-                m = m0 | m1 | _roll(m1, g, 0, +1) | _roll(m0, g, 1, +1)
+            m0 = self.mask.take(0, axis=2)
+            m1 = self.mask.take(1, axis=2)
+            m = m0 | m1 | _roll(m1, g, 0, +1) | _roll(m0, g, 1, +1)
             return DiscreteForm(g, 2, out, mask=m)
         raise ValueError("no degree-3 cells on a 2-axis grid")
 
     def total(self):
         """Sum of samples over unmasked cells."""
-        keep = ~self.mask if self.mask is not None else np.ones(self.cell_shape, dtype=bool)
-        return self.samples[keep].sum(axis=0)
+        return self.samples[~self.mask].sum()
 
     def density(self) -> np.ndarray:
         """Samples divided by cell volume (spacing for edges, area for plaquettes)."""
         if self.degree == 0:
             return self.samples
         if self.degree == 1:
-            h = np.asarray(self.grid.spacing)
-            sh = (1,) * self.grid.ndim + (self.grid.ndim,) + (1,) * (self.samples.ndim - self.grid.ndim - 1)
-            return self.samples / h.reshape(sh)
+            return self.samples / np.asarray(self.grid.spacing)
         return self.samples / self.grid.plaquette_area()
 
     def max_density_residual(self) -> float:
         """max |density| over unmasked cells; the refinement-test statistic."""
-        d = np.abs(self.density())
-        if not self.is_scalar:
-            d = d.max(axis=(-2, -1))
-        if self.mask is not None:
-            d = np.where(self.mask, 0.0, d)
-        return float(d.max())
+        return float(np.where(self.mask, 0.0, np.abs(self.density())).max())
 
     def to_csv(self, path):
-        """Write scalar samples as rows of cell indices plus (re, im)."""
-        if not self.is_scalar:
-            raise ValueError("CSV export is for scalar forms")
-        header = ["i", "j"][: self.grid.ndim] + (["mu"] if self.degree == 1 else [])
+        """Write the samples as rows of cell indices plus (re, im), CRLF line ends."""
+        v = np.asarray(self.samples, dtype=complex).ravel()
+        header = ["i", "j"][: self.grid.ndim] + (["mu"] if self.degree == 1 else []) + ["re", "im"]
+        cols = [i.ravel().tolist() for i in np.indices(self.samples.shape)]
+        cols += [v.real.tolist(), v.imag.tolist()]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header + ["re", "im"])
-            for idx in np.ndindex(*self.cell_shape):
-                v = complex(self.samples[idx])
-                w.writerow([*idx, repr(v.real), repr(v.imag)])
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cols))
 
 
 class Projection:
@@ -299,6 +272,8 @@ class ProjectionSection:
         v = np.array(values, dtype=complex)
         if v.shape[: grid.ndim] != grid.shape or v.ndim != grid.ndim + 2 or v.shape[-1] != v.shape[-2]:
             raise ValueError("values must be a grid of square matrices")
+        if not np.isfinite(v).all():
+            raise FloatingPointError("section values are not finite")
         herm = np.max(np.abs(v - np.swapaxes(v.conj(), -1, -2)))
         idem = np.max(np.abs(v @ v - v))
         if max(herm, idem) > PROJECTION_TOL * max(1.0, float(np.max(np.abs(v)))):

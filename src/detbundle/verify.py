@@ -40,7 +40,6 @@ from .curvature import (
     additivity_residual,
     composition_trace_identity,
     curvature_families_formula,
-    default_cover,
     pair_metric_field,
     patching_residuals,
     swap_trace_identity,
@@ -470,14 +469,12 @@ def suite_curvature(seed: int = 0, tol: float = 1e-9, *, family, section,
     for ax in range(g.ndim):
         dlog = np.log(_roll(m, g, ax, +1)) - np.log(m)
         re = 2.0 * conn.omega[0].samples[..., ax].real
-        ok = ~conn.omega[0].mask[..., ax] if conn.omega[0].mask is not None \
-            else np.ones(g.shape, bool)
+        ok = ~conn.omega[0].mask[..., ax]
         worst_mc = max(worst_mc, float(np.abs(np.where(ok, dlog - re, 0.0)).max()))
     checks.append(_result("metric_compatibility", worst_mc, 1e-12,
                           "edge increments of log|det M|^2 against 2 Re omega"))
 
-    cover = default_cover(sec_a.dim)
-    pr = patching_residuals(sec_a, section, cover[0], cover[1], sing_floor=sing_floor)
+    pr = patching_residuals(conn, 0, 1)
     worst_patch = max(pr["inverse_ratio"].max_density_residual(),
                       pr["adjoint_ratio"].max_density_residual())
     checks.append(_result("patching_identities", worst_patch, 0.1,
@@ -486,11 +483,7 @@ def suite_curvature(seed: int = 0, tol: float = 1e-9, *, family, section,
     curv = report.curvature_left
     fam_form = curvature_families_formula(sec_a, section, variant="full",
                                           sing_floor=sing_floor)
-    both = np.ones(g.shape, bool)
-    if curv.mask is not None:
-        both &= ~curv.mask
-    if fam_form.mask is not None:
-        both &= ~fam_form.mask
+    both = ~curv.mask & ~fam_form.mask
     diff = float(np.abs(np.where(both, curv.samples - fam_form.samples, 0.0)).max()
                  / g.plaquette_area())
     checks.append(_result("families_formula_agreement", diff, 0.1,
@@ -498,9 +491,7 @@ def suite_curvature(seed: int = 0, tol: float = 1e-9, *, family, section,
 
     simp = curvature_families_formula(sec_a, section, variant="simplified",
                                       sing_floor=sing_floor)
-    both2 = both.copy()
-    if simp.mask is not None:
-        both2 &= ~simp.mask
+    both2 = both & ~simp.mask
     dvar = float(np.abs(np.where(both2, fam_form.samples - simp.samples, 0.0)).max())
     checks.append(_result("families_variants_agree", dvar, tol,
                           "full and simplified variants on a trivial fibration"))

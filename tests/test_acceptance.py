@@ -176,8 +176,7 @@ def test_criterion_05_metric_well_defined(demo32, rot32):
 def test_criterion_06_patching_refinement(demo32, rot32, demo64, rot64):
     def residuals(fam, sec):
         s0, s1 = fam.boundary_pair("left", sec)
-        charts = default_cover(s0.dim)
-        out = patching_residuals(s0, s1, charts[0], charts[1])
+        out = patching_residuals(connection_one_form(s0, s1), 0, 1)
         return (out["inverse_ratio"].max_density_residual(),
                 out["adjoint_ratio"].max_density_residual())
 

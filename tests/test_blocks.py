@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detbundle._blocks import bmm, det, smallest_singular_value, trace_solve
+from detbundle._blocks import bmm, det, det_logabs, smallest_singular_value, trace_solve
 
 from conftest import random_complex
 
@@ -45,14 +45,37 @@ def test_closed_form_trace_solve_matches_solve(k):
     ref = np.trace(np.linalg.solve(m, t), axis1=-2, axis2=-1)
     scale = (np.linalg.norm(t, ord=2, axis=(-2, -1))
              / np.linalg.svd(m, compute_uv=False)[..., -1])
-    assert np.all(np.abs(trace_solve(m, t, det(m)) - ref) <= 1e-14 * scale)
+    assert np.all(np.abs(trace_solve(m, [t], det(m))[0] - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_trace_solve_stacks_right_hand_sides_above_2x2(k):
+    # one solve for all right-hand sides; each gives what it gives alone
+    rng = np.random.default_rng(50 + k)
+    m = _blocks(k, 50 + k)[:80]
+    ts = [random_complex(rng, len(m), k, k) for _ in range(3)]
+    scale = 1.0 / np.linalg.svd(m, compute_uv=False)[..., -1]
+    for t, got in zip(ts, trace_solve(m, ts, det(m))):
+        ref = np.trace(np.linalg.solve(m, t), axis1=-2, axis2=-1)
+        assert np.all(np.abs(got - ref)
+                      <= 1e-14 * scale * np.linalg.norm(t, ord=2, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_det_logabs_matches_slogdet(k):
+    m = _blocks(k, 60 + k)[:80]
+    d, logabs = det_logabs(m)
+    sign, ref = np.linalg.slogdet(m)
+    assert np.all(np.abs(logabs - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(d - sign * np.exp(ref)) <= 1e-13 * np.abs(d))
 
 
 def test_empty_blocks_are_the_trivial_line():
     m = np.zeros((3, 0, 0), dtype=complex)
     assert np.array_equal(det(m), np.ones(3))
+    assert np.array_equal(det_logabs(m)[1], np.zeros(3))
     assert np.all(np.isinf(smallest_singular_value(m)))
-    assert not trace_solve(m, m, det(m)).any()
+    assert not trace_solve(m, [m, m], det(m))[1].any()
 
 
 def test_bmm_keeps_square_products_bit_identical():

@@ -1,10 +1,16 @@
 """Exit codes, report determinism and file schemas of the runner."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detbundle.cli import ConfigError, build_family, config_hash, load_config, main
 
@@ -67,9 +73,13 @@ def test_build_family_rejects_bad_numbers():
     "[model]\nkind = cylinder\n[cylinder]\ntruncation = 0\n",
     "[model]\nkind = constant_scalar\nrank = 0\n",
     "[interface]\nkind = vortex\nradius = 5\n",
+    "[model]\nkind = cylinder\n[run]\nseed = -1\n",
+    "[run]\nmax_excluded = -1\n",
+    "[run]\nmax_excluded = 2\n",
 ], ids=["potential_nan", "cylinder_amplitude_inf", "max_excluded_nan", "model_value_inf",
         "cylinder_style_unknown", "cylinder_truncation_zero", "scalar_rank_zero",
-        "vortex_radius_beyond_pi"])
+        "vortex_radius_beyond_pi", "cylinder_seed_negative", "max_excluded_negative",
+        "max_excluded_above_one"])
 def test_non_finite_config_numbers_exit_two(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -77,6 +87,77 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys, text):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+# numeric keys that `curvature` reads, per model kind; sizes are drawn from
+# [-3, 12] only, so no draw allocates much memory
+_SIZES = ("grid.n1", "grid.n2", "model.steps_per_half", "model.rank", "cylinder.truncation")
+_READ = {
+    "dirac": ("model.steps_per_half", "interface.strength"),
+    "vortex": ("model.steps_per_half", "interface.radius", "interface.orientation"),
+    "constant_scalar": ("model.steps_per_half", "model.rank", "model.value",
+                        "interface.strength"),
+    "cylinder": ("cylinder.truncation", "cylinder.gamma", "cylinder.amplitude"),
+}
+_COMMON = ("run.seed", "run.sing_floor", "run.max_excluded", "grid.n1", "grid.n2")
+# keys whose negative values are malformed
+_NON_NEGATIVE = {"run.seed", "run.sing_floor", "run.max_excluded", "interface.radius",
+                 "cylinder.gamma", *_SIZES}
+_BASE = {"grid.n1": "8", "grid.n2": "8", "model.steps_per_half": "16",
+         "cylinder.truncation": "4"}
+
+
+def _malformed(key):
+    """Text, non-finite values, negatives, zero, and for sizes every integer in [-3, 12]."""
+    if key in _SIZES:
+        numbers = st.integers(-3, 12)
+    else:
+        numbers = st.sampled_from([0, -1, -0.5, -3, 1e-300, -1e300])
+    return st.one_of(st.sampled_from(["abc", "1,5", "nan", "inf", "-inf"]),
+                     numbers.map(str))
+
+
+@st.composite
+def _bad_configs(draw):
+    kind = draw(st.sampled_from(sorted(_READ)))
+    keys = draw(st.lists(st.sampled_from(_COMMON + _READ[kind]), min_size=1, max_size=3,
+                         unique=True))
+    return kind, {key: draw(_malformed(key)) for key in keys}
+
+
+def _must_be_config_error(key, value):
+    try:
+        number = float(value)
+    except ValueError:
+        return True
+    return not math.isfinite(number) or (number < 0 and key in _NON_NEGATIVE)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_bad_configs())
+@example(("cylinder", {"run.seed": "-1"}))
+@example(("dirac", {"run.max_excluded": "-1"}))
+@example(("constant_scalar", {"model.value": "-1e+300", "run.sing_floor": "abc"}))
+def test_malformed_numbers_never_raise(case):
+    # exit codes are 0, 1 or 2 and nothing escapes main; a text, non-finite
+    # or forbidden negative value is a config error
+    kind, values = case
+    sections = {"model": {"kind": "dirac" if kind == "vortex" else kind},
+                "interface": {"kind": "vortex" if kind == "vortex" else "rotated"}}
+    for dotted, value in {**_BASE, **values}.items():
+        sec, key = dotted.split(".")
+        sections.setdefault(sec, {})[key] = value
+    text = "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for sec, kv in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "bad.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["curvature", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), text
+    if any(_must_be_config_error(k, v) for k, v in values.items()):
+        assert code == 2 and err.getvalue().startswith("config error:"), (text, err.getvalue())
 
 
 # -- verify ------------------------------------------------------------------------

@@ -76,8 +76,7 @@ def test_patching_identities_refine_at_second_order(demo16, rot16, demo32, rot32
     # chart-ratio determinant, with O(h^2) density
     def residual(fam, sec):
         s0, s1 = fam.boundary_pair("left", sec)
-        charts = default_cover(s0.dim)
-        out = patching_residuals(s0, s1, charts[0], charts[1])
+        out = patching_residuals(connection_one_form(s0, s1), 0, 1)
         return (out["inverse_ratio"].max_density_residual(),
                 out["adjoint_ratio"].max_density_residual())
 
@@ -293,10 +292,11 @@ def test_cylinder_charts_solve_once_and_take_no_det(monkeypatch):
 
 
 def test_verify_curvature_suite_reuses_the_report(monkeypatch):
-    # the suite reads the left pair's connection and curvature from the
-    # additivity report, and both variants of the families formula share
-    # each section's cached plaquette blocks: one connection per pair and one
-    # nearest_projection per section
+    # the suite reads the left pair's connection, its patching residuals and
+    # its curvature from the additivity report, and both variants of the
+    # families formula share each section's cached plaquette blocks: one
+    # connection per pair, four charts each, and one nearest_projection per
+    # section
     from detbundle import curvature as curvature_module, verify
     from detbundle.cli import build_family, build_interface, load_config
 
@@ -304,10 +304,11 @@ def test_verify_curvature_suite_reuses_the_report(monkeypatch):
     fam = build_family(cfg, BaseGrid.torus(16, 16))
     sec = build_interface(cfg, fam)
     calls = {name: _count_calls(monkeypatch, name, (curvature_module, verify))
-             for name in ("connection_one_form", "nearest_projection")}
+             for name in ("connection_one_form", "nearest_projection", "_chart_edge_data")}
     checks = verify.run_suite("curvature", family=fam, section=sec,
                               sing_floor=0.1, max_excluded=0.05)
     assert len(calls["connection_one_form"]) == 3
+    assert len(calls["_chart_edge_data"]) == 12
     assert len(calls["nearest_projection"]) == 2
     assert len(checks) == 12
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
@@ -352,9 +353,9 @@ def test_rank_zero_pair_is_the_trivial_line():
     conn = connection_one_form(zero, zero)
     assert all(h.all() for h in conn.healthy)
     for form in conn.omega:
-        assert form.mask is None and not np.abs(form.samples).any()
+        assert not form.mask.any() and not np.abs(form.samples).any()
     fam_form = curvature_families_formula(zero, zero)
-    assert fam_form.mask is None and not np.abs(fam_form.samples).any()
+    assert not fam_form.mask.any() and not np.abs(fam_form.samples).any()
     rep = additivity_residual(_FixedPairModel(zero, zero), zero)
     assert (rep.chern, rep.chern_left, rep.chern_right) == (0, 0, 0)
     assert all(v == 0.0 for v in rep.residuals.values())

@@ -1,5 +1,7 @@
 """Projection fields, compressions and discrete forms against dense oracles."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -310,13 +312,46 @@ def test_form_total_skips_masked_cells():
     assert f.total() == pytest.approx(15.0)
 
 
-def test_form_total_sums_matrix_samples_over_cells_only():
-    g = BaseGrid.line(5, 0.0, 1.0)
-    samples = random_complex(np.random.default_rng(31), 5, 2, 2)
-    plain = DiscreteForm(g, 0, samples).total()
-    masked = DiscreteForm(g, 0, samples, mask=np.zeros(5, dtype=bool)).total()
-    assert plain.shape == (2, 2)
-    np.testing.assert_allclose(plain, masked, atol=1e-14)
+def test_form_mask_is_always_present():
+    g = BaseGrid.torus(4, 6)
+    f = DiscreteForm(g, 1, np.ones((4, 6, 2)))
+    assert f.mask.shape == (4, 6, 2) and f.mask.dtype == bool and not f.mask.any()
+    assert f.coboundary().mask.shape == (4, 6) and not f.coboundary().mask.any()
+    with pytest.raises(ValueError):
+        DiscreteForm(g, 2, np.ones((4, 6, 2, 2)))
+    with pytest.raises(ValueError):
+        DiscreteForm(g, 2, np.ones((4, 6)), mask=np.zeros((4, 6, 1), dtype=bool))
+
+
+def _csv_writer_oracle(form, path):
+    """Row-by-row csv.writer export, the reference for the bytes of to_csv."""
+    header = ["i", "j"][: form.grid.ndim] + (["mu"] if form.degree == 1 else [])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header + ["re", "im"])
+        for idx in np.ndindex(*form.samples.shape):
+            v = complex(form.samples[idx])
+            w.writerow([*idx, repr(v.real), repr(v.imag)])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_form_csv_bytes_match_csv_writer(tmp_path, degree, dtype):
+    g = BaseGrid.torus(4, 5)
+    shape = g.shape + ((2,) if degree == 1 else ())
+    rng = np.random.default_rng(32)
+    samples = random_complex(rng, *shape) if dtype is complex else rng.standard_normal(shape)
+    special = [-0.0, np.nan, np.inf, -np.inf, 1e-05, 1e16, 0.1, -3.0]
+    flat = samples.reshape(-1)
+    flat[: len(special)] = special
+    if dtype is complex:
+        flat[len(special): 2 * len(special)] = [complex(0.5, s) for s in special]
+    form = DiscreteForm(g, degree, samples)
+    form.to_csv(tmp_path / "got.csv")
+    _csv_writer_oracle(form, tmp_path / "ref.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\r\n") == flat.size + 1
 
 
 def test_form_csv_schema(tmp_path):
@@ -328,6 +363,14 @@ def test_form_csv_schema(tmp_path):
     assert lines[0] == "i,j,re,im"
     assert len(lines) == 17
     assert lines[1] == "0,0,1.5,0.5"
+
+
+def test_section_build_rejects_non_finite_values():
+    g = BaseGrid.torus(4, 4)
+    values = np.zeros(g.shape + (2, 2), dtype=complex)
+    values[1, 2, 0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        ProjectionSection.build(g, values)
 
 
 def test_section_links_records_closed_loop_gauge_invariants():
