@@ -25,9 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._blocks import det
 from .errors import CoverageError, DegenerateSpectrum, NearSingular, OutOfChart, VortexOnLink
 from .grassmann import BaseGrid
-from .detline import Trivialization
+from .detline import _cond_ok
 from .models import (
     DEMO_COEFFICIENTS,
     CylinderFamily,
@@ -36,13 +37,7 @@ from .models import (
     rotated_interface,
     vortex_interface,
 )
-from .curvature import (
-    additivity_residual,
-    default_cover,
-    pair_metric_field,
-    pair_overlap_field,
-    restricted_shift_field,
-)
+from .curvature import additivity_residual, default_cover, pair_overlap_field
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "load_config", "config_hash"]
@@ -201,19 +196,22 @@ def build_interface(cfg: dict[str, dict[str, str]], family):
     raise ConfigError(f"unknown interface kind {cfg['interface']['kind']!r}")
 
 
+def _grid_axes(cfg) -> list[int]:
+    return [_as_int(cfg, "grid", "n1"), _as_int(cfg, "grid", "n2")]
+
+
 def _torus_from(cfg) -> BaseGrid:
-    n1 = _as_int(cfg, "grid", "n1")
-    n2 = _as_int(cfg, "grid", "n2")
+    n1, n2 = _grid_axes(cfg)
     if min(n1, n2) < 4:
         raise ConfigError("grid axes need at least 4 points")
     return BaseGrid.torus(n1, n2)
 
 
-def _meta(cfg, command: str) -> dict:
+def _meta(cfg, command: str, grid: list[int]) -> dict:
     return {
         "command": command,
         "config_hash": config_hash(cfg),
-        "grid": [_as_int(cfg, "grid", "n1"), _as_int(cfg, "grid", "n2")],
+        "grid": grid,
         "library_version": __version__,
         "seed": _seed(cfg),
     }
@@ -236,7 +234,7 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
     names = list(SUITE_NAMES) if suite == "all" else [suite]
-    report = _meta(cfg, f"verify {suite}")
+    report = _meta(cfg, f"verify {suite}", _grid_axes(cfg))
     tol = _positive(_as_float(cfg, "run", "tol"), "run.tol")
     curvature_kwargs = {}
     if "curvature" in names:
@@ -267,7 +265,7 @@ def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_curvature(cfg: dict, out_dir: Path) -> int:
-    payload = _meta(cfg, "curvature")
+    payload = _meta(cfg, "curvature", _grid_axes(cfg))
     chart_settings = _chart_settings(cfg)
     grid = _torus_from(cfg)
     if min(grid.shape) < 8:
@@ -304,37 +302,19 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     stop = _as_float(cfg, "sweep", "stop")
     if not stop > start:
         raise ConfigError("sweep.stop must exceed sweep.start")
-    payload = _meta(cfg, "sweep")
+    payload = _meta(cfg, "sweep", [samples])
     grid = BaseGrid.line(samples, start, stop)
     family = build_family(cfg, grid)
     if isinstance(family, CylinderFamily):
         raise ConfigError("sweep supports the transfer-matrix families only")
     sec0, sec1 = family.boundary_pair("full")
-    overlap = pair_overlap_field(sec0, sec1)
-    metric = pair_metric_field(sec0, sec1)
-    mono = family.monodromy_field()
-    shifts = restricted_shift_field(sec0, sec1, default_cover(sec0.dim)[1])
-    # coordinate of the canonical element [M, 1] in the shifted chart at every
-    # point: det((M + shift)^-1 M), evaluated as det(I + (q - I)) like
-    # fredholm_det
-    triv = Trivialization(grid, shifts, cond_bound=1e8)
-    if not triv.domain(overlap).all():
+    plain = det(pair_overlap_field(sec0, sec1))
+    shifted = pair_overlap_field(sec0, sec1, default_cover(sec0.dim)[1])
+    if not _cond_ok(shifted, 1e8).all():
         raise OutOfChart("base + shift is not invertible within the condition bound")
-    q = np.linalg.solve(overlap + shifts, overlap)
-    eye = np.eye(q.shape[-1])
-    coord = np.linalg.det(eye + (q - eye))
-
-    params = grid.axis_coords(0)
-    header = ["param", "value_re", "value_im"]
-    _write_rows(out_dir / "sweep_metric.csv", header,
-                ([repr(float(p)), repr(float(v)), repr(0.0)]
-                 for p, v in zip(params, metric)))
-    _write_rows(out_dir / "sweep_monodromy.csv", header,
-                ([repr(float(p)), repr(float(v.real)), repr(float(v.imag))]
-                 for p, v in zip(params, mono)))
-    _write_rows(out_dir / "sweep_coordinate.csv", header,
-                ([repr(float(p)), repr(float(v.real)), repr(float(v.imag))]
-                 for p, v in zip(params, coord)))
+    # the canonical element [M, 1] has coordinate det(M1^-1 M) in the shifted chart
+    columns = {"metric": np.abs(plain) ** 2, "monodromy": family.monodromy_field(),
+               "coordinate": plain / det(shifted)}
 
     def zero_indices(values: np.ndarray) -> list[int]:
         v = np.abs(values)
@@ -342,13 +322,13 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         return [k for k in range(1, len(v) - 1)
                 if v[k] <= v[k - 1] and v[k] <= v[k + 1] and v[k] < thr]
 
-    payload["grid"] = [samples]
+    params = grid.axis_coords(0)
+    for name, values in columns.items():
+        _write_rows(out_dir / f"sweep_{name}.csv", ["param", "value_re", "value_im"],
+                    ([repr(float(p)), repr(float(v.real)), repr(float(v.imag))]
+                     for p, v in zip(params, values)))
     payload["range"] = [start, stop]
-    payload["zero_indices"] = {
-        "metric": zero_indices(metric),
-        "monodromy": zero_indices(mono),
-        "coordinate": zero_indices(coord),
-    }
+    payload["zero_indices"] = {name: zero_indices(v) for name, v in columns.items()}
     _write_json(out_dir / "sweep_report.json", payload)
     print(f"sweep of {samples} samples over [{start}, {stop}]")
     for name, idx in payload["zero_indices"].items():

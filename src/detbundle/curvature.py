@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import bmm, det_logabs, smallest_singular_value, trace_solve
+from ._blocks import bmm, det, det_logabs, smallest_singular_value, trace_solve
 from .detline import frame_metric_sq
 from .errors import CoverageError, NearSingular, VortexOnLink
 from .grassmann import (
@@ -33,7 +33,6 @@ from .grassmann import (
     _plaquette_corners,
     _readonly,
     _roll,
-    frames_of,
     nearest_projection,
     section_links,
     toeplitz_inverse,
@@ -121,10 +120,20 @@ def _frames_pair(sec0: ProjectionSection, sec1: ProjectionSection):
     return sec0.frames(), sec1.frames()
 
 
-def pair_overlap_field(sec0: ProjectionSection, sec1: ProjectionSection) -> np.ndarray:
-    """Plain overlap M(b) = F1(b)* F0(b), the compressed datum of the plain chart."""
-    f0, f1 = _frames_pair(sec0, sec1)
-    return np.swapaxes(f1.conj(), -1, -2) @ f0
+def _chart_datum(f0: np.ndarray, f1: np.ndarray, chart: PairChart) -> np.ndarray:
+    """Compressed chart datum M = F1* (I + C) F0 of stacked range frames."""
+    f1h = np.swapaxes(f1.conj(), -1, -2)
+    if chart.block is None:
+        return bmm(f1h, f0)
+    # one product for the whole stack of frames, not one per point
+    amb_f0 = np.moveaxis(np.tensordot(chart.ambient(f0.shape[-2]), f0, axes=(1, -2)), 0, -2)
+    return bmm(f1h, amb_f0)
+
+
+def pair_overlap_field(sec0: ProjectionSection, sec1: ProjectionSection,
+                       chart: PairChart = PairChart()) -> np.ndarray:
+    """Chart datum M(b) = F1(b)* (I + C) F0(b) of the pair; the plain overlap F1* F0 by default."""
+    return _chart_datum(*_frames_pair(sec0, sec1), chart)
 
 
 def pair_metric_field(sec0: ProjectionSection, sec1: ProjectionSection) -> np.ndarray:
@@ -134,12 +143,8 @@ def pair_metric_field(sec0: ProjectionSection, sec1: ProjectionSection) -> np.nd
 
 def restricted_shift_field(sec0: ProjectionSection, sec1: ProjectionSection,
                            chart: PairChart) -> np.ndarray:
-    """Compressed chart shift t F1* C F0, the block added to the plain overlap."""
-    f0, f1 = _frames_pair(sec0, sec1)
-    k = sec0.base_rank
-    if chart.block is None:
-        return np.zeros(sec0.grid.shape + (k, k), dtype=complex)
-    return np.swapaxes(f1.conj(), -1, -2) @ (as_matrix(chart.block) @ f0)
+    """Compressed chart shift F1* C F0: the chart datum minus the plain overlap."""
+    return pair_overlap_field(sec0, sec1, chart) - pair_overlap_field(sec0, sec1)
 
 
 def _guard(m: np.ndarray, sing_floor: float):
@@ -152,13 +157,12 @@ def _guard(m: np.ndarray, sing_floor: float):
     return healthy, np.where(healthy[..., None, None], m, np.eye(m.shape[-1], dtype=complex))
 
 
-def _chart_datum(f0: np.ndarray, f1h: np.ndarray, chart: PairChart) -> np.ndarray:
-    """Compressed chart datum M = F1* (I + C) F0 over the grid."""
-    if chart.block is None:
-        return bmm(f1h, f0)
-    # one product for the whole stack of frames, not one per point
-    amb_f0 = np.moveaxis(np.tensordot(chart.ambient(f0.shape[-2]), f0, axes=(1, -2)), 0, -2)
-    return bmm(f1h, amb_f0)
+def _dlog_edges(values: np.ndarray, healthy: np.ndarray, g: BaseGrid):
+    """Edge increments Log(v(b+e) / v(b)) of a point field, and the mask of
+    edges with an end outside its domain ``healthy``; one trailing entry per axis."""
+    dlog = [np.log(_roll(values, g, ax, +1) / values) for ax in range(g.ndim)]
+    masks = [~(healthy & _roll(healthy, g, ax, +1)) for ax in range(g.ndim)]
+    return np.stack(dlog, axis=g.ndim), np.stack(masks, axis=g.ndim)
 
 
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -173,8 +177,7 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
     """
     g = sec0.grid
     g.require_periodic()
-    f0, f1 = _frames_pair(sec0, sec1)
-    m = _chart_datum(f0, np.swapaxes(f1.conj(), -1, -2), chart)
+    m = pair_overlap_field(sec0, sec1, chart)
     healthy, msafe = _guard(m, sing_floor)
     u0, u1 = _frame_transports(sec0), _frame_transports(sec1)
     ts = []
@@ -287,34 +290,26 @@ def patching_residuals(conn: ChartedConnection, a: int, b: int) -> dict[str, Dis
     g = conn.grid
     det_a, det_b = conn.det[a], conn.det[b]
     both = conn.healthy[a] & conn.healthy[b]
-    t_ratio = np.where(both, det_a / det_b, 1.0)
-    r_ratio = np.where(both, np.conj(det_b) * det_a, 1.0)
-    inv_comps, adj_comps, masks = [], [], []
-    for ax in range(g.ndim):
-        dlog_t = np.log(_roll(t_ratio, g, ax, +1) / t_ratio)
-        dlog_r = np.log(_roll(r_ratio, g, ax, +1) / r_ratio)
-        oa = conn.omega[a].samples[..., ax]
-        ob = conn.omega[b].samples[..., ax]
-        inv_comps.append(_wrap_branch(oa - ob - dlog_t))
-        adj_comps.append(_wrap_branch(oa + np.conj(ob) - dlog_r))
-        masks.append(~(both & _roll(both, g, ax, +1)))
-    emask = np.stack(masks, axis=g.ndim)
+    dlog_t, emask = _dlog_edges(np.where(both, det_a / det_b, 1.0), both, g)
+    dlog_r, _ = _dlog_edges(np.where(both, np.conj(det_b) * det_a, 1.0), both, g)
+    oa, ob = conn.omega[a].samples, conn.omega[b].samples
     return {
-        "inverse_ratio": DiscreteForm(g, 1, np.stack(inv_comps, axis=g.ndim), mask=emask),
-        "adjoint_ratio": DiscreteForm(g, 1, np.stack(adj_comps, axis=g.ndim), mask=emask),
+        "inverse_ratio": DiscreteForm(g, 1, _wrap_branch(oa - ob - dlog_t), mask=emask),
+        "adjoint_ratio": DiscreteForm(g, 1, _wrap_branch(oa + np.conj(ob) - dlog_r), mask=emask),
     }
 
 
 def _plaquette_curvature_blocks(sec: ProjectionSection):
-    """Center projection and sandwiched curvature block per plaquette.
+    """Center range frames and sandwiched curvature block per plaquette.
 
-    Computed once per section and cached read-only, like its links.
+    Both come from one eigh of the corner average and are cached read-only
+    on the section, like its links.
     """
     if "plaquette_blocks" not in sec._derived:
         pc, comm = _plaquette_corners(sec.values, sec.grid)
-        pc = nearest_projection(pc)
+        pc, fc = nearest_projection(pc, sec.base_rank)
         sec._derived["plaquette_blocks"] = (
-            _readonly(pc), _readonly(pc @ comm @ pc * sec.grid.plaquette_area()))
+            _readonly(fc.copy()), _readonly(pc @ comm @ pc * sec.grid.plaquette_area()))
     return sec._derived["plaquette_blocks"]
 
 
@@ -336,19 +331,14 @@ def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
         raise ValueError("curvature needs a 2-axis grid")
     g.require_periodic()
     _frames_pair(sec0, sec1)
-    pc0, r0 = _plaquette_curvature_blocks(sec0)
-    pc1, r1 = _plaquette_curvature_blocks(sec1)
+    f0c, r0 = _plaquette_curvature_blocks(sec0)
+    f1c, r1 = _plaquette_curvature_blocks(sec1)
     tr0 = np.trace(r0, axis1=-2, axis2=-1)
-    tr1 = np.trace(r1, axis1=-2, axis2=-1)
     if variant == "simplified":
-        return DiscreteForm(g, 2, tr1 - tr0)
-    k = sec0.base_rank
-    f0c = frames_of(pc0, k)
-    f1c = frames_of(pc1, k)
-    f1ch = np.swapaxes(f1c.conj(), -1, -2)
-    healthy, mcsafe = _guard(f1ch @ f0c, sing_floor)
-    n = f1ch @ r1 @ f0c
-    vals = np.trace(np.linalg.solve(mcsafe, n), axis1=-2, axis2=-1) - tr0
+        return DiscreteForm(g, 2, np.trace(r1, axis1=-2, axis2=-1) - tr0)
+    healthy, mcsafe = _guard(_chart_datum(f0c, f1c, PairChart()), sing_floor)
+    n = bmm(bmm(np.swapaxes(f1c.conj(), -1, -2), r1), f0c)
+    vals = trace_solve(mcsafe, [n], det(mcsafe))[0] - tr0
     return DiscreteForm(g, 2, vals, mask=~healthy)
 
 
@@ -373,15 +363,9 @@ def f_function_field(sec_a: ProjectionSection, sec_mid: ProjectionSection,
     det M_left); the value is frame independent and equals 1 when the middle
     section coincides with the first leg.  Unhealthy points are set to 1.
     """
-    fa, fb = _frames_pair(sec_a, sec_b)
-    fm, _ = _frames_pair(sec_mid, sec_b)
-    fbh = np.swapaxes(fb.conj(), -1, -2)
-    dets, domains = [], []
-    for m in (fbh @ fa, np.swapaxes(fm.conj(), -1, -2) @ fa, fbh @ fm):
-        healthy, msafe = _guard(m, sing_floor)
-        dets.append(np.linalg.det(msafe))
-        domains.append(healthy)
-    return _f_ratio(dets, domains)
+    legs = [_guard(pair_overlap_field(s0, s1), sing_floor)
+            for s0, s1 in ((sec_a, sec_b), (sec_a, sec_mid), (sec_mid, sec_b))]
+    return _f_ratio([det(msafe) for _, msafe in legs], [healthy for healthy, _ in legs])
 
 
 def f_function(model, section: ProjectionSection, idx) -> complex:
@@ -516,13 +500,7 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
 
     # an edge is masked in some plain chart exactly when an end of it leaves
     # the joint domain of F, so the F edge mask is the union of the three
-    comps, fcomps, masks = [], [], []
-    for ax in range(g.ndim):
-        dlog_f = np.log(_roll(f_vals, g, ax, +1) / f_vals)
-        comps.append(_wrap_branch(full[..., ax] - left[..., ax] - right[..., ax] - dlog_f))
-        fcomps.append(dlog_f)
-        masks.append(~(f_healthy & _roll(f_healthy, g, ax, +1)))
-    emask = np.stack(masks, axis=g.ndim)
+    dlog_f, emask = _dlog_edges(f_vals, f_healthy, g)
 
     excluded = float(emask.mean())
     if excluded > max_excluded:
@@ -531,10 +509,10 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
         err.fraction = excluded
         raise err
 
-    one_form = DiscreteForm(g, 1, np.stack(comps, axis=g.ndim), mask=emask)
+    one_form = DiscreteForm(g, 1, _wrap_branch(full - left - right - dlog_f), mask=emask)
     defect = one_form.coboundary()
     defect.samples = _wrap_branch(defect.samples)
-    f_wind_form = DiscreteForm(g, 1, np.stack(fcomps, axis=g.ndim), mask=emask).coboundary()
+    f_wind_form = DiscreteForm(g, 1, dlog_f, mask=emask).coboundary()
     curv_full, curv_left, curv_right = (curvature_of(c) for c in conns)
     c_full, c_left, c_right = (chern_of_pair(s0, s1) for s0, s1 in pairs)
 

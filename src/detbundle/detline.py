@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blocks import bmm, det
 from .errors import OutOfChart
 from .grassmann import Projection
 from .opcalc import as_matrix, fredholm_det, schatten_profile
@@ -205,7 +206,7 @@ def frame_metric_sq(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     This is det of the restricted pair Laplacian (P0 P1 P0)|ran(P0), so it
     does not depend on the choice of frames; rank 0 gives 1.
     """
-    return np.abs(np.linalg.det(np.swapaxes(f1.conj(), -1, -2) @ f0)) ** 2
+    return np.abs(det(bmm(np.swapaxes(f1.conj(), -1, -2), f0))) ** 2
 
 
 def pair_metric_sq(p0_matrix, p1_matrix) -> float:

@@ -240,11 +240,16 @@ def restrict(phi: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return np.swapaxes(f1.conj(), -1, -2) @ phi @ f0
 
 
-def nearest_projection(h: np.ndarray) -> np.ndarray:
-    """Closest orthogonal projection to a Hermitian matrix with a spectral gap at 1/2."""
+def nearest_projection(h: np.ndarray, rank: int):
+    """Closest orthogonal projection to a Hermitian matrix with a spectral gap at 1/2.
+
+    Returns the projection and, from the same eigh, range frames: the top
+    ``rank`` eigenvectors, which span the range when ``rank`` eigenvalues
+    exceed 1/2.
+    """
     w, v = np.linalg.eigh(0.5 * (h + np.swapaxes(h.conj(), -1, -2)))
     sel = (w > 0.5).astype(complex)
-    return (v * sel[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * sel[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), v[..., v.shape[-1] - rank:]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._blocks import bmm as _bmm, expi as _expi
+from ._blocks import bmm as _bmm, det as _det, expi as _expi
 from .grassmann import (
     BaseGrid,
     ProjectionSection,
@@ -118,14 +118,18 @@ class Dirac1DFamily:
         h = self._step
         t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
         gauss = np.sqrt(3.0) / 6.0
-        for k in range(k0, k1):
-            a1 = self._a((k + 0.5 - gauss) * h)
-            a2 = self._a((k + 0.5 + gauss) * h)
-            # X - X^H is the commutator [a2, a1] for Hermitian blocks
-            x = _bmm(a2, a1)
-            comm = x - np.swapaxes(x.conj(), -1, -2)
-            gen = (0.5 * h) * (a1 + a2) + (1j * gauss * 0.5 * h * h) * comm
-            t = _bmm(_expi(gen), t)
+        # an overflowing potential ends in the one error below, not in warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k0, k1):
+                a1 = self._a((k + 0.5 - gauss) * h)
+                a2 = self._a((k + 0.5 + gauss) * h)
+                # X - X^H is the commutator [a2, a1] for Hermitian blocks
+                x = _bmm(a2, a1)
+                comm = x - np.swapaxes(x.conj(), -1, -2)
+                gen = (0.5 * h) * (a1 + a2) + (1j * gauss * 0.5 * h * h) * comm
+                t = _bmm(_expi(gen), t)
+        if not np.isfinite(t).all():
+            raise FloatingPointError("transfer matrices are not finite")
         self._flows[key] = t
         return t
 
@@ -166,7 +170,7 @@ class Dirac1DFamily:
         T(0 -> 2pi) is composed from the two cached half-circle transfers.
         """
         t = _bmm(self.transfer_field(np.pi, 2.0 * np.pi), self.transfer_field(0.0, np.pi))
-        return np.linalg.det(np.eye(self.rank) - t)
+        return _det(np.eye(self.rank) - t)
 
     def full_monodromy_det(self, idx) -> complex:
         idx = idx if isinstance(idx, tuple) else (idx,)

@@ -58,3 +58,16 @@ def random_projection(rng, dim: int, rank: int) -> np.ndarray:
     q, _ = np.linalg.qr(random_complex(rng, dim, dim))
     f = q[:, :rank]
     return f @ f.conj().T
+
+
+def _count_calls(monkeypatch, name, modules=(np.linalg,)):
+    """Count calls of ``name`` through every one of ``modules`` that binds it."""
+    calls = []
+
+    def wrap(fn):
+        return lambda *a, **k: calls.append(1) or fn(*a, **k)
+
+    for mod in modules:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, wrap(getattr(mod, name)))
+    return calls

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detbundle import BaseGrid, constant_scalar_family, demo_family, rotated_interface
 from detbundle.cli import ConfigError, build_family, config_hash, load_config, main
+from detbundle.curvature import (
+    curvature_families_formula,
+    default_cover,
+    f_function_field,
+    pair_metric_field,
+    pair_overlap_field,
+    restricted_shift_field,
+)
+from detbundle.detline import canonical_det, chart_coordinate
+
+from conftest import _count_calls
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -256,6 +269,18 @@ def test_curvature_vortex_chern_triple(tmp_path):
                                          "additive": True}
 
 
+@pytest.mark.parametrize("command", ["curvature", "sweep"])
+def test_overflowing_transfer_fails_in_one_line_without_warnings(tmp_path, capsys, command):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("[model]\nkind = constant_scalar\nvalue = -1e300\nsteps_per_half = 16\n"
+                   "[grid]\nn1 = 8\nn2 = 8\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "numerical failure: transfer matrices are not finite\n"
+
+
 def test_curvature_numerical_failure_exits_one(tmp_path, capsys):
     # on an 8x8 grid a small vortex sits on a link, so the holonomy of the
     # interface bundle is undefined: a typed numerical error, not a traceback
@@ -307,6 +332,62 @@ def test_sweep_demo_family_metric_positive(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "sweep_metric.csv")
     assert all(float(r[1]) >= 0.0 for r in rows)
+
+
+DEMO_SWEEP = "[model]\nsteps_per_half = 32\n[sweep]\nsamples = 40\n"
+
+
+@pytest.mark.parametrize("text", [(CONFIGS / "scalar_sweep.cfg").read_text(), DEMO_SWEEP],
+                         ids=["scalar_600", "demo_rank2_40"])
+def test_sweep_coordinate_matches_pointwise_chart_coordinate(tmp_path, text):
+    # the batched det M / det M1 against the pointwise det((M + S)^-1 M)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    _, rows = _read_csv(tmp_path / "out" / "sweep_coordinate.csv")
+    got = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    cfg = load_config(str(path))
+    sweep = cfg["sweep"]
+    grid = BaseGrid.line(int(sweep["samples"]), float(sweep["start"]), float(sweep["stop"]))
+    sec0, sec1 = build_family(cfg, grid).boundary_pair("full")
+    overlap = pair_overlap_field(sec0, sec1)
+    shift = restricted_shift_field(sec0, sec1, default_cover(sec0.dim)[1])
+    want = np.array([chart_coordinate(canonical_det(overlap[k]), shift[k])
+                     for k in range(grid.npoints)])
+    assert len(got) == grid.npoints
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_sweep_ignores_malformed_grid_axes(tmp_path):
+    # the sweep's grid is [sweep] samples; [grid] is never read
+    text = (CONFIGS / "scalar_sweep.cfg").read_text()
+    for name, extra in (("plain", ""), ("bad_grid", "\n[grid]\nn1 = abc\n")):
+        (tmp_path / f"{name}.cfg").write_text(text + extra)
+        code = main(["sweep", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)])
+        assert code == 0
+    for column in ("metric", "monodromy", "coordinate"):
+        assert (tmp_path / "bad_grid" / f"sweep_{column}.csv").read_bytes() == \
+            (tmp_path / "plain" / f"sweep_{column}.csv").read_bytes()
+
+
+def test_small_pair_blocks_make_no_linalg_det_or_solve(tmp_path, monkeypatch):
+    # every stacked det, solve and tr(M^-1 T) on blocks up to 2x2 is a
+    # closed form in _blocks
+    demo = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
+    scalar = constant_scalar_family(BaseGrid.torus(8, 8), value=0.3, steps_per_half=16)
+    pairs = [demo.boundary_pair("left", rotated_interface(demo)), scalar.boundary_pair("full")]
+    (tmp_path / "demo.cfg").write_text(DEMO_SWEEP)
+    calls = {name: _count_calls(monkeypatch, name) for name in ("det", "slogdet", "solve")}
+    for cfg in (CONFIGS / "scalar_sweep.cfg", tmp_path / "demo.cfg"):
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    for s0, s1 in pairs:
+        pair_metric_field(s0, s1)
+        f_function_field(s0, s0, s1, 0.1)
+        for variant in ("full", "simplified"):
+            curvature_families_formula(s0, s1, variant=variant)
+    for name, got in calls.items():
+        assert len(got) == 0, name
 
 
 def test_sweep_rejects_bad_range(tmp_path):

@@ -8,7 +8,10 @@ from detbundle.grassmann import (
     BaseGrid,
     ProjectionSection,
     _frame_transports,
+    _plaquette_corners,
     _roll,
+    frames_of,
+    nearest_projection,
     section_links,
 )
 from detbundle.models import (
@@ -37,7 +40,7 @@ from detbundle.curvature import (
     swap_trace_identity,
 )
 
-from conftest import STEPS, random_complex, random_projection
+from conftest import STEPS, _count_calls, random_complex, random_projection
 
 
 def _constant_pair(grid, p):
@@ -205,6 +208,32 @@ def test_families_formula_matches_connection_curvature(demo16, rot16, demo32, ro
     assert 2.5 <= g16 / g32 <= 5.5
 
 
+def test_families_formula_takes_center_frames_from_the_plaquette_blocks(monkeypatch):
+    # on fresh sections: one eigh per section for its frames and one for its
+    # plaquette blocks, which also give the center frames; none on a repeat
+    fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
+    s0, s1 = fam.boundary_pair("left", rotated_interface(fam))
+    calls = _count_calls(monkeypatch, "eigh")
+    got = curvature_families_formula(s0, s1, variant="full")
+    assert len(calls) == 4
+    assert curvature_families_formula(s0, s1, variant="full").samples.tolist() == got.samples.tolist()
+    assert len(calls) == 4
+    # oracle: frames from an eigh of each center projection, tr(X N) by solve
+    monkeypatch.undo()
+    pcs, rs = [], []
+    for s in (s0, s1):
+        pc, comm = _plaquette_corners(s.values, s.grid)
+        pc, _ = nearest_projection(pc, s.base_rank)
+        pcs.append(pc)
+        rs.append(pc @ comm @ pc * s.grid.plaquette_area())
+    f0c, f1c = frames_of(pcs[0], 2), frames_of(pcs[1], 2)
+    f1ch = np.swapaxes(f1c.conj(), -1, -2)
+    want = (np.trace(np.linalg.solve(f1ch @ f0c, f1ch @ rs[1] @ f0c), axis1=-2, axis2=-1)
+            - np.trace(rs[0], axis1=-2, axis2=-1))
+    assert not got.mask.any()
+    assert np.abs(got.samples - want).max() <= 1e-13
+
+
 def test_curvature_rejects_unknown_variant(rot16):
     with pytest.raises(ValueError):
         curvature_families_formula(rot16, rot16, variant="fast")
@@ -230,19 +259,6 @@ def test_additivity_report_demo(demo16, rot16):
     assert s["grid"] == [16, 16]
     assert set(s["chern"]) == {"full", "left", "right", "additive"}
     assert set(s["residuals"]) == set(r)
-
-
-def _count_calls(monkeypatch, name, modules=(np.linalg,)):
-    """Count calls of ``name`` through every one of ``modules`` that binds it."""
-    calls = []
-
-    def wrap(fn):
-        return lambda *a, **k: calls.append(1) or fn(*a, **k)
-
-    for mod in modules:
-        if hasattr(mod, name):
-            monkeypatch.setattr(mod, name, wrap(getattr(mod, name)))
-    return calls
 
 
 def test_additivity_diagonalises_each_section_once(monkeypatch):
