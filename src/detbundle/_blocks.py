@@ -108,8 +108,8 @@ def det_logabs(m: np.ndarray):
     return d, np.log(np.abs(d))
 
 
-def trace_solve(m: np.ndarray, ts, d: np.ndarray) -> list[np.ndarray]:
-    """tr(M^-1 T) of every block for each T in ts, given d = det M; 0 for 0x0 blocks.
+def trace_solve(m: np.ndarray, ts) -> list[np.ndarray]:
+    """tr(M^-1 T) of every block for each T in ts; 0 for 0x0 blocks.
 
     Up to 2x2 it is tr(adj(M) T) / det M; larger blocks make one solve with
     the right-hand sides stacked.
@@ -120,7 +120,24 @@ def trace_solve(m: np.ndarray, ts, d: np.ndarray) -> list[np.ndarray]:
         return [np.trace(x[..., i * k:(i + 1) * k], axis1=-2, axis2=-1) for i in range(len(ts))]
     if k == 0:
         return [np.zeros(m.shape[:-2], dtype=complex) for _ in ts]
+    d = det(m)
     if k == 1:
         return [t[..., 0, 0] / d for t in ts]
     return [(m[..., 1, 1] * t[..., 0, 0] - m[..., 0, 1] * t[..., 1, 0]
              - m[..., 1, 0] * t[..., 0, 1] + m[..., 0, 0] * t[..., 1, 1]) / d for t in ts]
+
+
+def orthonormalizer(a: np.ndarray) -> np.ndarray:
+    """Upper-triangular R^-1 with R* R = a, so X R^-1 is orthonormal when X* X = a;
+    R* is the Cholesky factor of a, inverted in closed form up to 2x2."""
+    if a.shape[-1] > 2:
+        return np.swapaxes(np.linalg.inv(np.linalg.cholesky(a)).conj(), -1, -2)
+    out = np.zeros(a.shape, dtype=complex)
+    r00 = np.sqrt(a[..., 0, 0].real)
+    out[..., 0, 0] = 1.0 / r00
+    if a.shape[-1] == 2:
+        r01 = a[..., 0, 1] / r00
+        r11 = np.sqrt(a[..., 1, 1].real - (r01 * r01.conj()).real)
+        out[..., 0, 1] = -r01 / (r00 * r11)
+        out[..., 1, 1] = 1.0 / r11
+    return out

@@ -189,7 +189,7 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
         ts.append((fwd - bwd) / (2.0 * g.spacing[ax]))
     dets, logabs = det_logabs(msafe)
     comps, masks = [], []
-    for ax, tr in enumerate(trace_solve(msafe, ts, dets)):
+    for ax, tr in enumerate(trace_solve(msafe, ts)):
         # half the increment of log|det M|^2 is the increment of log|det M|
         re = _roll(logabs, g, ax, +1) - logabs
         im = 0.5 * g.spacing[ax] * (tr.imag + _roll(tr.imag, g, ax, +1))
@@ -338,7 +338,7 @@ def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
         return DiscreteForm(g, 2, np.trace(r1, axis1=-2, axis2=-1) - tr0)
     healthy, mcsafe = _guard(_chart_datum(f0c, f1c, PairChart()), sing_floor)
     n = bmm(bmm(np.swapaxes(f1c.conj(), -1, -2), r1), f0c)
-    vals = trace_solve(mcsafe, [n], det(mcsafe))[0] - tr0
+    vals = trace_solve(mcsafe, [n])[0] - tr0
     return DiscreteForm(g, 2, vals, mask=~healthy)
 
 

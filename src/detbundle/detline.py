@@ -221,4 +221,4 @@ def metric_norm_sq(model, idx) -> float:
     """Canonical metric of the model's full boundary pair at one grid point."""
     sec0, sec1 = model.boundary_pair("full")
     idx = idx if isinstance(idx, tuple) else (idx,)
-    return pair_metric_sq(sec0.at(idx), sec1.at(idx))
+    return float(frame_metric_sq(sec0.frames()[idx], sec1.frames()[idx]))

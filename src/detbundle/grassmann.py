@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blocks import bmm, det
+from ._blocks import bmm, det, orthonormalizer
 from .errors import DegenerateSpectrum, GridDomainError, NearSingular
 from .opcalc import as_matrix
 
@@ -27,7 +27,7 @@ __all__ = [
     "spectral_projection",
     "spectral_projection_field",
     "graph_projection",
-    "graph_projection_field",
+    "graph_frames",
     "toeplitz",
     "toeplitz_inverse",
     "hom_derivative",
@@ -35,7 +35,6 @@ __all__ = [
     "second_fundamental_form",
     "section_links",
     "frames_of",
-    "restrict",
     "nearest_projection",
 ]
 
@@ -229,15 +228,8 @@ class Projection:
 
 
 def frames_of(values: np.ndarray, rank: int) -> np.ndarray:
-    """Batched orthonormal range frames of a stack of projections."""
-    w, v = np.linalg.eigh(values)
-    # eigh sorts ascending; the range spans the top `rank` eigenvectors
-    return v[..., -rank:] if rank > 0 else v[..., :0]
-
-
-def restrict(phi: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """Matrix of phi: range(P0) -> range(P1) in the frames f0, f1 (batched)."""
-    return np.swapaxes(f1.conj(), -1, -2) @ phi @ f0
+    """Batched orthonormal range frames of a stack of projections (top ``rank`` eigenvectors)."""
+    return np.linalg.eigh(values)[1][..., values.shape[-1] - rank:]
 
 
 def nearest_projection(h: np.ndarray, rank: int):
@@ -259,39 +251,44 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionSection:
-    """Field of projections over a BaseGrid with constant rank.
+    """Field of rank-k projections over a BaseGrid, owned by their range frames.
 
-    An immutable value: ``build`` keeps a read-only copy of the projections,
-    and the frames, the complement, the smoothness constant, the frame
-    transports and the ``section_links`` are derived on first use and cached
-    on the instance.
+    An immutable value: ``build`` keeps a read-only copy of orthonormal range
+    frames F; the projections F F*, the complement, the smoothness constant,
+    the frame transports and the ``section_links`` are cached on first use.
     """
 
     grid: BaseGrid
-    values: np.ndarray
-    base_rank: int
+    _frames: np.ndarray = field(repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def build(cls, grid: BaseGrid, values) -> "ProjectionSection":
-        v = np.array(values, dtype=complex)
-        if v.shape[: grid.ndim] != grid.shape or v.ndim != grid.ndim + 2 or v.shape[-1] != v.shape[-2]:
-            raise ValueError("values must be a grid of square matrices")
-        if not np.isfinite(v).all():
-            raise FloatingPointError("section values are not finite")
-        herm = np.max(np.abs(v - np.swapaxes(v.conj(), -1, -2)))
-        idem = np.max(np.abs(v @ v - v))
-        if max(herm, idem) > PROJECTION_TOL * max(1.0, float(np.max(np.abs(v)))):
-            raise ValueError("section values must be orthogonal projections")
-        ranks = np.trace(v, axis1=-2, axis2=-1).real
-        r0 = float(ranks.reshape(-1)[0])
-        if np.max(np.abs(ranks - r0)) > 1e-8 or abs(r0 - round(r0)) > 1e-8:
-            raise ValueError("section must have constant integral rank")
-        return cls(grid=grid, values=_readonly(v), base_rank=int(round(r0)))
+    def build(cls, grid: BaseGrid, frames) -> "ProjectionSection":
+        """Section spanned by orthonormal frames of shape grid.shape + (dim, k)."""
+        f = np.array(frames, dtype=complex)
+        if f.shape[: grid.ndim] != grid.shape or f.ndim != grid.ndim + 2 or f.shape[-1] > f.shape[-2]:
+            raise ValueError("frames must be a grid of (dim, k) matrices with k <= dim")
+        if not np.isfinite(f).all():
+            raise FloatingPointError("section frames are not finite")
+        gram = bmm(np.swapaxes(f.conj(), -1, -2), f)
+        if np.max(np.abs(gram - np.eye(f.shape[-1])), initial=0.0) > PROJECTION_TOL:
+            raise ValueError("section frames must be orthonormal")
+        return cls(grid=grid, _frames=_readonly(f))
+
+    @property
+    def base_rank(self) -> int:
+        return self._frames.shape[-1]
 
     @property
     def dim(self) -> int:
-        return self.values.shape[-1]
+        return self._frames.shape[-2]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only projections F F*, shape grid.shape + (dim, dim)."""
+        if "values" not in self._derived:
+            self._derived["values"] = _readonly(self._frames @ np.swapaxes(self._frames.conj(), -1, -2))
+        return self._derived["values"]
 
     @property
     def smoothness(self) -> float:
@@ -305,25 +302,20 @@ class ProjectionSection:
             self._derived["smoothness"] = c
         return self._derived["smoothness"]
 
-    def at(self, idx) -> np.ndarray:
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        return self.values[idx]
-
     def frames(self) -> np.ndarray:
         """Read-only orthonormal range frames, shape grid.shape + (dim, base_rank)."""
-        if "frames" not in self._derived:
-            # a copy, so that the cache does not hold all dim eigenvectors
-            self._derived["frames"] = _readonly(frames_of(self.values, self.base_rank).copy())
-        return self._derived["frames"]
+        return self._frames
 
     def complement(self) -> "ProjectionSection":
         """Section of I - P; its own complement is this section again."""
         if "complement" not in self._derived:
-            comp = ProjectionSection(self.grid, _readonly(np.eye(self.dim) - self.values),
-                                     self.dim - self.base_rank)
-            comp._derived["complement"] = self
-            self._derived["complement"] = comp
+            self._set_complement(ProjectionSection.build(
+                self.grid, frames_of(np.eye(self.dim) - self.values, self.dim - self.base_rank)))
         return self._derived["complement"]
+
+    def _set_complement(self, comp: "ProjectionSection") -> None:
+        """Record comp, built from frames of ran(I - P), as the complement both ways."""
+        self._derived["complement"], comp._derived["complement"] = comp, self
 
 
 def spectral_projection_field(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
@@ -363,14 +355,14 @@ def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
     return Projection(spectral_projection_field(m, gap_tol))
 
 
-def graph_projection_field(t: np.ndarray) -> np.ndarray:
-    """Graph projections onto {(v, T v)} inside C^n (+) C^n for a stack of square blocks."""
-    th = np.swapaxes(t.conj(), -1, -2)
-    n = t.shape[-1]
-    g = np.linalg.inv(np.eye(n) + th @ t)
-    top = np.concatenate([g, g @ th], axis=-1)
-    bot = np.concatenate([t @ g, t @ g @ th], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+def graph_frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Orthonormal range frames [X; Y] L^-* of stacked blocks, L L* = X* X + Y* Y.
+
+    Gram-Schmidt on the columns of [X; Y]; with X = I, the graph {(v, Y v)}.
+    """
+    xh, yh = np.swapaxes(x.conj(), -1, -2), np.swapaxes(y.conj(), -1, -2)
+    r_inv = orthonormalizer(bmm(xh, x) + bmm(yh, y))
+    return np.concatenate([bmm(x, r_inv), bmm(y, r_inv)], axis=-2)
 
 
 def graph_projection(t) -> Projection:
@@ -378,7 +370,8 @@ def graph_projection(t) -> Projection:
     tm = as_matrix(t)
     if tm.shape[0] != tm.shape[1]:
         raise ValueError("graph projection expects a square block")
-    return Projection(graph_projection_field(tm))
+    f = graph_frames(np.eye(tm.shape[0], dtype=complex), tm)
+    return Projection(f @ f.conj().T)
 
 
 def toeplitz(p0: Projection, p1: Projection) -> np.ndarray:
@@ -397,7 +390,7 @@ def toeplitz_inverse(p0: Projection, p1: Projection, phi) -> np.ndarray:
     if p0.rank != p1.rank:
         raise ValueError("ranks differ; the restriction cannot be invertible")
     f0, f1 = p0.frame(), p1.frame()
-    m = restrict(as_matrix(phi), f0, f1)
+    m = f1.conj().T @ as_matrix(phi) @ f0
     if p0.rank == 0:
         return np.zeros((p0.dim, p0.dim), dtype=complex)
     smin = np.linalg.svd(m, compute_uv=False)[-1]
@@ -418,7 +411,7 @@ def hom_derivative(section0: ProjectionSection, section1: ProjectionSection,
     fwd = g.shift(idx, axis, +1)
     bwd = g.shift(idx, axis, -1)
     diff = (phi[fwd] - phi[bwd]) / (2.0 * g.spacing[axis])
-    return section1.at(idx) @ diff @ section0.at(idx)
+    return section1.values[idx] @ diff @ section0.values[idx]
 
 
 def second_fundamental_form(section: ProjectionSection, idx, axis: int) -> np.ndarray:
@@ -428,7 +421,7 @@ def second_fundamental_form(section: ProjectionSection, idx, axis: int) -> np.nd
     fwd = g.shift(idx, axis, +1)
     bwd = g.shift(idx, axis, -1)
     diff = (section.values[fwd] - section.values[bwd]) / (2.0 * g.spacing[axis])
-    p = section.at(idx)
+    p = section.values[idx]
     return (np.eye(section.dim) - p) @ diff @ p
 
 

@@ -16,11 +16,13 @@ from functools import lru_cache
 import numpy as np
 
 from ._blocks import bmm as _bmm, det as _det, expi as _expi
+from .errors import DegenerateSpectrum
 from .grassmann import (
     BaseGrid,
     ProjectionSection,
     _readonly,
-    graph_projection_field,
+    frames_of,
+    graph_frames,
     spectral_projection_field,
 )
 
@@ -67,6 +69,7 @@ class Dirac1DFamily:
     commutator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)).  Its
     exponential of a Hermitian generator is exactly unitary, and for rank 1
     and 2 both the exponential and the block products are closed forms.
+    The Cauchy-data sections are built from their graph frames.
     """
 
     def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int = 256):
@@ -149,18 +152,17 @@ class Dirac1DFamily:
         """
         if side in self._sections:
             return self._sections[side]
-        if side == "left":
-            vals = graph_projection_field(self.transfer_field(0.0, np.pi))
-        elif side == "right":
-            pg = graph_projection_field(self.transfer_field(np.pi, 2.0 * np.pi))
-            n = self.rank
-            swap = np.zeros((2 * n, 2 * n), dtype=complex)
-            swap[:n, n:] = np.eye(n)
-            swap[n:, :n] = np.eye(n)
-            vals = swap @ pg @ swap
-        else:
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        sec = ProjectionSection.build(self.grid, vals)
+        eye = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank))
+        if side == "left":
+            sec = ProjectionSection.build(self.grid, graph_frames(eye, self.transfer_field(0.0, np.pi)))
+        else:
+            t = self.transfer_field(np.pi, 2.0 * np.pi)
+            sec = ProjectionSection.build(self.grid, graph_frames(t, eye))
+            # the orthogonal complement of {(T w, w)} is the graph of -T*
+            sec._set_complement(ProjectionSection.build(
+                self.grid, graph_frames(eye, -np.swapaxes(t.conj(), -1, -2))))
         self._sections[side] = sec
         return sec
 
@@ -287,7 +289,7 @@ def potential_from_coefficients(coefficients: dict[str, float]):
         xarr = np.asarray(x, dtype=float)
         out = np.zeros(np.shape(b1) + (2, 2), dtype=complex)
         for h, field in fields.items():
-            out = out + _TRIG_BASIS[h](xarr)[..., None, None] * field
+            out += _TRIG_BASIS[h](xarr)[..., None, None] * field
         return out
 
     return pot
@@ -333,12 +335,8 @@ def bloch_section(grid: BaseGrid, mass: float = 1.0) -> ProjectionSection:
     p2 = 0.5 * (np.eye(2) + nhat[..., 0, None, None] * PAULI[0]
                 + nhat[..., 1, None, None] * PAULI[1]
                 + nhat[..., 2, None, None] * PAULI[2])
-    return ProjectionSection.build(grid, p2)
-
-
-def _inv_sqrt_hermitian(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    # a band with a Chern number has no global frame formula; one eigh finds the frames
+    return ProjectionSection.build(grid, frames_of(p2, 1))
 
 
 def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
@@ -347,10 +345,11 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
 
     Outside the disc, centred at (pi, pi), the section equals the left
     Cauchy-data projections exactly, so compressions against them are
-    perfectly conditioned there.  Inside, the first frame line is rotated
-    through the orthogonal complement by a degree-one sphere map, which
-    shifts the Chern number by -orientation and confines every
-    near-degeneracy to the disc.
+    perfectly conditioned there.  Inside, the first frame column f is
+    replaced by cos(theta/2) f + sin(theta/2) e^{i phi} g, with g the first
+    frame column of the complement (the graph of -T(0->pi)*): a degree-one
+    sphere map that shifts the Chern number by -orientation and confines
+    every near-degeneracy to the disc.
     """
     g = fam.grid
     if g.ndim != 2:
@@ -359,13 +358,9 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
     if not (0 < radius < np.pi):
         raise ValueError("radius must fit inside the fundamental domain")
     t = fam.transfer_field(0.0, np.pi)
-    th = np.swapaxes(t.conj(), -1, -2)
-    n = fam.rank
-    eye = np.broadcast_to(np.eye(n, dtype=complex), t.shape)
-    frame_a = np.concatenate([eye, t], axis=-2) @ _inv_sqrt_hermitian(eye + th @ t)
-    frame_c = np.concatenate([-th, eye], axis=-2) @ _inv_sqrt_hermitian(eye + t @ th)
-    f = frame_a[..., :, 0]
-    gvec = frame_c[..., :, 0]
+    eye = np.broadcast_to(np.eye(fam.rank, dtype=complex), t.shape)
+    frames = fam.calderon_section("left").frames().copy()
+    gvec = graph_frames(-np.swapaxes(t.conj(), -1, -2), eye)[..., :, 0]
 
     b1, b2 = g.coords()
     span1 = g.spacing[0] * g.shape[0]
@@ -375,19 +370,15 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
     rho = np.hypot(dx, dy)
     phi = np.arctan2(orientation * dy, dx)
     theta = np.pi * np.where(rho < radius, np.cos(0.5 * np.pi * rho / radius) ** 2, 0.0)
-    u = (np.cos(0.5 * theta)[..., None] * f
-         + (np.sin(0.5 * theta) * np.exp(1j * phi))[..., None] * gvec)
-
-    vals = frame_a @ np.swapaxes(frame_a.conj(), -1, -2)
-    vals = vals - f[..., :, None] * f.conj()[..., None, :]
-    vals = vals + u[..., :, None] * u.conj()[..., None, :]
-    return ProjectionSection.build(g, vals)
+    frames[..., :, 0] = (np.cos(0.5 * theta)[..., None] * frames[..., :, 0]
+                         + (np.sin(0.5 * theta) * np.exp(1j * phi))[..., None] * gvec)
+    return ProjectionSection.build(g, frames)
 
 
 def rotated_interface(fam: Dirac1DFamily, strength: float = 0.4) -> ProjectionSection:
     """Smooth near-identity deformation of the incoming Calderon section.
 
-    Conjugates the left graph projection by exp(i strength K(b)) where K(b)
+    Rotates the left graph frames by exp(i strength K(b)) where K(b)
     mixes range and complement through two constant generators with
     non-commuting periodic profiles.  The overlap with the undeformed section
     stays uniformly far from singular, so every chart and statistic is
@@ -398,14 +389,12 @@ def rotated_interface(fam: Dirac1DFamily, strength: float = 0.4) -> ProjectionSe
     n = fam.rank
     gen1 = np.kron(PAULI[0], np.eye(n, dtype=complex))
     gen2 = np.kron(PAULI[1], np.eye(n, dtype=complex))
-    b = fam.grid.coords()
-    b1 = b[0]
-    b2 = b[1] if fam.grid.ndim == 2 else np.zeros_like(b[0])
-    k = (np.sin(b1)[..., None, None] * gen1
-         + (np.sin(b2) * np.cos(b1))[..., None, None] * gen2)
-    u = _expi(float(strength) * k)
-    uh = np.swapaxes(u.conj(), -1, -2)
-    return ProjectionSection.build(fam.grid, u @ base.values @ uh)
+    k = (np.sin(fam._b1)[..., None, None] * gen1
+         + (np.sin(fam._b2) * np.cos(fam._b1))[..., None, None] * gen2)
+    # an overflowing strength ends in the build's one error, not in warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _expi(float(strength) * k)
+    return ProjectionSection.build(fam.grid, u @ base.frames())
 
 
 # -- truncated Fourier boundary family ----------------------------------------
@@ -510,15 +499,17 @@ class CylinderFamily:
         """
         if self._aps is None:
             vals = spectral_projection_field(self.boundary_operator_field())
-            self._aps = ProjectionSection.build(self.grid, vals)
+            ranks = np.trace(vals, axis1=-2, axis2=-1).real.round()
+            if np.any(ranks != ranks.flat[0]):
+                raise DegenerateSpectrum("the non-negative spectral subspace changes rank")
+            self._aps = ProjectionSection.build(self.grid, frames_of(vals, int(ranks.flat[0])))
         return self._aps
 
     def conjugated_section(self, scale: float = 1.0, seed_offset: int = 0) -> ProjectionSection:
-        """Closed-form section exp(i S(b)) P0 exp(-i S(b)) with P0 = diag(k >= 0)."""
+        """Closed-form section exp(i S(b)) P0 exp(-i S(b)) with P0 = diag(k >= 0);
+        its frames are the columns of exp(i S(b)) for the modes k >= 0."""
         u = _expi(self._phase_matrix(scale, self.seed + seed_offset))
-        p0 = np.diag((self.modes >= 0).astype(complex))
-        vals = u @ p0[(None,) * self.grid.ndim] @ np.swapaxes(u.conj(), -1, -2)
-        return ProjectionSection.build(self.grid, vals)
+        return ProjectionSection.build(self.grid, u[..., self.truncation:])
 
     def boundary_pair(self, which: str = "full", section: ProjectionSection | None = None):
         """Compression pair mirroring the split-circle layout.

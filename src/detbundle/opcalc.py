@@ -165,10 +165,7 @@ def compound_matrix(a, r: int) -> np.ndarray:
         raise ValueError("compound order must satisfy 0 <= r <= dim")
     if r == 0:
         return np.ones((1, 1), dtype=complex)
-    subsets = list(combinations(range(n), r))
-    out = np.empty((len(subsets), len(subsets)), dtype=complex)
-    for i, rows in enumerate(subsets):
-        block = m[np.ix_(rows, range(n))]
-        for j, cols in enumerate(subsets):
-            out[i, j] = np.linalg.det(block[:, cols])
-    return out
+    subsets = np.array(list(combinations(range(n), r)))
+    # minors[i, j] = m[subsets[i]][:, subsets[j]], all in one stacked det
+    minors = m[subsets[:, None, :, None], subsets[None, :, None, :]]
+    return np.linalg.det(minors).astype(complex)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from detbundle._blocks import bmm, det, det_logabs, smallest_singular_value, trace_solve
+from detbundle._blocks import (
+    bmm,
+    det,
+    det_logabs,
+    orthonormalizer,
+    smallest_singular_value,
+    trace_solve,
+)
 
 from conftest import random_complex
 
@@ -45,7 +52,7 @@ def test_closed_form_trace_solve_matches_solve(k):
     ref = np.trace(np.linalg.solve(m, t), axis1=-2, axis2=-1)
     scale = (np.linalg.norm(t, ord=2, axis=(-2, -1))
              / np.linalg.svd(m, compute_uv=False)[..., -1])
-    assert np.all(np.abs(trace_solve(m, [t], det(m))[0] - ref) <= 1e-14 * scale)
+    assert np.all(np.abs(trace_solve(m, [t])[0] - ref) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -55,7 +62,7 @@ def test_trace_solve_stacks_right_hand_sides_above_2x2(k):
     m = _blocks(k, 50 + k)[:80]
     ts = [random_complex(rng, len(m), k, k) for _ in range(3)]
     scale = 1.0 / np.linalg.svd(m, compute_uv=False)[..., -1]
-    for t, got in zip(ts, trace_solve(m, ts, det(m))):
+    for t, got in zip(ts, trace_solve(m, ts)):
         ref = np.trace(np.linalg.solve(m, t), axis1=-2, axis2=-1)
         assert np.all(np.abs(got - ref)
                       <= 1e-14 * scale * np.linalg.norm(t, ord=2, axis=(-2, -1)))
@@ -75,7 +82,7 @@ def test_empty_blocks_are_the_trivial_line():
     assert np.array_equal(det(m), np.ones(3))
     assert np.array_equal(det_logabs(m)[1], np.zeros(3))
     assert np.all(np.isinf(smallest_singular_value(m)))
-    assert not trace_solve(m, [m, m], det(m))[1].any()
+    assert not trace_solve(m, [m, m])[1].any()
 
 
 def test_bmm_keeps_square_products_bit_identical():
@@ -97,3 +104,20 @@ def test_bmm_matches_matmul_for_any_inner_dimension(p, n, q):
     a = random_complex(rng, 7, 5, p, n)
     b = random_complex(rng, 5, n, q)
     assert np.abs(bmm(a, b) - a @ b).max() <= 1e-14 * n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orthonormalizer_inverts_the_cholesky_factor(k):
+    # R^-1 is upper triangular with a positive diagonal and R* R = a, so X R^-1
+    # is orthonormal for X* X = a; oracle: numpy's Cholesky factor L = R*
+    rng = np.random.default_rng(70 + k)
+    x = random_complex(rng, 40, k + 2, k)
+    a = np.swapaxes(x.conj(), -1, -2) @ x
+    r_inv = orthonormalizer(a)
+    assert np.abs(np.tril(r_inv, -1)).max(initial=0.0) <= 1e-15
+    diag = np.diagonal(r_inv, axis1=-2, axis2=-1)
+    assert np.abs(diag.imag).max() <= 1e-15 and diag.real.min() > 0.0
+    want = np.linalg.inv(np.swapaxes(np.linalg.cholesky(a).conj(), -1, -2))
+    assert np.abs(r_inv - want).max() <= 1e-13 * np.abs(want).max()
+    q = x @ r_inv
+    assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(k)).max() <= 1e-13

@@ -102,9 +102,10 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys, text):
     assert "config error:" in capsys.readouterr().err
 
 
-# numeric keys that `curvature` reads, per model kind; sizes are drawn from
+# numeric keys that each command reads, per model kind; sizes are drawn from
 # [-3, 12] only, so no draw allocates much memory
-_SIZES = ("grid.n1", "grid.n2", "model.steps_per_half", "model.rank", "cylinder.truncation")
+_SIZES = ("grid.n1", "grid.n2", "model.steps_per_half", "model.rank", "cylinder.truncation",
+          "sweep.samples")
 _READ = {
     "dirac": ("model.steps_per_half", "interface.strength"),
     "vortex": ("model.steps_per_half", "interface.radius", "interface.orientation"),
@@ -113,11 +114,22 @@ _READ = {
     "cylinder": ("cylinder.truncation", "cylinder.gamma", "cylinder.amplitude"),
 }
 _COMMON = ("run.seed", "run.sing_floor", "run.max_excluded", "grid.n1", "grid.n2")
+# `sweep` reads no [grid] or [interface] and builds transfer-matrix families only
+_SWEEP_READ = {
+    "dirac": ("model.steps_per_half",),
+    "constant_scalar": ("model.steps_per_half", "model.rank", "model.value"),
+}
+_SWEEP_COMMON = ("run.seed", "sweep.samples", "sweep.start", "sweep.stop")
+_COMMAND_KEYS = {
+    "curvature": (_READ, _COMMON),
+    "verify": (_READ, _COMMON + ("run.tol",)),
+    "sweep": (_SWEEP_READ, _SWEEP_COMMON),
+}
 # keys whose negative values are malformed
-_NON_NEGATIVE = {"run.seed", "run.sing_floor", "run.max_excluded", "interface.radius",
-                 "cylinder.gamma", *_SIZES}
+_NON_NEGATIVE = {"run.seed", "run.sing_floor", "run.max_excluded", "run.tol",
+                 "interface.radius", "cylinder.gamma", *_SIZES}
 _BASE = {"grid.n1": "8", "grid.n2": "8", "model.steps_per_half": "16",
-         "cylinder.truncation": "4"}
+         "cylinder.truncation": "4", "sweep.samples": "8"}
 
 
 def _malformed(key):
@@ -131,9 +143,10 @@ def _malformed(key):
 
 
 @st.composite
-def _bad_configs(draw):
-    kind = draw(st.sampled_from(sorted(_READ)))
-    keys = draw(st.lists(st.sampled_from(_COMMON + _READ[kind]), min_size=1, max_size=3,
+def _bad_configs(draw, command="curvature"):
+    read, common = _COMMAND_KEYS[command]
+    kind = draw(st.sampled_from(sorted(read)))
+    keys = draw(st.lists(st.sampled_from(common + read[kind]), min_size=1, max_size=3,
                          unique=True))
     return kind, {key: draw(_malformed(key)) for key in keys}
 
@@ -146,14 +159,9 @@ def _must_be_config_error(key, value):
     return not math.isfinite(number) or (number < 0 and key in _NON_NEGATIVE)
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(_bad_configs())
-@example(("cylinder", {"run.seed": "-1"}))
-@example(("dirac", {"run.max_excluded": "-1"}))
-@example(("constant_scalar", {"model.value": "-1e+300", "run.sing_floor": "abc"}))
-def test_malformed_numbers_never_raise(case):
-    # exit codes are 0, 1 or 2 and nothing escapes main; a text, non-finite
-    # or forbidden negative value is a config error
+def _check_exit_code(args, case):
+    """Run ``args`` on the malformed config ``case``: exit 0, 1 or 2 and nothing
+    escapes main; a text, non-finite or forbidden negative value is a config error."""
     kind, values = case
     sections = {"model": {"kind": "dirac" if kind == "vortex" else kind},
                 "interface": {"kind": "vortex" if kind == "vortex" else "rotated"}}
@@ -167,10 +175,34 @@ def test_malformed_numbers_never_raise(case):
         cfg.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["curvature", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            code = main([*args, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2), text
     if any(_must_be_config_error(k, v) for k, v in values.items()):
         assert code == 2 and err.getvalue().startswith("config error:"), (text, err.getvalue())
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_bad_configs())
+@example(("cylinder", {"run.seed": "-1"}))
+@example(("dirac", {"run.max_excluded": "-1"}))
+@example(("constant_scalar", {"model.value": "-1e+300", "run.sing_floor": "abc"}))
+def test_malformed_numbers_never_raise(case):
+    _check_exit_code(["curvature"], case)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_bad_configs("sweep"))
+@example(("constant_scalar", {"model.value": "-1e+300"}))
+@example(("dirac", {"sweep.samples": "3"}))
+def test_malformed_sweep_numbers_never_raise(case):
+    _check_exit_code(["sweep"], case)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_bad_configs("verify"))
+@example(("dirac", {"run.tol": "-1"}))
+def test_malformed_verify_numbers_never_raise(case):
+    _check_exit_code(["verify", "all"], case)
 
 
 # -- verify ------------------------------------------------------------------------
@@ -279,6 +311,18 @@ def test_overflowing_transfer_fails_in_one_line_without_warnings(tmp_path, capsy
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == "numerical failure: transfer matrices are not finite\n"
+
+
+def test_overflowing_interface_fails_in_one_line_without_warnings(tmp_path, capsys):
+    # the 2x2 closed-form exponential of a rank-1 rotation overflows
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("[model]\nkind = constant_scalar\nsteps_per_half = 16\n"
+                   "[grid]\nn1 = 8\nn2 = 8\n[interface]\nstrength = -1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "numerical failure: section frames are not finite\n"
 
 
 def test_curvature_numerical_failure_exits_one(tmp_path, capsys):

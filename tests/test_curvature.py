@@ -44,8 +44,8 @@ from conftest import STEPS, _count_calls, random_complex, random_projection
 
 
 def _constant_pair(grid, p):
-    vals = np.broadcast_to(p, grid.shape + p.shape).copy()
-    sec = ProjectionSection.build(grid, vals)
+    f = frames_of(p, round(np.trace(p).real))
+    sec = ProjectionSection.build(grid, np.broadcast_to(f, grid.shape + f.shape))
     return sec, sec
 
 
@@ -141,7 +141,7 @@ def _ambient_chart_edge_data(sec0, sec1, chart, sing_floor):
 
 def _oracle_pair(name, request):
     if name == "rank0":
-        zero = ProjectionSection.build(BaseGrid.torus(8, 8), np.zeros((8, 8, 2, 2)))
+        zero = ProjectionSection.build(BaseGrid.torus(8, 8), np.zeros((8, 8, 2, 0)))
         return zero, zero
     if name.startswith("scalar_rank"):
         fam = constant_scalar_family(BaseGrid.torus(8, 8), rank=int(name[-1]),
@@ -209,15 +209,15 @@ def test_families_formula_matches_connection_curvature(demo16, rot16, demo32, ro
 
 
 def test_families_formula_takes_center_frames_from_the_plaquette_blocks(monkeypatch):
-    # on fresh sections: one eigh per section for its frames and one for its
-    # plaquette blocks, which also give the center frames; none on a repeat
+    # on fresh sections: the frames are read, and one eigh per section for
+    # its plaquette blocks also gives the center frames; none on a repeat
     fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
     s0, s1 = fam.boundary_pair("left", rotated_interface(fam))
     calls = _count_calls(monkeypatch, "eigh")
     got = curvature_families_formula(s0, s1, variant="full")
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert curvature_families_formula(s0, s1, variant="full").samples.tolist() == got.samples.tolist()
-    assert len(calls) == 4
+    assert len(calls) == 2
     # oracle: frames from an eigh of each center projection, tr(X N) by solve
     monkeypatch.undo()
     pcs, rs = [], []
@@ -365,7 +365,7 @@ class _FixedPairModel:
 
 def test_rank_zero_pair_is_the_trivial_line():
     g = BaseGrid.torus(8, 8)
-    zero = ProjectionSection.build(g, np.zeros(g.shape + (2, 2)))
+    zero = ProjectionSection.build(g, np.zeros(g.shape + (2, 0)))
     conn = connection_one_form(zero, zero)
     assert all(h.all() for h in conn.healthy)
     for form in conn.omega:

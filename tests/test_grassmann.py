@@ -13,6 +13,7 @@ from detbundle.grassmann import (
     ProjectionSection,
     curvature_trace_form,
     frames_of,
+    graph_frames,
     graph_projection,
     hom_derivative,
     second_fundamental_form,
@@ -184,8 +185,8 @@ def test_frames_of_spans_range():
 
 
 def _constant_section(grid: BaseGrid, p: np.ndarray) -> ProjectionSection:
-    vals = np.broadcast_to(p, grid.shape + p.shape).copy()
-    return ProjectionSection.build(grid, vals)
+    f = frames_of(p, round(np.trace(p).real))
+    return ProjectionSection.build(grid, np.broadcast_to(f, grid.shape + f.shape))
 
 
 def test_hom_derivative_of_constant_data_is_zero():
@@ -363,6 +364,56 @@ def test_form_csv_schema(tmp_path):
     assert lines[0] == "i,j,re,im"
     assert len(lines) == 17
     assert lines[1] == "0,0,1.5,0.5"
+
+
+def test_section_build_keeps_its_frames():
+    rng = np.random.default_rng(31)
+    g = BaseGrid.torus(4, 4)
+    f = np.linalg.qr(random_complex(rng, 4, 4, 5, 2))[0]
+    sec = ProjectionSection.build(g, f)
+    assert sec.base_rank == 2 and sec.dim == 5
+    assert np.array_equal(sec.frames(), f)
+    assert np.array_equal(sec.values, f @ np.swapaxes(f.conj(), -1, -2))
+    # a read-only copy: the caller's array stays its own
+    f[0, 0] = 0.0
+    assert not np.array_equal(sec.frames(), f)
+    for a in (sec.frames(), sec.values):
+        with pytest.raises(ValueError):
+            a[0, 0, 0, 0] = 1.0
+
+
+def test_section_build_rejects_malformed_frames():
+    rng = np.random.default_rng(32)
+    g = BaseGrid.torus(4, 4)
+    f = np.linalg.qr(random_complex(rng, 4, 4, 5, 2))[0]
+    with pytest.raises(ValueError, match="orthonormal"):
+        ProjectionSection.build(g, 1.01 * f)
+    skew = f.copy()
+    skew[1, 2, :, 1] += 1e-6 * skew[1, 2, :, 0]
+    with pytest.raises(ValueError, match="orthonormal"):
+        ProjectionSection.build(g, skew)
+    bad = f.copy()
+    bad[3, 0, 4, 1] = np.inf
+    with pytest.raises(FloatingPointError):
+        ProjectionSection.build(g, bad)
+    with pytest.raises(ValueError, match="k <= dim"):
+        ProjectionSection.build(g, np.zeros(g.shape + (2, 3)))
+    with pytest.raises(ValueError, match="grid of"):
+        ProjectionSection.build(g, f[:3])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_graph_frames_span_the_graph(k):
+    # oracle: the graph projection [[G, G T*], [T G, T G T*]], G = (I + T*T)^-1
+    rng = np.random.default_rng(33 + k)
+    t = random_complex(rng, 30, k, k)
+    th = np.swapaxes(t.conj(), -1, -2)
+    f = graph_frames(np.broadcast_to(np.eye(k, dtype=complex), t.shape), t)
+    assert np.abs(np.swapaxes(f.conj(), -1, -2) @ f - np.eye(k)).max() <= 1e-13
+    gi = np.linalg.inv(np.eye(k) + th @ t)
+    want = np.concatenate([np.concatenate([gi, gi @ th], axis=-1),
+                           np.concatenate([t @ gi, t @ gi @ th], axis=-1)], axis=-2)
+    assert np.abs(f @ np.swapaxes(f.conj(), -1, -2) - want).max() <= 1e-13
 
 
 def test_section_build_rejects_non_finite_values():

@@ -22,6 +22,8 @@ from detbundle.models import (
 )
 from detbundle.opcalc import trace_norm
 
+from conftest import _count_calls
+
 
 # -- transfer matrices ------------------------------------------------------------
 
@@ -302,6 +304,76 @@ def test_vortex_interface_twists_only_inside_disc(demo16):
     assert diff[outside].max() <= 1e-12
     assert diff[~outside].max() > 0.1
     assert sec.base_rank == base.base_rank
+
+
+def _inv_sqrt_hermitian(h):
+    w, v = np.linalg.eigh(h)
+    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_vortex_interface_matches_projection_formula(demo16, orientation):
+    # oracle: the projection formula P_a - f f* + u u*, with the symmetric
+    # (Loewdin) graph frames frame_a of the left graph and frame_c of its
+    # complement; T is unitary, so they agree with the Cholesky graph frames
+    fam = demo16
+    t = fam.transfer_field(0.0, np.pi)
+    th = np.swapaxes(t.conj(), -1, -2)
+    eye = np.broadcast_to(np.eye(fam.rank, dtype=complex), t.shape)
+    frame_a = np.concatenate([eye, t], axis=-2) @ _inv_sqrt_hermitian(eye + th @ t)
+    frame_c = np.concatenate([-th, eye], axis=-2) @ _inv_sqrt_hermitian(eye + t @ th)
+    f, gvec = frame_a[..., :, 0], frame_c[..., :, 0]
+    b1, b2 = fam.grid.coords()
+    dx = (b1 - np.pi + np.pi) % (2 * np.pi) - np.pi
+    dy = (b2 - np.pi + np.pi) % (2 * np.pi) - np.pi
+    rho = np.hypot(dx, dy)
+    phi = np.arctan2(orientation * dy, dx)
+    theta = np.pi * np.where(rho < 1.1, np.cos(0.5 * np.pi * rho / 1.1) ** 2, 0.0)
+    u = (np.cos(0.5 * theta)[..., None] * f
+         + (np.sin(0.5 * theta) * np.exp(1j * phi))[..., None] * gvec)
+    want = (frame_a @ np.swapaxes(frame_a.conj(), -1, -2)
+            - f[..., :, None] * f.conj()[..., None, :]
+            + u[..., :, None] * u.conj()[..., None, :])
+    sec = vortex_interface(fam, radius=1.1, orientation=orientation)
+    assert np.abs(sec.values - want).max() <= 1e-13
+
+
+def test_frame_first_sections_make_no_eigh(monkeypatch):
+    fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
+    calls = _count_calls(monkeypatch, "eigh")
+    # the pair's second leg is the complement of the right section, built with it
+    for sec in (*fam.boundary_pair("full"), fam.calderon_section("right"), vortex_interface(fam)):
+        sec.frames()
+    assert len(calls) == 0
+    # a generic complement has no frame at hand
+    fam.calderon_section("left").complement()
+    assert len(calls) == 1
+    # the one eigh of the rotated interface is the exponential of its 4x4 generator
+    rotated_interface(fam).frames()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_right_calderon_complement_is_the_graph_of_minus_t_adjoint(rank):
+    fam = constant_scalar_family(BaseGrid.torus(6, 6), rank=rank, steps_per_half=16) \
+        if rank != 2 else demo_family(BaseGrid.torus(6, 6), steps_per_half=16)
+    right = fam.calderon_section("right")
+    comp = right.complement()
+    assert comp.base_rank == rank and comp.complement() is right
+    assert np.abs(comp.values - (np.eye(2 * rank) - right.values)).max() <= 1e-14
+    # and the right section is {(T w, w)} with T = T(pi -> 2pi)
+    t = fam.transfer_field(np.pi, 2.0 * np.pi)
+    f = right.frames()
+    assert np.abs(f[..., :rank, :] - t @ f[..., rank:, :]).max() <= 1e-14
+
+
+def test_conjugated_section_makes_one_eigh(monkeypatch):
+    fam = CylinderFamily(BaseGrid.torus(6, 6), truncation=8, seed=2)
+    calls = _count_calls(monkeypatch, "eigh")
+    sec = fam.conjugated_section(0.7, 2)
+    sec.frames()
+    assert len(calls) == 1
+    assert sec.base_rank == 9 and sec.dim == 17
 
 
 def test_boundary_pair_requires_interface_for_half_pairs(demo16):
