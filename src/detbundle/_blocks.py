@@ -129,15 +129,5 @@ def trace_solve(m: np.ndarray, ts) -> list[np.ndarray]:
 
 def orthonormalizer(a: np.ndarray) -> np.ndarray:
     """Upper-triangular R^-1 with R* R = a, so X R^-1 is orthonormal when X* X = a;
-    R* is the Cholesky factor of a, inverted in closed form up to 2x2."""
-    if a.shape[-1] > 2:
-        return np.swapaxes(np.linalg.inv(np.linalg.cholesky(a)).conj(), -1, -2)
-    out = np.zeros(a.shape, dtype=complex)
-    r00 = np.sqrt(a[..., 0, 0].real)
-    out[..., 0, 0] = 1.0 / r00
-    if a.shape[-1] == 2:
-        r01 = a[..., 0, 1] / r00
-        r11 = np.sqrt(a[..., 1, 1].real - (r01 * r01.conj()).real)
-        out[..., 0, 1] = -r01 / (r00 * r11)
-        out[..., 1, 1] = 1.0 / r11
-    return out
+    R* is the Cholesky factor of a."""
+    return np.swapaxes(np.linalg.inv(np.linalg.cholesky(a)).conj(), -1, -2)
