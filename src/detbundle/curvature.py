@@ -541,11 +541,7 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
 # -- trace identities ------------------------------------------------------------
 
 
-def _as_projection(p) -> Projection:
-    return p if isinstance(p, Projection) else Projection(p)
-
-
-def swap_trace_identity(p0, p1, phi, end0, end1):
+def swap_trace_identity(p0: Projection, p1: Projection, phi, end0, end1):
     """Move a pair of sandwiched endomorphisms through an invertible compression.
 
     Returns the two evaluations (trace on range(P0), trace on range(P1)) of
@@ -553,7 +549,6 @@ def swap_trace_identity(p0, p1, phi, end0, end1):
     pure trace cyclicity; numerical agreement certifies the compressed
     inverse.
     """
-    p0, p1 = _as_projection(p0), _as_projection(p1)
     phi_s = p1.matrix @ as_matrix(phi) @ p0.matrix
     r0 = p0.matrix @ as_matrix(end0) @ p0.matrix
     r1 = p1.matrix @ as_matrix(end1) @ p1.matrix
@@ -563,13 +558,13 @@ def swap_trace_identity(p0, p1, phi, end0, end1):
     return complex(lhs), complex(rhs)
 
 
-def composition_trace_identity(p0, p1, p2, phi01, phi12, end2):
+def composition_trace_identity(p0: Projection, p1: Projection, p2: Projection,
+                               phi01, phi12, end2):
     """Telescope a sandwiched endomorphism through a composed compression.
 
     Returns tr(X02 R2 Phi02) for the one-step pair and tr(X01 X12 R2 Phi12
     Phi01) for the two-step factorization; both equal tr(R2).
     """
-    p0, p1, p2 = _as_projection(p0), _as_projection(p1), _as_projection(p2)
     phi01_s = p1.matrix @ as_matrix(phi01) @ p0.matrix
     phi12_s = p2.matrix @ as_matrix(phi12) @ p1.matrix
     phi02 = phi12_s @ phi01_s

@@ -209,9 +209,8 @@ def frame_metric_sq(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return np.abs(det(bmm(np.swapaxes(f1.conj(), -1, -2), f0))) ** 2
 
 
-def pair_metric_sq(p0_matrix, p1_matrix) -> float:
+def pair_metric_sq(p0: Projection, p1: Projection) -> float:
     """Squared canonical norm of the determinant of the pair compression."""
-    p0, p1 = Projection(p0_matrix), Projection(p1_matrix)
     if p0.rank != p1.rank:
         raise ValueError("pair metric needs equal ranks")
     return float(frame_metric_sq(p0.frame(), p1.frame()))

@@ -25,7 +25,7 @@ __all__ = [
     "Projection",
     "ProjectionSection",
     "spectral_projection",
-    "spectral_projection_field",
+    "spectral_frames",
     "graph_projection",
     "graph_frames",
     "toeplitz",
@@ -34,7 +34,6 @@ __all__ = [
     "curvature_trace_form",
     "second_fundamental_form",
     "section_links",
-    "frames_of",
     "nearest_projection",
 ]
 
@@ -191,8 +190,11 @@ class DiscreteForm:
         return float(np.where(self.mask, 0.0, np.abs(self.density())).max())
 
     def to_csv(self, path):
-        """Write the samples as rows of cell indices plus (re, im), CRLF line ends."""
-        v = np.asarray(self.samples, dtype=complex).ravel()
+        """Write the samples as rows of cell indices plus (re, im), CRLF line ends.
+
+        Masked cells are written as nan, nan: their samples are not data.
+        """
+        v = np.where(self.mask, complex(np.nan, np.nan), self.samples).ravel()
         header = ["i", "j"][: self.grid.ndim] + (["mu"] if self.degree == 1 else []) + ["re", "im"]
         cols = [i.ravel().tolist() for i in np.indices(self.samples.shape)]
         cols += [v.real.tolist(), v.imag.tolist()]
@@ -201,35 +203,44 @@ class DiscreteForm:
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cols))
 
 
-class Projection:
-    """Validated orthogonal projection matrix."""
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    def __init__(self, matrix):
-        m = as_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("projection must be square")
-        if np.linalg.norm(m - m.conj().T) > PROJECTION_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError("projection must be self-adjoint")
-        if np.linalg.norm(m @ m - m) > PROJECTION_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError("projection must be idempotent")
-        r = float(np.trace(m).real)
-        if abs(r - round(r)) > 1e-8:
-            raise ValueError("projection rank must be integral")
-        self.matrix = m
-        self.dim = m.shape[0]
-        self.rank = int(round(r))
+
+def _orthonormal(frames, lead: tuple[int, ...], what: str) -> np.ndarray:
+    """Read-only copy of finite orthonormal frames of shape lead + (dim, k), k <= dim."""
+    f = np.array(frames, dtype=complex)
+    if f.ndim != len(lead) + 2 or f.shape[: len(lead)] != lead or f.shape[-1] > f.shape[-2]:
+        where = "a grid of (dim, k) matrices" if lead else "one (dim, k) matrix"
+        raise ValueError(f"{what} must be {where} with k <= dim")
+    if not np.isfinite(f).all():
+        raise FloatingPointError(f"{what} are not finite")
+    gram = bmm(np.swapaxes(f.conj(), -1, -2), f)
+    if np.max(np.abs(gram - np.eye(f.shape[-1])), initial=0.0) > PROJECTION_TOL:
+        raise ValueError(f"{what} must be orthonormal")
+    return _readonly(f)
+
+
+class Projection:
+    """Orthogonal projection F F* onto the span of an orthonormal (dim, k) frame F.
+
+    F, checked like a section's frames and kept read-only, is the only
+    constructor argument: ``frame()`` reads it, ``matrix`` is F F*, ``rank`` k.
+    """
+
+    def __init__(self, frame):
+        self._frame = _orthonormal(frame, (), "projection frames")
+        self.dim, self.rank = self._frame.shape
+        self.matrix = _readonly(self._frame @ self._frame.conj().T)
 
     def complement(self) -> "Projection":
-        return Projection(np.eye(self.dim) - self.matrix)
+        """Projection onto ran(I - P), the +1 eigenspace of the reflection I - 2P."""
+        return Projection(spectral_frames(np.eye(self.dim) - 2.0 * self.matrix))
 
     def frame(self) -> np.ndarray:
-        """Orthonormal basis of the range, shape (dim, rank)."""
-        return frames_of(self.matrix, self.rank)
-
-
-def frames_of(values: np.ndarray, rank: int) -> np.ndarray:
-    """Batched orthonormal range frames of a stack of projections (top ``rank`` eigenvectors)."""
-    return np.linalg.eigh(values)[1][..., values.shape[-1] - rank:]
+        """Read-only orthonormal basis of the range, shape (dim, rank)."""
+        return self._frame
 
 
 def nearest_projection(h: np.ndarray, rank: int):
@@ -242,11 +253,6 @@ def nearest_projection(h: np.ndarray, rank: int):
     w, v = np.linalg.eigh(0.5 * (h + np.swapaxes(h.conj(), -1, -2)))
     sel = (w > 0.5).astype(complex)
     return (v * sel[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), v[..., v.shape[-1] - rank:]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,15 +271,7 @@ class ProjectionSection:
     @classmethod
     def build(cls, grid: BaseGrid, frames) -> "ProjectionSection":
         """Section spanned by orthonormal frames of shape grid.shape + (dim, k)."""
-        f = np.array(frames, dtype=complex)
-        if f.shape[: grid.ndim] != grid.shape or f.ndim != grid.ndim + 2 or f.shape[-1] > f.shape[-2]:
-            raise ValueError("frames must be a grid of (dim, k) matrices with k <= dim")
-        if not np.isfinite(f).all():
-            raise FloatingPointError("section frames are not finite")
-        gram = bmm(np.swapaxes(f.conj(), -1, -2), f)
-        if np.max(np.abs(gram - np.eye(f.shape[-1])), initial=0.0) > PROJECTION_TOL:
-            raise ValueError("section frames must be orthonormal")
-        return cls(grid=grid, _frames=_readonly(f))
+        return cls(grid=grid, _frames=_orthonormal(frames, grid.shape, "section frames"))
 
     @property
     def base_rank(self) -> int:
@@ -307,10 +305,10 @@ class ProjectionSection:
         return self._frames
 
     def complement(self) -> "ProjectionSection":
-        """Section of I - P; its own complement is this section again."""
+        """Section of I - P (+1 eigenspaces of I - 2P); its complement is this section."""
         if "complement" not in self._derived:
             self._set_complement(ProjectionSection.build(
-                self.grid, frames_of(np.eye(self.dim) - self.values, self.dim - self.base_rank)))
+                self.grid, spectral_frames(np.eye(self.dim) - 2.0 * self.values)))
         return self._derived["complement"]
 
     def _set_complement(self, comp: "ProjectionSection") -> None:
@@ -318,13 +316,15 @@ class ProjectionSection:
         self._derived["complement"], comp._derived["complement"] = comp, self
 
 
-def spectral_projection_field(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
-    """Projections onto the non-negative spectral subspaces of a stack of Hermitian matrices.
+def spectral_frames(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal frames of the non-negative spectral subspaces of a stack of Hermitian matrices.
 
-    Zero eigenvalues belong to the non-negative side; roundoff-scale negatives
-    are snapped to zero so exact kernels survive eigh jitter.  Eigenvalues
-    inside (-gap_tol, -snap] make the split ill-posed and raise
-    DegenerateSpectrum.
+    One eigh; the kept eigenvectors are its trailing columns, shape
+    a.shape[:-1] + (k,).  Zero eigenvalues belong to the non-negative side;
+    roundoff-scale negatives are snapped to zero so exact kernels survive
+    eigh jitter.  Eigenvalues inside (-gap_tol, -snap] make the split
+    ill-posed, and so does a kept rank k that changes over the stack: both
+    raise DegenerateSpectrum.
     """
     if gap_tol <= 0:
         raise ValueError("gap_tol must be positive")
@@ -337,14 +337,12 @@ def spectral_projection_field(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarra
     snap = np.minimum(snap, 0.5 * gap_tol)[..., None]
     if np.any((w > -gap_tol) & (w < -snap)):
         raise DegenerateSpectrum("eigenvalue inside the forbidden band below zero")
-    # eigh sorts ascending, so the kept eigenvectors are the trailing columns
-    n = a.shape[-1]
     kept = (w >= -snap).sum(axis=-1)
-    out = np.empty_like(v)
-    for k in np.unique(kept):
-        vk = v[kept == k][..., n - k:]
-        out[kept == k] = vk @ np.swapaxes(vk.conj(), -1, -2)
-    return out
+    k = int(kept.flat[0])
+    if np.any(kept != k):
+        raise DegenerateSpectrum("the non-negative spectral subspace changes rank")
+    # eigh sorts ascending, so the kept eigenvectors are the trailing columns
+    return v[..., a.shape[-1] - k:]
 
 
 def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
@@ -352,7 +350,7 @@ def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
-    return Projection(spectral_projection_field(m, gap_tol))
+    return Projection(spectral_frames(m, gap_tol))
 
 
 def graph_frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -370,8 +368,7 @@ def graph_projection(t) -> Projection:
     tm = as_matrix(t)
     if tm.shape[0] != tm.shape[1]:
         raise ValueError("graph projection expects a square block")
-    f = graph_frames(np.eye(tm.shape[0], dtype=complex), tm)
-    return Projection(f @ f.conj().T)
+    return Projection(graph_frames(np.eye(tm.shape[0], dtype=complex), tm))
 
 
 def toeplitz(p0: Projection, p1: Projection) -> np.ndarray:

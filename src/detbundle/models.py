@@ -16,15 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._blocks import bmm as _bmm, det as _det, expi as _expi
-from .errors import DegenerateSpectrum
-from .grassmann import (
-    BaseGrid,
-    ProjectionSection,
-    _readonly,
-    frames_of,
-    graph_frames,
-    spectral_projection_field,
-)
+from .grassmann import BaseGrid, ProjectionSection, _readonly, graph_frames, spectral_frames
 
 __all__ = [
     "Dirac1DFamily",
@@ -332,11 +324,11 @@ def bloch_section(grid: BaseGrid, mass: float = 1.0) -> ProjectionSection:
     """Rank-one projection field (1/2)(I + nhat . sigma) of the upper band."""
     b1, b2 = grid.coords()
     nhat = bloch_vector(b1, b2, mass)
-    p2 = 0.5 * (np.eye(2) + nhat[..., 0, None, None] * PAULI[0]
-                + nhat[..., 1, None, None] * PAULI[1]
-                + nhat[..., 2, None, None] * PAULI[2])
-    # a band with a Chern number has no global frame formula; one eigh finds the frames
-    return ProjectionSection.build(grid, frames_of(p2, 1))
+    # a band with a Chern number has no global frame formula; one eigh of
+    # nhat . sigma finds the frames, its +1 eigenvectors
+    h = (nhat[..., 0, None, None] * PAULI[0] + nhat[..., 1, None, None] * PAULI[1]
+         + nhat[..., 2, None, None] * PAULI[2])
+    return ProjectionSection.build(grid, spectral_frames(h))
 
 
 def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
@@ -378,23 +370,23 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
 def rotated_interface(fam: Dirac1DFamily, strength: float = 0.4) -> ProjectionSection:
     """Smooth near-identity deformation of the incoming Calderon section.
 
-    Rotates the left graph frames by exp(i strength K(b)) where K(b)
-    mixes range and complement through two constant generators with
+    Rotates the left graph frames by exp(i strength K(b)) (x) I_n, where
+    K = sin b1 sigma_1 + sin b2 cos b1 sigma_2 mixes range and complement with
     non-commuting periodic profiles.  The overlap with the undeformed section
     stays uniformly far from singular, so every chart and statistic is
     resolved on coarse grids; the trade-off is trivial topology.  Use
     vortex_interface when a nonzero transverse winding number is the point.
     """
-    base = fam.calderon_section("left")
+    f = fam.calderon_section("left").frames()
     n = fam.rank
-    gen1 = np.kron(PAULI[0], np.eye(n, dtype=complex))
-    gen2 = np.kron(PAULI[1], np.eye(n, dtype=complex))
-    k = (np.sin(fam._b1)[..., None, None] * gen1
-         + (np.sin(fam._b2) * np.cos(fam._b1))[..., None, None] * gen2)
+    k = (np.sin(fam._b1)[..., None, None] * PAULI[0]
+         + (np.sin(fam._b2) * np.cos(fam._b1))[..., None, None] * PAULI[1])
     # an overflowing strength ends in the build's one error, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
         u = _expi(float(strength) * k)
-    return ProjectionSection.build(fam.grid, u @ base.frames())
+        top, bottom = f[..., :n, :], f[..., n:, :]
+        rows = [u[..., i, 0, None, None] * top + u[..., i, 1, None, None] * bottom for i in (0, 1)]
+    return ProjectionSection.build(fam.grid, np.concatenate(rows, axis=-2))
 
 
 # -- truncated Fourier boundary family ----------------------------------------
@@ -495,14 +487,11 @@ class CylinderFamily:
         """Non-negative spectral projections of the boundary family.
 
         Raises DegenerateSpectrum when an eigenvalue violates the spectral
-        gap condition below zero at some grid point.
+        gap condition below zero at some grid point, or when the rank of the
+        non-negative subspace changes over the grid.
         """
         if self._aps is None:
-            vals = spectral_projection_field(self.boundary_operator_field())
-            ranks = np.trace(vals, axis1=-2, axis2=-1).real.round()
-            if np.any(ranks != ranks.flat[0]):
-                raise DegenerateSpectrum("the non-negative spectral subspace changes rank")
-            self._aps = ProjectionSection.build(self.grid, frames_of(vals, int(ranks.flat[0])))
+            self._aps = ProjectionSection.build(self.grid, spectral_frames(self.boundary_operator_field()))
         return self._aps
 
     def conjugated_section(self, scale: float = 1.0, seed_offset: int = 0) -> ProjectionSection:

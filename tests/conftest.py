@@ -54,9 +54,14 @@ def random_complex(rng, *shape, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def random_projection(rng, dim: int, rank: int) -> np.ndarray:
+def random_frame(rng, dim: int, rank: int) -> np.ndarray:
+    """Orthonormal (dim, rank) frame: the leading columns of a random unitary."""
     q, _ = np.linalg.qr(random_complex(rng, dim, dim))
-    f = q[:, :rank]
+    return q[:, :rank]
+
+
+def random_projection(rng, dim: int, rank: int) -> np.ndarray:
+    f = random_frame(rng, dim, rank)
     return f @ f.conj().T
 
 

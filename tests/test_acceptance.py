@@ -11,7 +11,7 @@ import numpy as np
 
 import conftest
 from detbundle.detline import canonical_det, chart_coordinate, norm_sq, sew, sew_gauge_factor, transition
-from detbundle.grassmann import BaseGrid
+from detbundle.grassmann import BaseGrid, Projection
 from detbundle.models import (
     CylinderFamily,
     bloch_section,
@@ -37,7 +37,7 @@ from detbundle.curvature import (
     swap_trace_identity,
 )
 
-from conftest import random_complex, random_projection
+from conftest import random_complex, random_frame
 
 
 def record(num: int, description: str, ok: bool, detail: str) -> None:
@@ -218,7 +218,7 @@ def test_criterion_08_families_formulas(demo32, rot32, demo64, rot64):
     for _ in range(40):
         dim = int(rng.integers(4, 17))
         rank = int(rng.integers(1, dim // 2 + 1))
-        p = [random_projection(rng, dim, rank) for _ in range(3)]
+        p = [Projection(random_frame(rng, dim, rank)) for _ in range(3)]
         phi01 = np.eye(dim) + random_complex(rng, dim, dim, scale=0.2)
         phi12 = np.eye(dim) + random_complex(rng, dim, dim, scale=0.2)
         lhs, rhs = swap_trace_identity(p[0], p[1], phi01,

@@ -1,18 +1,24 @@
 """Charted connection forms, curvature, additivity and Chern numbers."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from detbundle.detline import pair_metric_sq
 from detbundle.errors import CoverageError, VortexOnLink
 from detbundle.grassmann import (
     BaseGrid,
+    Projection,
     ProjectionSection,
     _frame_transports,
     _plaquette_corners,
     _roll,
-    frames_of,
     nearest_projection,
     section_links,
+    spectral_frames,
+    toeplitz,
+    toeplitz_inverse,
 )
 from detbundle.models import (
     CylinderFamily,
@@ -40,11 +46,10 @@ from detbundle.curvature import (
     swap_trace_identity,
 )
 
-from conftest import STEPS, _count_calls, random_complex, random_projection
+from conftest import STEPS, _count_calls, random_complex, random_frame
 
 
-def _constant_pair(grid, p):
-    f = frames_of(p, round(np.trace(p).real))
+def _constant_pair(grid, f):
     sec = ProjectionSection.build(grid, np.broadcast_to(f, grid.shape + f.shape))
     return sec, sec
 
@@ -55,7 +60,7 @@ def _constant_pair(grid, p):
 def test_constant_pair_connection_vanishes():
     rng = np.random.default_rng(61)
     g = BaseGrid.torus(6, 6)
-    sec0, sec1 = _constant_pair(g, random_projection(rng, 4, 2))
+    sec0, sec1 = _constant_pair(g, random_frame(rng, 4, 2))
     conn = connection_one_form(sec0, sec1)
     assert np.abs(conn.omega[0].samples).max() <= 1e-12
 
@@ -63,7 +68,7 @@ def test_constant_pair_connection_vanishes():
 def test_zero_connection_has_zero_curvature():
     rng = np.random.default_rng(62)
     g = BaseGrid.torus(6, 6)
-    sec0, sec1 = _constant_pair(g, random_projection(rng, 4, 2))
+    sec0, sec1 = _constant_pair(g, random_frame(rng, 4, 2))
     f = curvature_of(connection_one_form(sec0, sec1))
     assert np.abs(f.samples).max() <= 1e-12
 
@@ -226,7 +231,7 @@ def test_families_formula_takes_center_frames_from_the_plaquette_blocks(monkeypa
         pc, _ = nearest_projection(pc, s.base_rank)
         pcs.append(pc)
         rs.append(pc @ comm @ pc * s.grid.plaquette_area())
-    f0c, f1c = frames_of(pcs[0], 2), frames_of(pcs[1], 2)
+    f0c, f1c = (spectral_frames(2.0 * pc - np.eye(4)) for pc in pcs)
     f1ch = np.swapaxes(f1c.conj(), -1, -2)
     want = (np.trace(np.linalg.solve(f1ch @ f0c, f1ch @ rs[1] @ f0c), axis1=-2, axis2=-1)
             - np.trace(rs[0], axis1=-2, axis2=-1))
@@ -391,7 +396,7 @@ def test_degenerate_family_raises_coverage_error():
 def test_chern_of_constant_section_is_zero():
     rng = np.random.default_rng(63)
     g = BaseGrid.torus(8, 8)
-    sec, _ = _constant_pair(g, random_projection(rng, 4, 2))
+    sec, _ = _constant_pair(g, random_frame(rng, 4, 2))
     assert chern_of_section(sec) == 0
 
 
@@ -452,8 +457,8 @@ def test_swap_trace_identity_random_triples():
     for _ in range(25):
         dim = int(rng.integers(4, 17))
         rank = int(rng.integers(1, dim // 2 + 1))
-        p0 = random_projection(rng, dim, rank)
-        p1 = random_projection(rng, dim, rank)
+        p0 = Projection(random_frame(rng, dim, rank))
+        p1 = Projection(random_frame(rng, dim, rank))
         phi = np.eye(dim) + random_complex(rng, dim, dim, scale=0.2)
         end0 = random_complex(rng, dim, dim)
         end1 = random_complex(rng, dim, dim)
@@ -466,11 +471,46 @@ def test_composition_trace_identity_random_triples():
     for _ in range(25):
         dim = int(rng.integers(4, 17))
         rank = int(rng.integers(1, dim // 2 + 1))
-        p0 = random_projection(rng, dim, rank)
-        p1 = random_projection(rng, dim, rank)
-        p2 = random_projection(rng, dim, rank)
+        p0 = Projection(random_frame(rng, dim, rank))
+        p1 = Projection(random_frame(rng, dim, rank))
+        p2 = Projection(random_frame(rng, dim, rank))
         phi01 = np.eye(dim) + random_complex(rng, dim, dim, scale=0.2)
         phi12 = np.eye(dim) + random_complex(rng, dim, dim, scale=0.2)
         end2 = random_complex(rng, dim, dim)
         lhs, rhs = composition_trace_identity(p0, p1, p2, phi01, phi12, end2)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+def test_pointwise_projection_paths_make_no_eigh(monkeypatch):
+    # a Projection owns its frame, so nothing that reads it diagonalises
+    rng = np.random.default_rng(67)
+    p0, p1, p2 = (Projection(random_frame(rng, 8, 3)) for _ in range(3))
+    phi = np.eye(8) + random_complex(rng, 8, 8, scale=0.2)
+    end = random_complex(rng, 8, 8)
+    calls = _count_calls(monkeypatch, "eigh")
+    p0.frame()
+    toeplitz_inverse(p0, p1, toeplitz(p0, p1))
+    pair_metric_sq(p0, p1)
+    swap_trace_identity(p0, p1, phi, end, end)
+    composition_trace_identity(p0, p1, p2, phi, phi, end)
+    assert len(calls) == 0
+
+
+def test_masked_csv_cells_are_nan_and_the_rest_is_gauge_free(demo32, tmp_path):
+    # outside a chart's domain the defect depends on the frame gauge, so the
+    # CSV writes nan there; per-point unitary regauging moves nothing else
+    sec = vortex_interface(demo32)
+    u = np.linalg.qr(random_complex(np.random.default_rng(68), *demo32.grid.shape, 2, 2))[0]
+    regauged = ProjectionSection.build(demo32.grid, sec.frames() @ u)
+    samples, masks = [], []
+    for i, s in enumerate((sec, regauged)):
+        defect = additivity_residual(demo32, s).defect
+        defect.to_csv(tmp_path / f"{i}.csv")
+        with open(tmp_path / f"{i}.csv", newline="") as fh:
+            samples.append(np.array([[float(x) for x in row[2:]] for row in list(csv.reader(fh))[1:]]))
+        masks.append(defect.mask.ravel())
+    mask = masks[0]
+    assert np.array_equal(mask, masks[1]) and 0 < mask.sum() < mask.size
+    for v in samples:
+        assert np.isnan(v[mask]).all() and np.isfinite(v[~mask]).all()
+    assert np.abs(samples[0][~mask] - samples[1][~mask]).max() <= 1e-14

@@ -25,7 +25,7 @@ from detbundle.grassmann import BaseGrid, Projection, graph_projection, toeplitz
 from detbundle.models import constant_scalar_family
 from detbundle.opcalc import fredholm_det
 
-from conftest import random_complex, random_projection
+from conftest import random_complex, random_frame
 
 
 def test_pad_square_adds_zero_rows_and_columns():
@@ -158,7 +158,7 @@ def test_inner_product_hermitian_and_antilinear_left():
 
 def test_sew_of_identity_segments_is_identity_toeplitz():
     rng = np.random.default_rng(50)
-    p = Projection(random_projection(rng, 6, 3))
+    p = Projection(random_frame(rng, 6, 3))
     phi = toeplitz(p, p)
     sewn = sew(canonical_det(phi), canonical_det(phi))
     target = canonical_det(phi @ phi)
@@ -226,9 +226,9 @@ def test_pair_metric_matches_restricted_laplacian():
     # oracle: det of P0 P1 P0 restricted to ran(P0) through the regularized
     # determinant of the associated contraction
     rng = np.random.default_rng(52)
-    p0 = random_projection(rng, 8, 3)
-    p1 = random_projection(rng, 8, 3)
-    lap = p0 @ p1 @ p0 + (np.eye(8) - p0)
+    p0 = Projection(random_frame(rng, 8, 3))
+    p1 = Projection(random_frame(rng, 8, 3))
+    lap = p0.matrix @ p1.matrix @ p0.matrix + (np.eye(8) - p0.matrix)
     expected = fredholm_det(lap - np.eye(8)).real
     assert pair_metric_sq(p0, p1) == pytest.approx(expected, rel=1e-9)
 

@@ -12,21 +12,20 @@ from detbundle.grassmann import (
     Projection,
     ProjectionSection,
     curvature_trace_form,
-    frames_of,
     graph_frames,
     graph_projection,
     hom_derivative,
     second_fundamental_form,
     section_links,
+    spectral_frames,
     spectral_projection,
-    spectral_projection_field,
     toeplitz,
     toeplitz_inverse,
 )
 from detbundle.models import bloch_curvature_density, bloch_section, bloch_vector, demo_family, rotated_interface
 from detbundle.opcalc import operator_norm
 
-from conftest import random_complex, random_projection
+from conftest import random_complex, random_frame, random_projection
 
 
 # -- grids ---------------------------------------------------------------------
@@ -92,19 +91,25 @@ def test_spectral_projection_rejects_forbidden_band():
         spectral_projection(np.diag([1.0, -1e-9, -1.0]), gap_tol=1e-8)
 
 
-def test_spectral_projection_field_matches_pointwise_across_ranks():
-    # one stack mixing ranks 4, 3, 0 and 3; the pointwise view is the oracle
+def test_spectral_frames_match_pointwise_and_reject_mixed_ranks():
+    # a constant-rank stack (3 kept eigenvalues, one an exact zero); the
+    # pointwise view is the oracle
     q, _ = np.linalg.qr(random_complex(np.random.default_rng(32), 4, 4))
-    spectra = ([1.0, 2.0, 3.0, 4.0], [-1.0, 0.0, 2.0, 3.0], [-4.0, -3.0, -2.0, -1.0],
+    spectra = ([-1.0, 2.0, 3.0, 4.0], [-1.0, 0.0, 2.0, 3.0], [-4.0, 1.0, 2.0, 3.0],
                [-2.0, 1.0, 1.5, 5.0])
     stack = np.stack([(q * np.array(w)) @ q.conj().T for w in spectra])
-    field = spectral_projection_field(stack)
-    for m, p in zip(stack, field):
-        np.testing.assert_allclose(p, spectral_projection(m).matrix, atol=1e-12)
-    assert [round(np.trace(p).real) for p in field] == [4, 3, 0, 3]
+    frames = spectral_frames(stack)
+    assert frames.shape == (4, 4, 3)
+    for m, f in zip(stack, frames):
+        np.testing.assert_allclose(f @ f.conj().T, spectral_projection(m).matrix, atol=1e-12)
+    # ranks 3, 3, 0, 3 have no common frame width
+    mixed = stack.copy()
+    mixed[2] = (q * np.array([-4.0, -3.0, -2.0, -1.0])) @ q.conj().T
+    with pytest.raises(DegenerateSpectrum, match="changes rank"):
+        spectral_frames(mixed)
     stack[2] = np.diag([1.0, -1e-9, -1.0, 2.0])
-    with pytest.raises(DegenerateSpectrum):
-        spectral_projection_field(stack, gap_tol=1e-8)
+    with pytest.raises(DegenerateSpectrum, match="forbidden band"):
+        spectral_frames(stack, gap_tol=1e-8)
 
 
 def test_graph_projection_of_zero_block():
@@ -125,11 +130,44 @@ def test_graph_projection_matches_qr_oracle():
 
 def test_projection_validation():
     with pytest.raises(ValueError):
-        Projection(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not self-adjoint
+        Projection(np.array([[0.5, 0.5], [0.0, 0.5]]))  # columns not orthonormal
     with pytest.raises(ValueError):
-        Projection(0.5 * np.eye(2))  # not idempotent
+        Projection(0.5 * np.eye(2))  # columns of norm 1/2
     p = Projection(np.eye(3))
     assert p.complement().rank == 0
+
+
+def test_projection_rejects_malformed_frames():
+    f = random_frame(np.random.default_rng(28), 5, 2)
+    bad = f.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(FloatingPointError):
+        Projection(bad)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Projection(1.01 * f)
+    with pytest.raises(ValueError, match="k <= dim"):
+        Projection(np.eye(5, 6))
+    with pytest.raises(ValueError, match="k <= dim"):
+        Projection(f[None])
+    p = Projection(f)
+    assert (p.dim, p.rank) == (5, 2)
+    assert np.array_equal(p.frame(), f)
+    assert np.abs(p.matrix - f @ f.conj().T).max() <= 1e-15
+    for a in (p.frame(), p.matrix):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_both_complements_are_identity_minus_projection():
+    # a Projection's and a section's complement: the +1 eigenspace of I - 2P
+    p = Projection(random_frame(np.random.default_rng(29), 6, 2))
+    q = p.complement()
+    assert q.rank == 4
+    assert np.abs(q.matrix - (np.eye(6) - p.matrix)).max() <= 1e-14
+    sec = rotated_interface(demo_family(BaseGrid.torus(8, 8), steps_per_half=16))
+    comp = sec.complement()
+    assert comp.base_rank == 2 and comp.complement() is sec
+    assert np.abs(comp.values - (np.eye(4) - sec.values)).max() <= 1e-14
 
 
 # -- compressions --------------------------------------------------------------
@@ -137,14 +175,14 @@ def test_projection_validation():
 
 def test_toeplitz_of_equal_projections_is_identity_on_range():
     rng = np.random.default_rng(23)
-    p = Projection(random_projection(rng, 6, 3))
+    p = Projection(random_frame(rng, 6, 3))
     phi = toeplitz(p, p)
     np.testing.assert_allclose(phi @ p.matrix, p.matrix, atol=1e-12)
 
 
 def test_toeplitz_inverse_of_projection_is_projection():
     rng = np.random.default_rng(24)
-    p = Projection(random_projection(rng, 5, 2))
+    p = Projection(random_frame(rng, 5, 2))
     x = toeplitz_inverse(p, p, p.matrix)
     np.testing.assert_allclose(x, p.matrix, atol=1e-10)
 
@@ -166,16 +204,17 @@ def test_toeplitz_inverse_two_sided_laws():
 
 
 def test_toeplitz_inverse_raises_on_orthogonal_ranges():
-    p0 = Projection(np.diag([1.0, 0.0]))
-    p1 = Projection(np.diag([0.0, 1.0]))
+    p0 = Projection(np.array([[1.0], [0.0]]))
+    p1 = Projection(np.array([[0.0], [1.0]]))
     with pytest.raises(NearSingular):
         toeplitz_inverse(p0, p1, toeplitz(p0, p1))
 
 
-def test_frames_of_spans_range():
+def test_spectral_frames_of_reflections_span_range():
+    # ran(P) is the +1 eigenspace of the reflection 2P - I
     rng = np.random.default_rng(26)
     vals = np.stack([random_projection(rng, 6, 2) for _ in range(4)])
-    f = frames_of(vals, 2)
+    f = spectral_frames(2.0 * vals - np.eye(6))
     assert f.shape == (4, 6, 2)
     recon = f @ np.swapaxes(f.conj(), -1, -2)
     np.testing.assert_allclose(recon, vals, atol=1e-10)
@@ -184,15 +223,14 @@ def test_frames_of_spans_range():
 # -- sections and derivatives ----------------------------------------------------
 
 
-def _constant_section(grid: BaseGrid, p: np.ndarray) -> ProjectionSection:
-    f = frames_of(p, round(np.trace(p).real))
+def _constant_section(grid: BaseGrid, f: np.ndarray) -> ProjectionSection:
     return ProjectionSection.build(grid, np.broadcast_to(f, grid.shape + f.shape))
 
 
 def test_hom_derivative_of_constant_data_is_zero():
     rng = np.random.default_rng(27)
     g = BaseGrid.torus(6, 6)
-    sec = _constant_section(g, random_projection(rng, 4, 2))
+    sec = _constant_section(g, random_frame(rng, 4, 2))
     phi = np.broadcast_to(sec.values[0, 0], g.shape + (4, 4))
     d = hom_derivative(sec, sec, phi, (2, 3), 0)
     assert np.linalg.norm(d) <= 1e-13
@@ -222,7 +260,7 @@ def test_hom_derivative_matches_analytic_slope():
 def test_second_fundamental_form_of_constant_section_is_zero():
     rng = np.random.default_rng(28)
     g = BaseGrid.torus(6, 6)
-    sec = _constant_section(g, random_projection(rng, 4, 2))
+    sec = _constant_section(g, random_frame(rng, 4, 2))
     s = second_fundamental_form(sec, (1, 1), 1)
     assert np.linalg.norm(s) <= 1e-13
 
@@ -251,7 +289,7 @@ def test_second_fundamental_form_matches_angular_speed():
 def test_curvature_form_of_constant_section_is_zero():
     rng = np.random.default_rng(29)
     g = BaseGrid.torus(8, 8)
-    sec = _constant_section(g, random_projection(rng, 4, 2))
+    sec = _constant_section(g, random_frame(rng, 4, 2))
     f = curvature_trace_form(sec)
     assert np.abs(f.samples).max() <= 1e-13
 

@@ -348,9 +348,9 @@ def test_frame_first_sections_make_no_eigh(monkeypatch):
     # a generic complement has no frame at hand
     fam.calderon_section("left").complement()
     assert len(calls) == 1
-    # the one eigh of the rotated interface is the exponential of its 4x4 generator
+    # the rotated interface exponentiates its 2x2 generator in closed form
     rotated_interface(fam).frames()
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -374,6 +374,31 @@ def test_conjugated_section_makes_one_eigh(monkeypatch):
     sec.frames()
     assert len(calls) == 1
     assert sec.base_rank == 9 and sec.dim == 17
+
+
+def test_aps_section_makes_two_eigh(monkeypatch):
+    # one for the boundary operator's exponential, one for its spectral frames
+    fam = CylinderFamily(BaseGrid.torus(6, 6), truncation=16)
+    calls = _count_calls(monkeypatch, "eigh")
+    sec = fam.aps_section()
+    sec.frames()
+    assert len(calls) == 2
+    assert sec.base_rank == 17 and sec.dim == 33
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_rotated_interface_matches_the_dense_exponential(rank):
+    # oracle: exp(i s K (x) I_n) by eigh of the dense 2n x 2n generator
+    fam = constant_scalar_family(BaseGrid.torus(6, 6), value=0.3, rank=rank, steps_per_half=16) \
+        if rank != 2 else demo_family(BaseGrid.torus(6, 6), steps_per_half=16)
+    eye = np.eye(rank)
+    k = (np.sin(fam._b1)[..., None, None] * np.kron(np.array([[0, 1], [1, 0]]), eye)
+         + (np.sin(fam._b2) * np.cos(fam._b1))[..., None, None]
+         * np.kron(np.array([[0, -1j], [1j, 0]]), eye))
+    w, v = np.linalg.eigh(0.4 * k)
+    u = (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    want = u @ fam.calderon_section("left").frames()
+    assert np.abs(rotated_interface(fam, 0.4).frames() - want).max() <= 1e-14
 
 
 def test_boundary_pair_requires_interface_for_half_pairs(demo16):
