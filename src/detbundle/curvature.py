@@ -17,7 +17,7 @@ in the imaginary part at second order in the mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,12 +157,9 @@ def _guard(m: np.ndarray, sing_floor: float):
     return healthy, np.where(healthy[..., None, None], m, np.eye(m.shape[-1], dtype=complex))
 
 
-def _dlog_edges(values: np.ndarray, healthy: np.ndarray, g: BaseGrid):
-    """Edge increments Log(v(b+e) / v(b)) of a point field, and the mask of
-    edges with an end outside its domain ``healthy``; one trailing entry per axis."""
-    dlog = [np.log(_roll(values, g, ax, +1) / values) for ax in range(g.ndim)]
-    masks = [~(healthy & _roll(healthy, g, ax, +1)) for ax in range(g.ndim)]
-    return np.stack(dlog, axis=g.ndim), np.stack(masks, axis=g.ndim)
+def _dlog_edges(values: np.ndarray, g: BaseGrid) -> np.ndarray:
+    """Edge increments Log(v(b+e) / v(b)) of a point field, one trailing entry per axis."""
+    return np.stack([np.log(_roll(values, g, ax, +1) / values) for ax in range(g.ndim)], g.ndim)
 
 
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -199,63 +196,75 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
             "healthy": healthy, "det": dets}
 
 
+# a plaquette's corners, then the further points its edges' difference stencils read
+_PLAQ_STENCIL = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (2, 0), (0, -1), (0, 2),
+                 (1, -1), (1, 2), (-1, 1), (2, 1))
+
+
 @dataclass
 class ChartedConnection:
     """Connection data of a projection pair, one edge 1-form per chart.
 
-    omega[i] carries the edge samples of chart i with its exclusion mask;
-    healthy[i] is the point-wise chart domain and det[i] the chart
-    determinant, set to 1 outside it.  On overlaps the forms differ by the
-    discrete d log of the transition ratio, up to O(h^2) density.
+    omega, healthy and det list, per chart evaluated so far, the edge samples
+    with their exclusion mask, the point-wise domain and the determinant (1
+    outside it).  plaquette_chart is the first chart healthy on each
+    plaquette's stencil (each point's, on a 1-axis grid), -1 if none is.
+    On overlaps the forms differ by the discrete d log of the transition ratio,
+    up to O(h^2) density.
     """
 
     grid: BaseGrid
-    omega: list[DiscreteForm]
-    healthy: list[np.ndarray]
-    det: list[np.ndarray]
+    sections: tuple[ProjectionSection, ProjectionSection]
+    cover: list[PairChart]
+    sing_floor: float
+    plaquette_chart: np.ndarray
+    omega: list[DiscreteForm] = field(default_factory=list)
+    healthy: list[np.ndarray] = field(default_factory=list)
+    det: list[np.ndarray] = field(default_factory=list)
+
+    def evaluate(self, *charts: int) -> None:
+        """Evaluate the cover in order, each chart once, up to the given charts."""
+        if not all(0 <= i < len(self.cover) for i in charts):
+            raise IndexError(f"charts {charts} are not all in a cover of {len(self.cover)}")
+        while len(self.omega) <= max(charts):
+            data = _chart_edge_data(*self.sections, self.cover[len(self.omega)], self.sing_floor)
+            self.omega.append(DiscreteForm(self.grid, 1, data["omega"], mask=data["edge_mask"]))
+            self.healthy.append(data["healthy"])
+            self.det.append(data["det"])
 
 
 def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
                         cover: list[PairChart] | None = None,
                         sing_floor: float = 0.1) -> ChartedConnection:
-    """Edge-integrated connection forms of the pair, one per chart.
+    """Edge-integrated connection forms of the pair, one per evaluated chart.
 
     Each edge sample has real part half the increment of the chart's squared
     metric logarithm (metric compatibility is exact) and imaginary part the
     trapezoid rule for tr(X dPhi) with X the compressed inverse of the chart
-    datum.  Edges touching a point outside the chart domain are masked; a
-    point inside no chart domain at all makes the atlas invalid.
+    datum.  Edges touching a point outside the chart domain are masked.  The
+    charts are evaluated in cover order until every plaquette has its chart;
+    a point inside no chart domain at all makes the atlas invalid.
     """
     if cover is None:
         cover = default_cover(sec0.dim)
     if not cover:
         raise ValueError("cover must contain at least one chart")
-    conn = ChartedConnection(sec0.grid, [], [], [])
-    for chart in cover:
-        data = _chart_edge_data(sec0, sec1, chart, sing_floor)
-        conn.omega.append(DiscreteForm(sec0.grid, 1, data["omega"], mask=data["edge_mask"]))
-        conn.healthy.append(data["healthy"])
-        conn.det.append(data["det"])
+    g = sec0.grid
+    conn = ChartedConnection(g, (sec0, sec1), cover, sing_floor, np.full(g.shape, -1))
+    for i in range(len(cover)):
+        conn.evaluate(i)
+        ok = conn.healthy[i]
+        if g.ndim == 2:
+            ok = np.logical_and.reduce([_roll(_roll(ok, g, 0, da), g, 1, db)
+                                        for da, db in _PLAQ_STENCIL])
+        conn.plaquette_chart[ok & (conn.plaquette_chart < 0)] = i
+        if (conn.plaquette_chart >= 0).all():
+            return conn
     covered = np.logical_or.reduce(conn.healthy)
     if not covered.all():
         raise CoverageError(
             f"{int((~covered).sum())} grid points lie outside every chart domain")
     return conn
-
-
-_PLAQ_STENCIL = (
-    (0, 0), (1, 0), (0, 1), (1, 1),
-    (-1, 0), (2, 0), (0, -1), (0, 2),
-    (1, -1), (1, 2), (-1, 1), (2, 1),
-)
-
-
-def _plaquette_ok(healthy: np.ndarray, grid: BaseGrid) -> np.ndarray:
-    """Plaquettes whose corner edges and difference stencils stay in-domain."""
-    ok = np.ones(grid.shape, dtype=bool)
-    for da, db in _PLAQ_STENCIL:
-        ok &= _roll(_roll(healthy, grid, 0, da), grid, 1, db)
-    return ok
 
 
 def curvature_of(conn: ChartedConnection) -> DiscreteForm:
@@ -270,13 +279,10 @@ def curvature_of(conn: ChartedConnection) -> DiscreteForm:
     if g.ndim != 2:
         raise ValueError("curvature needs a 2-axis grid")
     vals = np.zeros(g.shape, dtype=complex)
-    chosen = np.full(g.shape, -1, dtype=int)
-    for i, (form, healthy) in enumerate(zip(conn.omega, conn.healthy)):
-        pl = form.coboundary().samples
-        take = _plaquette_ok(healthy, g) & (chosen < 0)
-        vals[take] = pl[take]
-        chosen[take] = i
-    return DiscreteForm(g, 2, vals, mask=chosen < 0)
+    for i, form in enumerate(conn.omega):
+        take = conn.plaquette_chart == i
+        vals[take] = form.coboundary().samples[take]
+    return DiscreteForm(g, 2, vals, mask=conn.plaquette_chart < 0)
 
 
 def patching_residuals(conn: ChartedConnection, a: int, b: int) -> dict[str, DiscreteForm]:
@@ -288,10 +294,13 @@ def patching_residuals(conn: ChartedConnection, a: int, b: int) -> dict[str, Dis
     cancel exactly because |ratio| is the corresponding metric ratio.
     """
     g = conn.grid
+    conn.evaluate(a, b)
     det_a, det_b = conn.det[a], conn.det[b]
     both = conn.healthy[a] & conn.healthy[b]
-    dlog_t, emask = _dlog_edges(np.where(both, det_a / det_b, 1.0), both, g)
-    dlog_r, _ = _dlog_edges(np.where(both, np.conj(det_b) * det_a, 1.0), both, g)
+    # an edge leaves the common domain exactly when it leaves one chart's domain
+    emask = conn.omega[a].mask | conn.omega[b].mask
+    dlog_t = _dlog_edges(np.where(both, det_a / det_b, 1.0), g)
+    dlog_r = _dlog_edges(np.where(both, np.conj(det_b) * det_a, 1.0), g)
     oa, ob = conn.omega[a].samples, conn.omega[b].samples
     return {
         "inverse_ratio": DiscreteForm(g, 1, _wrap_branch(oa - ob - dlog_t), mask=emask),
@@ -495,12 +504,13 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
     # plain overlap chart, which carries the one-form identity and F
     pairs = ((sec_a, sec_b), (sec_a, section), (section, sec_b))
     conns = [connection_one_form(s0, s1, sing_floor=sing_floor) for s0, s1 in pairs]
-    f_vals, f_healthy = _f_ratio([c.det[0] for c in conns], [c.healthy[0] for c in conns])
+    f_vals, _ = _f_ratio([c.det[0] for c in conns], [c.healthy[0] for c in conns])
     full, left, right = (c.omega[0].samples for c in conns)
 
     # an edge is masked in some plain chart exactly when an end of it leaves
     # the joint domain of F, so the F edge mask is the union of the three
-    dlog_f, emask = _dlog_edges(f_vals, f_healthy, g)
+    dlog_f = _dlog_edges(f_vals, g)
+    emask = np.logical_or.reduce([c.omega[0].mask for c in conns])
 
     excluded = float(emask.mean())
     if excluded > max_excluded:

@@ -9,6 +9,7 @@ from detbundle.detline import pair_metric_sq
 from detbundle.errors import CoverageError, VortexOnLink
 from detbundle.grassmann import (
     BaseGrid,
+    DiscreteForm,
     Projection,
     ProjectionSection,
     _frame_transports,
@@ -29,6 +30,7 @@ from detbundle.models import (
     vortex_interface,
 )
 from detbundle.curvature import (
+    PairChart,
     _chart_edge_data,
     additivity_residual,
     chern_number,
@@ -40,6 +42,7 @@ from detbundle.curvature import (
     curvature_of,
     default_cover,
     f_function,
+    f_function_field,
     pair_metric_field,
     patching_residuals,
     plaquette_winding,
@@ -316,8 +319,8 @@ def test_verify_curvature_suite_reuses_the_report(monkeypatch):
     # the suite reads the left pair's connection, its patching residuals and
     # its curvature from the additivity report, and both variants of the
     # families formula share each section's cached plaquette blocks: one
-    # connection per pair, four charts each, and one nearest_projection per
-    # section
+    # connection per pair, chart 0 of each plus chart 1 of the left pair for
+    # its patching residuals, and one nearest_projection per section
     from detbundle import curvature as curvature_module, verify
     from detbundle.cli import build_family, build_interface, load_config
 
@@ -329,7 +332,7 @@ def test_verify_curvature_suite_reuses_the_report(monkeypatch):
     checks = verify.run_suite("curvature", family=fam, section=sec,
                               sing_floor=0.1, max_excluded=0.05)
     assert len(calls["connection_one_form"]) == 3
-    assert len(calls["_chart_edge_data"]) == 12
+    assert len(calls["_chart_edge_data"]) == 4
     assert len(calls["nearest_projection"]) == 2
     assert len(checks) == 12
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
@@ -388,6 +391,150 @@ def test_degenerate_family_raises_coverage_error():
     with pytest.raises(CoverageError) as exc:
         additivity_residual(fam, fam.calderon_section("left"))
     assert exc.value.fraction > 0.05
+
+
+# -- lazy atlas ---------------------------------------------------------------------------
+
+# a plaquette's corners, then the further points its edges' difference stencils read
+_STENCIL = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (2, 0), (0, -1), (0, 2),
+            (1, -1), (1, 2), (-1, 1), (2, 1))
+
+
+def _every_chart_curvature(sec0, sec1, sing_floor=0.1):
+    """Reference curvature with every chart of the default cover evaluated:
+    each plaquette from the first chart healthy on its whole stencil."""
+    g = sec0.grid
+    vals = np.zeros(g.shape, dtype=complex)
+    chosen = np.full(g.shape, -1)
+    for i, chart in enumerate(default_cover(sec0.dim)):
+        data = _chart_edge_data(sec0, sec1, chart, sing_floor)
+        pl = DiscreteForm(g, 1, data["omega"], mask=data["edge_mask"]).coboundary().samples
+        ok = np.ones(g.shape, dtype=bool)
+        for da, db in _STENCIL:
+            ok &= np.roll(data["healthy"], (-da, -db), axis=(0, 1))
+        take = ok & (chosen < 0)
+        vals[take] = pl[take]
+        chosen[take] = i
+    return vals, chosen < 0
+
+
+def _lazy_case(name, request):
+    if name == "cylinder_t8":
+        fam = CylinderFamily(BaseGrid.torus(8, 8), truncation=8)
+        return fam, fam.conjugated_section(0.5, seed_offset=4)
+    fam = request.getfixturevalue("demo16" if name == "demo16" else "demo32")
+    return fam, request.getfixturevalue("rot16") if name == "demo16" else vortex_interface(fam)
+
+
+@pytest.mark.parametrize("name, evaluated", [
+    ("demo16", [1, 1, 1]), ("vortex32", [1, 2, 3]), ("cylinder_t8", [1, 1, 1])])
+def test_lazy_atlas_matches_every_chart_evaluated(name, evaluated, request):
+    fam, sec = _lazy_case(name, request)
+    rep = additivity_residual(fam, sec)
+    assert [len(c.omega) for c in rep.connections] == evaluated
+    sec_a, sec_b = fam.boundary_pair("full")
+    pairs = ((sec_a, sec_b), (sec_a, sec), (sec, sec_b))
+    forms = (rep.curvature, rep.curvature_left, rep.curvature_right)
+    for (s0, s1), conn, form in zip(pairs, rep.connections, forms):
+        vals, mask = _every_chart_curvature(s0, s1)
+        assert np.array_equal(form.samples, vals) and np.array_equal(form.mask, mask)
+        conn.evaluate(len(conn.cover) - 1)
+        forced = curvature_of(conn)
+        assert np.array_equal(forced.samples, vals) and np.array_equal(forced.mask, mask)
+    # the F edge mask is the one of the joint plain-chart domain
+    _, joint = f_function_field(sec_a, sec, sec_b, 0.1)
+    edges = np.stack([~(joint & np.roll(joint, -1, axis=ax)) for ax in (0, 1)], axis=2)
+    assert np.array_equal(rep.one_form_residual.mask, edges)
+
+
+def _patching_oracle(sec0, sec1, a, b):
+    """Both transition residuals from chart data evaluated outright."""
+    cover, g = default_cover(sec0.dim), sec0.grid
+    da, db = (_chart_edge_data(sec0, sec1, cover[i], 0.1) for i in (a, b))
+    both = da["healthy"] & db["healthy"]
+
+    def dlog(v):
+        return np.stack([np.log(np.roll(v, -1, axis=ax) / v) for ax in (0, 1)], axis=2)
+
+    def wrap(v):
+        return v - 2j * np.pi * np.round(v.imag / (2.0 * np.pi))
+
+    mask = np.stack([~(both & np.roll(both, -1, axis=ax)) for ax in (0, 1)], axis=2)
+    inv = wrap(da["omega"] - db["omega"] - dlog(np.where(both, da["det"] / db["det"], 1.0)))
+    adj = wrap(da["omega"] + np.conj(db["omega"])
+               - dlog(np.where(both, np.conj(db["det"]) * da["det"], 1.0)))
+    return {"inverse_ratio": inv, "adjoint_ratio": adj}, mask
+
+
+def test_patching_residuals_evaluate_the_charts_they_read(demo16, rot16, demo32):
+    vortex = vortex_interface(demo32)
+    # (pair, charts, charts the stop rule evaluates); the vortex pair has
+    # points outside its first charts, so the residual masks are not empty
+    for fam, which, sec, a, b, lazy in ((demo16, "left", rot16, 0, 1, 1),
+                                        (demo32, "right", vortex, 0, 1, 3),
+                                        (demo32, "right", vortex, 3, 1, 3)):
+        s0, s1 = fam.boundary_pair(which, sec)
+        conn = connection_one_form(s0, s1)
+        assert len(conn.omega) == lazy
+        got = patching_residuals(conn, a, b)
+        assert len(conn.omega) == max(lazy, a + 1, b + 1)
+        ref, mask = _patching_oracle(s0, s1, a, b)
+        assert mask.any() == (fam is demo32)
+        for key, form in got.items():
+            assert np.array_equal(form.samples, ref[key]) and np.array_equal(form.mask, mask)
+
+
+def test_uncovered_point_evaluates_the_whole_cover_before_raising(monkeypatch):
+    from detbundle import curvature as curvature_module
+
+    g = BaseGrid.torus(8, 8)
+    f0 = np.zeros(g.shape + (2, 1), dtype=complex)
+    f0[..., 0, 0] = 1.0
+    f1 = f0.copy()
+    f1[3, 3] = [[0.0], [1.0]]
+    sec0, sec1 = ProjectionSection.build(g, f0), ProjectionSection.build(g, f1)
+    cover = [PairChart(), PairChart(np.diag([1.0, 0.0])), PairChart()]
+    calls = _count_calls(monkeypatch, "_chart_edge_data", (curvature_module,))
+    with pytest.raises(CoverageError, match=r"^1 grid points lie outside every chart domain$"):
+        connection_one_form(sec0, sec1, cover=cover)
+    assert len(calls) == 3
+
+
+def test_chart_indices_outside_the_cover_raise(demo16, rot16):
+    conn = connection_one_form(*demo16.boundary_pair("left", rot16))
+    for a, b in ((-1, 0), (0, -4), (0, 4), (7, 1)):
+        with pytest.raises(IndexError):
+            patching_residuals(conn, a, b)
+    with pytest.raises(IndexError):
+        conn.evaluate(4)
+    assert len(conn.omega) == 1
+
+
+def test_lazy_atlas_on_rank_zero_and_one_axis_pairs():
+    zero = ProjectionSection.build(BaseGrid.torus(8, 8), np.zeros((8, 8, 2, 0)))
+    conn = connection_one_form(zero, zero)
+    assert len(conn.omega) == 1 and (conn.plaquette_chart == 0).all()
+    for form in patching_residuals(conn, 0, 3).values():
+        assert not form.mask.any() and not np.abs(form.samples).any()
+    # on a circle the stop rule reads points: the frame of leg 1 turns to a
+    # right angle with leg 0 at the top, where only the swap chart is healthy
+    g = BaseGrid.torus(12)
+    theta = np.arange(12) * g.spacing[0]
+    f0 = np.zeros((12, 2, 1), dtype=complex)
+    f0[:, 0, 0] = 1.0
+    for top, evaluated in ((0.3, 1), (np.pi / 2, 4)):
+        turn = top * (1.0 - np.cos(theta)) / 2.0
+        f1 = np.stack([np.cos(turn), np.sin(turn)], axis=-1)[..., None].astype(complex)
+        sec0, sec1 = ProjectionSection.build(g, f0), ProjectionSection.build(g, f1)
+        conn = connection_one_form(sec0, sec1)
+        assert len(conn.omega) == evaluated
+        assert (conn.plaquette_chart == np.where(np.isclose(turn, np.pi / 2), 3, 0)).all()
+        for i, chart in enumerate(default_cover(2)[:evaluated]):
+            ref = _chart_edge_data(sec0, sec1, chart, 0.1)
+            assert np.array_equal(conn.omega[i].samples, ref["omega"])
+            assert np.array_equal(conn.omega[i].mask, ref["edge_mask"])
+    with pytest.raises(ValueError):
+        curvature_of(conn)
 
 
 # -- Chern numbers ----------------------------------------------------------------------
