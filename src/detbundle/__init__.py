@@ -30,16 +30,13 @@ from .grassmann import (
     ProjectionSection,
     curvature_trace_form,
     graph_projection,
-    hom_derivative,
     second_fundamental_form,
     section_links,
     spectral_projection,
-    toeplitz,
     toeplitz_inverse,
 )
 from .detline import (
     LineElement,
-    Trivialization,
     canonical_det,
     chart_coordinate,
     coordinate,
@@ -95,10 +92,9 @@ __all__ = [
     "SchattenProfile", "compound_matrix", "fredholm_det", "schatten_profile",
     "trace", "trace_norm", "wedge_trace",
     "BaseGrid", "DiscreteForm", "Projection", "ProjectionSection",
-    "curvature_trace_form", "graph_projection", "hom_derivative",
-    "second_fundamental_form", "section_links", "spectral_projection",
-    "toeplitz", "toeplitz_inverse",
-    "LineElement", "Trivialization", "canonical_det", "chart_coordinate",
+    "curvature_trace_form", "graph_projection", "second_fundamental_form",
+    "section_links", "spectral_projection", "toeplitz_inverse",
+    "LineElement", "canonical_det", "chart_coordinate",
     "coordinate", "inner_product", "metric_norm_sq", "norm_sq", "sew",
     "sew_gauge_factor", "transition",
     "CylinderFamily", "DEMO_COEFFICIENTS", "Dirac1DFamily",

@@ -226,7 +226,7 @@ class ChartedConnection:
         """Evaluate the cover in order, each chart once, up to the given charts."""
         if not all(0 <= i < len(self.cover) for i in charts):
             raise IndexError(f"charts {charts} are not all in a cover of {len(self.cover)}")
-        while len(self.omega) <= max(charts):
+        while len(self.omega) <= max(charts, default=-1):
             data = _chart_edge_data(*self.sections, self.cover[len(self.omega)], self.sing_floor)
             self.omega.append(DiscreteForm(self.grid, 1, data["omega"], mask=data["edge_mask"]))
             self.healthy.append(data["healthy"])

@@ -21,7 +21,6 @@ from .opcalc import as_matrix, fredholm_det, schatten_profile
 
 __all__ = [
     "LineElement",
-    "Trivialization",
     "pad_square",
     "canonical_det",
     "chart_coordinate",
@@ -104,62 +103,34 @@ def _cond_ok(m: np.ndarray, cond_bound: float) -> np.ndarray:
     return (s[..., -1] * cond_bound >= s[..., 0]) & (s[..., 0] > 0)
 
 
-def _chart_det(m: np.ndarray, rhs: np.ndarray, cond_bound: float, message: str) -> complex:
-    """det(m^-1 rhs) as fredholm_det(q - I); OutOfChart(message) when m fails the bound."""
-    if not _cond_ok(m, cond_bound):
+def _chart_det(m: np.ndarray, rhs: np.ndarray, message: str) -> complex:
+    """det(m^-1 rhs) as fredholm_det(q - I); OutOfChart(message) when m fails COND_BOUND."""
+    if not _cond_ok(m, COND_BOUND):
         raise OutOfChart(message)
     q = np.linalg.solve(m, rhs)
     return fredholm_det(q - np.eye(q.shape[0]))
 
 
-def chart_coordinate(e: LineElement, alpha, cond_bound: float = COND_BOUND) -> complex:
+def chart_coordinate(e: LineElement, alpha) -> complex:
     """Coordinate of ``e`` in the chart shifted by the finite-rank matrix alpha.
 
     Equals scale * det((A + alpha)^-1  rep); raises OutOfChart when A + alpha
     fails the chart's condition bound.
     """
-    return e.scale * _chart_det(e.base + as_matrix(alpha), e.rep, cond_bound,
+    return e.scale * _chart_det(e.base + as_matrix(alpha), e.rep,
                                 "base + shift is not invertible within the condition bound")
 
 
 def transition(a, alpha, beta) -> complex:
     """Chart transition factor det((A + alpha)(A + beta)^-1) between two shifts."""
     a = pad_square(a)
-    return _chart_det(a + as_matrix(beta), a + as_matrix(alpha), COND_BOUND,
+    return _chart_det(a + as_matrix(beta), a + as_matrix(alpha),
                       "beta-chart is not invertible at this point")
 
 
-@dataclass
-class Trivialization:
-    """Finite-rank chart shifts over a grid, with a condition-number domain."""
-
-    grid: object
-    shifts: np.ndarray
-    cond_bound: float = COND_BOUND
-
-    def __post_init__(self):
-        self.shifts = np.asarray(self.shifts, dtype=complex)
-        if self.shifts.shape[: self.grid.ndim] != self.grid.shape:
-            raise ValueError("shift field must cover the grid")
-        if self.cond_bound <= 1:
-            raise ValueError("condition bound must exceed 1")
-
-    def shift_at(self, idx) -> np.ndarray:
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        return self.shifts[idx]
-
-    def domain(self, family_values: np.ndarray) -> np.ndarray:
-        """Recompute the membership mask for a field of base matrices.
-
-        Never cached: the same shifts may be reused against different
-        families.
-        """
-        return _cond_ok(np.asarray(family_values) + self.shifts, self.cond_bound)
-
-
-def coordinate(e: LineElement, triv: Trivialization, idx) -> complex:
-    """Coordinate of ``e`` in a gridded trivialization at grid index ``idx``."""
-    return chart_coordinate(e, triv.shift_at(idx), triv.cond_bound)
+def coordinate(e: LineElement, shifts: np.ndarray, idx) -> complex:
+    """Coordinate of ``e`` in the chart of a grid field of shifts at grid index ``idx``."""
+    return chart_coordinate(e, shifts[idx])
 
 
 def inner_product(e1: LineElement, e2: LineElement) -> complex:
@@ -197,7 +168,7 @@ def sew_gauge_factor(phi01, phi12, alpha, beta, gamma) -> complex:
     phi12 = as_matrix(phi12)
     return _chart_det(phi12 @ phi01 + as_matrix(gamma),
                       (phi12 + as_matrix(beta)) @ (phi01 + as_matrix(alpha)),
-                      COND_BOUND, "composite chart is not invertible at this point")
+                      "composite chart is not invertible at this point")
 
 
 def frame_metric_sq(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -219,5 +190,4 @@ def pair_metric_sq(p0: Projection, p1: Projection) -> float:
 def metric_norm_sq(model, idx) -> float:
     """Canonical metric of the model's full boundary pair at one grid point."""
     sec0, sec1 = model.boundary_pair("full")
-    idx = idx if isinstance(idx, tuple) else (idx,)
     return float(frame_metric_sq(sec0.frames()[idx], sec1.frames()[idx]))

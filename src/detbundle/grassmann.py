@@ -28,9 +28,7 @@ __all__ = [
     "spectral_frames",
     "graph_projection",
     "graph_frames",
-    "toeplitz",
     "toeplitz_inverse",
-    "hom_derivative",
     "curvature_trace_form",
     "second_fundamental_form",
     "section_links",
@@ -371,13 +369,6 @@ def graph_projection(t) -> Projection:
     return Projection(graph_frames(np.eye(tm.shape[0], dtype=complex), tm))
 
 
-def toeplitz(p0: Projection, p1: Projection) -> np.ndarray:
-    """Ambient matrix of the compression P1 . P0, the map range(P0) -> range(P1)."""
-    if p0.dim != p1.dim:
-        raise ValueError("projections act on different spaces")
-    return p1.matrix @ p0.matrix
-
-
 def toeplitz_inverse(p0: Projection, p1: Projection, phi) -> np.ndarray:
     """Ambient inverse X of a map phi: range(P0) -> range(P1).
 
@@ -396,25 +387,9 @@ def toeplitz_inverse(p0: Projection, p1: Projection, phi) -> np.ndarray:
     return f0 @ np.linalg.inv(m) @ f1.conj().T
 
 
-def hom_derivative(section0: ProjectionSection, section1: ProjectionSection,
-                   phi: np.ndarray, idx, axis: int) -> np.ndarray:
-    """Covariant derivative sample P1(b) [phi(b+e) - phi(b-e)]/(2h) P0(b).
-
-    phi is a grid field of ambient matrices with P1 phi P0 = phi at every
-    point; the central difference lives at the grid point ``idx``.
-    """
-    g = section0.grid
-    idx = idx if isinstance(idx, tuple) else (idx,)
-    fwd = g.shift(idx, axis, +1)
-    bwd = g.shift(idx, axis, -1)
-    diff = (phi[fwd] - phi[bwd]) / (2.0 * g.spacing[axis])
-    return section1.values[idx] @ diff @ section0.values[idx]
-
-
 def second_fundamental_form(section: ProjectionSection, idx, axis: int) -> np.ndarray:
     """Off-diagonal derivative block (I - P(b)) dP P(b) by central difference."""
     g = section.grid
-    idx = idx if isinstance(idx, tuple) else (idx,)
     fwd = g.shift(idx, axis, +1)
     bwd = g.shift(idx, axis, -1)
     diff = (section.values[fwd] - section.values[bwd]) / (2.0 * g.spacing[axis])

@@ -128,11 +128,6 @@ class Dirac1DFamily:
         self._flows[key] = t
         return t
 
-    def transfer_matrix(self, idx, x0: float, x1: float) -> np.ndarray:
-        """Pointwise transfer matrix T_b(x0 -> x1)."""
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        return self.transfer_field(x0, x1)[idx]
-
     # -- boundary data -------------------------------------------------------
 
     def calderon_section(self, side: str) -> ProjectionSection:
@@ -167,7 +162,6 @@ class Dirac1DFamily:
         return _det(np.eye(self.rank) - t)
 
     def full_monodromy_det(self, idx) -> complex:
-        idx = idx if isinstance(idx, tuple) else (idx,)
         return complex(self.monodromy_field()[idx])
 
     def boundary_pair(self, which: str = "full", section: ProjectionSection | None = None):
@@ -339,9 +333,10 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
     Cauchy-data projections exactly, so compressions against them are
     perfectly conditioned there.  Inside, the first frame column f is
     replaced by cos(theta/2) f + sin(theta/2) e^{i phi} g, with g the first
-    frame column of the complement (the graph of -T(0->pi)*): a degree-one
-    sphere map that shifts the Chern number by -orientation and confines
-    every near-degeneracy to the disc.
+    frame column of the complement (the graph of -T(0->pi)*), with phi the
+    polar angle times orientation: a sphere map of degree orientation that
+    shifts the Chern number by -orientation and confines every
+    near-degeneracy to the disc.
     """
     g = fam.grid
     if g.ndim != 2:
@@ -360,7 +355,7 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
     dx = (b1 - np.pi + 0.5 * span1) % span1 - 0.5 * span1
     dy = (b2 - np.pi + 0.5 * span2) % span2 - 0.5 * span2
     rho = np.hypot(dx, dy)
-    phi = np.arctan2(orientation * dy, dx)
+    phi = orientation * np.arctan2(dy, dx)
     theta = np.pi * np.where(rho < radius, np.cos(0.5 * np.pi * rho / radius) ** 2, 0.0)
     frames[..., :, 0] = (np.cos(0.5 * theta)[..., None] * frames[..., :, 0]
                          + (np.sin(0.5 * theta) * np.exp(1j * phi))[..., None] * gvec)

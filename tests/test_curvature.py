@@ -18,7 +18,6 @@ from detbundle.grassmann import (
     nearest_projection,
     section_links,
     spectral_frames,
-    toeplitz,
     toeplitz_inverse,
 )
 from detbundle.models import (
@@ -510,6 +509,13 @@ def test_chart_indices_outside_the_cover_raise(demo16, rot16):
     assert len(conn.omega) == 1
 
 
+def test_evaluate_with_no_charts_does_nothing(demo16, rot16):
+    conn = connection_one_form(*demo16.boundary_pair("left", rot16))
+    before = len(conn.omega)
+    conn.evaluate()
+    assert len(conn.omega) == before
+
+
 def test_lazy_atlas_on_rank_zero_and_one_axis_pairs():
     zero = ProjectionSection.build(BaseGrid.torus(8, 8), np.zeros((8, 8, 2, 0)))
     conn = connection_one_form(zero, zero)
@@ -557,10 +563,12 @@ def test_chern_of_pair_with_itself_is_zero(rot16):
     assert chern_of_pair(rot16, rot16) == 0
 
 
-def test_vortex_interface_chern_triple(demo32):
-    sec = vortex_interface(demo32)
+@pytest.mark.parametrize("orientation", [1, -1, 2, -2, 0])
+def test_vortex_interface_chern_triple(demo32, orientation):
+    # a vortex of winding n shifts the Chern number of the left pair by -n
+    sec = vortex_interface(demo32, orientation=orientation)
     rep = additivity_residual(demo32, sec, max_excluded=0.2, label="vortex")
-    assert (rep.chern, rep.chern_left, rep.chern_right) == (0, -1, 1)
+    assert (rep.chern, rep.chern_left, rep.chern_right) == (0, -orientation, orientation)
     assert rep.chern_additive
 
 
@@ -636,7 +644,7 @@ def test_pointwise_projection_paths_make_no_eigh(monkeypatch):
     end = random_complex(rng, 8, 8)
     calls = _count_calls(monkeypatch, "eigh")
     p0.frame()
-    toeplitz_inverse(p0, p1, toeplitz(p0, p1))
+    toeplitz_inverse(p0, p1, p1.matrix @ p0.matrix)
     pair_metric_sq(p0, p1)
     swap_trace_identity(p0, p1, phi, end, end)
     composition_trace_identity(p0, p1, p2, phi, phi, end)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from detbundle.detline import (
     LineElement,
-    Trivialization,
+    _cond_ok,
     canonical_det,
     chart_coordinate,
     coordinate,
@@ -21,7 +21,7 @@ from detbundle.detline import (
     transition,
 )
 from detbundle.errors import OutOfChart
-from detbundle.grassmann import BaseGrid, Projection, graph_projection, toeplitz
+from detbundle.grassmann import BaseGrid, Projection, graph_projection
 from detbundle.models import constant_scalar_family
 from detbundle.opcalc import fredholm_det
 
@@ -159,7 +159,7 @@ def test_inner_product_hermitian_and_antilinear_left():
 def test_sew_of_identity_segments_is_identity_toeplitz():
     rng = np.random.default_rng(50)
     p = Projection(random_frame(rng, 6, 3))
-    phi = toeplitz(p, p)
+    phi = p.matrix @ p.matrix
     sewn = sew(canonical_det(phi), canonical_det(phi))
     target = canonical_det(phi @ phi)
     np.testing.assert_allclose(sewn.base, target.base, atol=1e-12)
@@ -255,9 +255,8 @@ def test_metric_agrees_between_trivializations(demo16, rot16):
     sec0, sec1 = demo16.boundary_pair("left", rot16)
     overlap = pair_overlap_field(sec0, sec1)
     charts = default_cover(sec0.dim)
-    trivs = [Trivialization(demo16.grid, restricted_shift_field(sec0, sec1, c),
-                            cond_bound=1e8) for c in charts[1:3]]
-    domains = [t.domain(overlap) for t in trivs]
+    shifts = [restricted_shift_field(sec0, sec1, c) for c in charts[1:3]]
+    domains = [_cond_ok(overlap + shift, 1e8) for shift in shifts]
     both = domains[0] & domains[1]
     assert both.mean() >= 0.95
     checked = 0
@@ -265,11 +264,11 @@ def test_metric_agrees_between_trivializations(demo16, rot16):
         if not both[idx]:
             continue
         e = canonical_det(overlap[idx])
-        za = coordinate(e, trivs[0], idx)
-        zb = coordinate(e, trivs[1], idx)
+        za = coordinate(e, shifts[0], idx)
+        zb = coordinate(e, shifts[1], idx)
         # chart independence: |z_alpha|^2 ||s_alpha||^2 == |z_beta|^2 ||s_beta||^2
-        lhs = abs(za) ** 2 * norm_sq(canonical_det(overlap[idx] + trivs[0].shift_at(idx)))
-        rhs = abs(zb) ** 2 * norm_sq(canonical_det(overlap[idx] + trivs[1].shift_at(idx)))
+        lhs = abs(za) ** 2 * norm_sq(canonical_det(overlap[idx] + shifts[0][idx]))
+        rhs = abs(zb) ** 2 * norm_sq(canonical_det(overlap[idx] + shifts[1][idx]))
         assert lhs == pytest.approx(rhs, rel=1e-8)
         checked += 1
     assert checked >= 0.95 * demo16.grid.npoints

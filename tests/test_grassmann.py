@@ -14,12 +14,10 @@ from detbundle.grassmann import (
     curvature_trace_form,
     graph_frames,
     graph_projection,
-    hom_derivative,
     second_fundamental_form,
     section_links,
     spectral_frames,
     spectral_projection,
-    toeplitz,
     toeplitz_inverse,
 )
 from detbundle.models import bloch_curvature_density, bloch_section, bloch_vector, demo_family, rotated_interface
@@ -176,7 +174,7 @@ def test_both_complements_are_identity_minus_projection():
 def test_toeplitz_of_equal_projections_is_identity_on_range():
     rng = np.random.default_rng(23)
     p = Projection(random_frame(rng, 6, 3))
-    phi = toeplitz(p, p)
+    phi = p.matrix @ p.matrix
     np.testing.assert_allclose(phi @ p.matrix, p.matrix, atol=1e-12)
 
 
@@ -194,7 +192,7 @@ def test_toeplitz_inverse_two_sided_laws():
     t0 = random_complex(rng, 2, 2, scale=0.3)
     p0 = graph_projection(t0)
     p1 = graph_projection(t0 + 0.1 * random_complex(rng, 2, 2))
-    phi = toeplitz(p0, p1)
+    phi = p1.matrix @ p0.matrix
     x = toeplitz_inverse(p0, p1, phi)
     assert np.linalg.norm(x @ phi - p0.matrix) <= 1e-10
     assert np.linalg.norm(phi @ x - p1.matrix) <= 1e-10
@@ -207,7 +205,7 @@ def test_toeplitz_inverse_raises_on_orthogonal_ranges():
     p0 = Projection(np.array([[1.0], [0.0]]))
     p1 = Projection(np.array([[0.0], [1.0]]))
     with pytest.raises(NearSingular):
-        toeplitz_inverse(p0, p1, toeplitz(p0, p1))
+        toeplitz_inverse(p0, p1, p1.matrix @ p0.matrix)
 
 
 def test_spectral_frames_of_reflections_span_range():
@@ -225,36 +223,6 @@ def test_spectral_frames_of_reflections_span_range():
 
 def _constant_section(grid: BaseGrid, f: np.ndarray) -> ProjectionSection:
     return ProjectionSection.build(grid, np.broadcast_to(f, grid.shape + f.shape))
-
-
-def test_hom_derivative_of_constant_data_is_zero():
-    rng = np.random.default_rng(27)
-    g = BaseGrid.torus(6, 6)
-    sec = _constant_section(g, random_frame(rng, 4, 2))
-    phi = np.broadcast_to(sec.values[0, 0], g.shape + (4, 4))
-    d = hom_derivative(sec, sec, phi, (2, 3), 0)
-    assert np.linalg.norm(d) <= 1e-13
-
-
-def test_hom_derivative_matches_analytic_slope():
-    # identity sections turn the covariant derivative into a plain central
-    # difference; a sine field has a closed-form slope and the one-sided
-    # Richardson pair brackets the same O(h^2) value
-    errs = []
-    for n in (24, 48):
-        g = BaseGrid.torus(n, n)
-        sec = _constant_section(g, np.eye(2))
-        b1, _ = g.coords()
-        phi = np.zeros(g.shape + (2, 2), dtype=complex)
-        phi[..., 0, 0] = np.exp(1j * b1)
-        phi[..., 1, 1] = 1.0
-        idx = (n // 3, 0)
-        d = hom_derivative(sec, sec, phi, idx, 0)
-        exact = 1j * np.exp(1j * b1[idx])
-        errs.append(abs(d[0, 0] - exact))
-    assert errs[0] <= 0.02
-    # halving h cuts the central-difference error by about 4
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
 def test_second_fundamental_form_of_constant_section_is_zero():

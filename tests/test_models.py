@@ -31,7 +31,7 @@ from conftest import _count_calls
 def test_zero_potential_transfer_is_identity():
     fam = constant_scalar_family(BaseGrid.line(4, 0.0, 1.0), value=0.0, rank=2,
                                  steps_per_half=16)
-    t = fam.transfer_matrix((0,), 0.0, 2.0 * np.pi)
+    t = fam.transfer_field(0.0, 2.0 * np.pi)[0]
     np.testing.assert_allclose(t, np.eye(2), atol=1e-12)
 
 
@@ -311,7 +311,7 @@ def _inv_sqrt_hermitian(h):
     return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("orientation", [1, -1, 2, 0])
 def test_vortex_interface_matches_projection_formula(demo16, orientation):
     # oracle: the projection formula P_a - f f* + u u*, with the symmetric
     # (Loewdin) graph frames frame_a of the left graph and frame_c of its
@@ -327,7 +327,7 @@ def test_vortex_interface_matches_projection_formula(demo16, orientation):
     dx = (b1 - np.pi + np.pi) % (2 * np.pi) - np.pi
     dy = (b2 - np.pi + np.pi) % (2 * np.pi) - np.pi
     rho = np.hypot(dx, dy)
-    phi = np.arctan2(orientation * dy, dx)
+    phi = orientation * np.arctan2(dy, dx)
     theta = np.pi * np.where(rho < 1.1, np.cos(0.5 * np.pi * rho / 1.1) ** 2, 0.0)
     u = (np.cos(0.5 * theta)[..., None] * f
          + (np.sin(0.5 * theta) * np.exp(1j * phi))[..., None] * gvec)
