@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from detbundle.curvature import PairChart, connection_one_form, curvature_of, pair_metric_field
+from detbundle.curvature import connection_one_form, curvature_of, pair_metric_field
 from detbundle.grassmann import BaseGrid
 from detbundle.models import CylinderFamily
 
@@ -19,8 +19,8 @@ for style in ("conjugated", "additive"):
     for truncation in (16, 32, 64):
         fam = CylinderFamily(grid, truncation=truncation, gamma=0.6, seed=0,
                              amplitude=1.0, style=style)
-        sec0, sec1 = fam.boundary_pair("full")
-        conn = connection_one_form(sec0, sec1, cover=[PairChart()], sing_floor=1e-6)
+        sec0, sec1 = fam.boundary_pair()
+        conn = connection_one_form(sec0, sec1, sing_floor=1e-6)
         rows[truncation] = (
             pair_metric_field(sec0, sec1),
             conn.omega[0].samples,

@@ -18,7 +18,7 @@ from detbundle.models import constant_scalar_family
 
 grid = BaseGrid.line(241, -0.5, 2.5)
 fam = constant_scalar_family(grid, steps_per_half=64)
-sec0, sec1 = fam.boundary_pair("full")
+sec0, sec1 = fam.boundary_pair()
 
 overlap = pair_overlap_field(sec0, sec1)
 metric = np.abs(np.linalg.det(overlap)) ** 2

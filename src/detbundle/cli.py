@@ -303,11 +303,14 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     if not stop > start:
         raise ConfigError("sweep.stop must exceed sweep.start")
     payload = _meta(cfg, "sweep", [samples])
-    grid = BaseGrid.line(samples, start, stop)
+    try:
+        grid = BaseGrid.line(samples, start, stop)
+    except ValueError as err:
+        raise ConfigError(f"sweep range [{start}, {stop}] over {samples} samples: {err}") from err
     family = build_family(cfg, grid)
     if isinstance(family, CylinderFamily):
         raise ConfigError("sweep supports the transfer-matrix families only")
-    sec0, sec1 = family.boundary_pair("full")
+    sec0, sec1 = family.boundary_pair()
     plain = det(pair_overlap_field(sec0, sec1))
     shifted = pair_overlap_field(sec0, sec1, default_cover(sec0.dim)[1])
     if not _cond_ok(shifted, 1e8).all():

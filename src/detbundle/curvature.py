@@ -234,7 +234,6 @@ class ChartedConnection:
 
 
 def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
-                        cover: list[PairChart] | None = None,
                         sing_floor: float = 0.1) -> ChartedConnection:
     """Edge-integrated connection forms of the pair, one per evaluated chart.
 
@@ -242,13 +241,10 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
     metric logarithm (metric compatibility is exact) and imaginary part the
     trapezoid rule for tr(X dPhi) with X the compressed inverse of the chart
     datum.  Edges touching a point outside the chart domain are masked.  The
-    charts are evaluated in cover order until every plaquette has its chart;
-    a point inside no chart domain at all makes the atlas invalid.
+    charts of default_cover are evaluated in order until every plaquette has
+    its chart; a point inside no chart domain at all makes the atlas invalid.
     """
-    if cover is None:
-        cover = default_cover(sec0.dim)
-    if not cover:
-        raise ValueError("cover must contain at least one chart")
+    cover = default_cover(sec0.dim)
     g = sec0.grid
     conn = ChartedConnection(g, (sec0, sec1), cover, sing_floor, np.full(g.shape, -1))
     for i in range(len(cover)):
@@ -384,7 +380,7 @@ def f_function(model, section: ProjectionSection, idx) -> complex:
     two half pairs through the interface section; 1 when the section equals
     the first Cauchy-data bundle.  Raises NearSingular at excluded points.
     """
-    sec_a, sec_b = model.boundary_pair("full")
+    sec_a, sec_b = model.boundary_pair()
     vals, healthy = f_function_field(sec_a, section, sec_b, 1e-8)
     if not healthy[idx]:
         raise NearSingular(f"a compression is near-singular at {idx}")
@@ -494,7 +490,7 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
     every chart domain or when the exclusions exceed max_excluded of the
     edges.
     """
-    sec_a, sec_b = model.boundary_pair("full")
+    sec_a, sec_b = model.boundary_pair()
     g = sec_a.grid
     g.require_periodic()
     if g.ndim != 2:

@@ -10,7 +10,7 @@ infinite-dimensional limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,17 +75,6 @@ class LineElement:
     @property
     def dim(self) -> int:
         return self.base.shape[0]
-
-    def scaled(self, factor: complex) -> "LineElement":
-        return replace(self, scale=self.scale * complex(factor))
-
-    def moved(self, q) -> "LineElement":
-        """Equivalent element [rep q, scale / det(q)] (same class)."""
-        q = as_matrix(q)
-        d = complex(np.linalg.det(q))
-        if d == 0:
-            raise ValueError("change of representative must be invertible")
-        return LineElement(self.base, self.rep @ q, self.scale / d)
 
 
 def canonical_det(a) -> LineElement:
@@ -189,5 +178,5 @@ def pair_metric_sq(p0: Projection, p1: Projection) -> float:
 
 def metric_norm_sq(model, idx) -> float:
     """Canonical metric of the model's full boundary pair at one grid point."""
-    sec0, sec1 = model.boundary_pair("full")
+    sec0, sec1 = model.boundary_pair()
     return float(frame_metric_sq(sec0.frames()[idx], sec1.frames()[idx]))

@@ -57,8 +57,8 @@ class BaseGrid:
             raise ValueError("shape, spacing, periodic and origin must have equal length")
         if any(int(n) < 4 for n in self.shape):
             raise ValueError("every axis needs at least 4 points")
-        if any(not (h > 0) for h in self.spacing):
-            raise ValueError("grid spacing must be positive")
+        if any(not (0 < h < np.inf) for h in self.spacing):
+            raise ValueError("grid spacing must be positive and finite")
 
     @classmethod
     def torus(cls, n1: int, n2: int | None = None):
@@ -71,17 +71,12 @@ class BaseGrid:
     @classmethod
     def line(cls, n: int, start: float, stop: float):
         """Open 1-d scan grid; samples include both endpoints."""
-        if n < 4:
-            raise ValueError("need at least 4 samples")
-        return cls((n,), ((stop - start) / (n - 1),), (False,), (float(start),))
+        # __post_init__ rejects n < 4; max() only keeps n = 1 from dividing by zero
+        return cls((n,), ((stop - start) / max(n - 1, 1),), (False,), (float(start),))
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
-
-    @property
-    def npoints(self) -> int:
-        return int(np.prod(self.shape))
 
     def axis_coords(self, axis: int, offset: float = 0.0) -> np.ndarray:
         return self.origin[axis] + offset + self.spacing[axis] * np.arange(self.shape[axis])
@@ -231,10 +226,6 @@ class Projection:
         self._frame = _orthonormal(frame, (), "projection frames")
         self.dim, self.rank = self._frame.shape
         self.matrix = _readonly(self._frame @ self._frame.conj().T)
-
-    def complement(self) -> "Projection":
-        """Projection onto ran(I - P), the +1 eigenspace of the reflection I - 2P."""
-        return Projection(spectral_frames(np.eye(self.dim) - 2.0 * self.matrix))
 
     def frame(self) -> np.ndarray:
         """Read-only orthonormal basis of the range, shape (dim, rank)."""

@@ -97,19 +97,24 @@ class Dirac1DFamily:
         a = np.asarray(self.potential(self._b1, self._b2, x), dtype=complex)
         want = self.grid.shape + (self.rank, self.rank)
         if a.shape != want:
-            a = np.broadcast_to(a, want)
+            try:
+                a = np.broadcast_to(a, want)
+            except ValueError:
+                raise ValueError(f"potential blocks have shape {a.shape}, want {want}") from None
         return a
 
     def transfer_field(self, x0: float, x1: float) -> np.ndarray:
-        """Transfer matrices T_b(x0 -> x1) over the whole grid (cached)."""
+        """Transfer matrices T_b(x0 -> x1), x0 <= x1, over the whole grid (cached).
+
+        The potential must be Hermitian: its first sample is checked, and a
+        non-Hermitian block raises ValueError.
+        """
         k0, k1 = self._tick(x0), self._tick(x1)
+        if k1 < k0:
+            raise ValueError("transfers run forward: need x0 <= x1")
         key = (k0, k1)
         if key in self._flows:
             return self._flows[key]
-        if k1 < k0:
-            out = np.linalg.inv(self.transfer_field(x1, x0))
-            self._flows[key] = out
-            return out
         h = self._step
         t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
         gauss = np.sqrt(3.0) / 6.0
@@ -118,6 +123,9 @@ class Dirac1DFamily:
             for k in range(k0, k1):
                 a1 = self._a((k + 0.5 - gauss) * h)
                 a2 = self._a((k + 0.5 + gauss) * h)
+                if k == k0 and np.abs(a1 - np.swapaxes(a1.conj(), -1, -2)).max() \
+                        > 1e-12 * max(1.0, np.abs(a1).max()):
+                    raise ValueError("potential blocks must be Hermitian")
                 # X - X^H is the commutator [a2, a1] for Hermitian blocks
                 x = _bmm(a2, a1)
                 comm = x - np.swapaxes(x.conj(), -1, -2)
@@ -164,30 +172,16 @@ class Dirac1DFamily:
     def full_monodromy_det(self, idx) -> complex:
         return complex(self.monodromy_field()[idx])
 
-    def boundary_pair(self, which: str = "full", section: ProjectionSection | None = None):
-        """Compression pair (P0, P1) for the full, left or right determinant."""
-        return _split_pair(self.calderon_section("left"),
-                           self.calderon_section("right").complement(), which, section)
-
-
-def _split_pair(first: ProjectionSection, second: ProjectionSection, which: str,
-                section: ProjectionSection | None):
-    """The full pair (first, second), or its left/right half through section."""
-    if which == "full":
-        return first, second
-    if section is None:
-        raise ValueError("left/right pairs need the interface section")
-    if which == "left":
-        return first, section
-    if which == "right":
-        return section, second
-    raise ValueError("which must be 'full', 'left' or 'right'")
+    def boundary_pair(self):
+        """Compression pair (P0, P1) of the full determinant: the left Cauchy
+        data and the complement of the right."""
+        return self.calderon_section("left"), self.calderon_section("right").complement()
 
 
 # -- shipped families ---------------------------------------------------------
 
 
-def demo_family(grid: BaseGrid | None = None, steps_per_half: int = 256) -> Dirac1DFamily:
+def demo_family(grid: BaseGrid, steps_per_half: int = 256) -> Dirac1DFamily:
     """Rank-2 family over the torus, periodic in both parameters.
 
     a(b, x) = 0.5 I + 0.22 n(b) . sigma + 0.18 (cos x sigma_1 + sin x sigma_2)
@@ -198,8 +192,6 @@ def demo_family(grid: BaseGrid | None = None, steps_per_half: int = 256) -> Dira
     stays invertible across the grid, while the direction field makes the
     half-circle Cauchy bundles genuinely curved.
     """
-    if grid is None:
-        grid = BaseGrid.torus(16, 16)
     return coefficient_family(grid, DEMO_COEFFICIENTS, steps_per_half=steps_per_half)
 
 
@@ -452,10 +444,6 @@ class CylinderFamily:
         self._b2 = b[1] if grid.ndim == 2 else np.zeros_like(b[0])
         self._aps: ProjectionSection | None = None
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.truncation + 1
-
     def _phase_matrix(self, scale: float, seed: int) -> np.ndarray:
         """S(b) = scale (cos b1 S_seed + sin b2 S_seed+1) from seeded smoothing matrices."""
         s1 = smoothing_perturbation(seed, self.gamma, self.truncation)
@@ -495,11 +483,11 @@ class CylinderFamily:
         u = _expi(self._phase_matrix(scale, self.seed + seed_offset))
         return ProjectionSection.build(self.grid, u[..., self.truncation:])
 
-    def boundary_pair(self, which: str = "full", section: ProjectionSection | None = None):
+    def boundary_pair(self):
         """Compression pair mirroring the split-circle layout.
 
         The roles of the two Cauchy-data bundles are played by the spectral
         section and an independently rotated copy of it.
         """
         base = self.aps_section() if self.style == "additive" else self.conjugated_section(self.amplitude, 0)
-        return _split_pair(base, self.conjugated_section(0.7 * self.amplitude, 2), which, section)
+        return base, self.conjugated_section(0.7 * self.amplitude, 2)

@@ -385,7 +385,7 @@ def suite_models(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
 
     kern = constant_scalar_family(BaseGrid.line(4, 0.0, 1.0), value=1.0,
                                   steps_per_half=fine_steps)
-    s0, s1 = kern.boundary_pair("full")
+    s0, s1 = kern.boundary_pair()
     mono_kern = abs(kern.full_monodromy_det((0,)))
     met_kern = pair_metric_field(s0, s1).max()
     kern_err = max(mono_kern, float(met_kern))
@@ -434,7 +434,7 @@ def suite_curvature(seed: int = 0, tol: float = 1e-9, *, family, section,
     g = family.grid
     checks: list[CheckResult] = []
 
-    sec_a = family.boundary_pair("full")[0]
+    sec_a = family.boundary_pair()[0]
     try:
         report = additivity_residual(family, section, sing_floor=sing_floor,
                                      max_excluded=max_excluded)

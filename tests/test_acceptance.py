@@ -20,7 +20,6 @@ from detbundle.models import (
 )
 from detbundle.opcalc import fredholm_det, trace, trace_norm
 from detbundle.curvature import (
-    PairChart,
     additivity_residual,
     chern_of_section,
     composition_trace_identity,
@@ -70,7 +69,7 @@ def test_criterion_01_fredholm_calculus():
 
 
 def test_criterion_02_transition_cocycle_and_gauge_law(demo16, rot16):
-    sec0, sec1 = demo16.boundary_pair("left", rot16)
+    sec0, sec1 = demo16.boundary_pair()[0], rot16
     overlap = pair_overlap_field(sec0, sec1)
     rng = np.random.default_rng(102)
     worst_cocycle, worst_gauge = 0.0, 0.0
@@ -126,7 +125,7 @@ def test_criterion_03_sewing():
 def test_criterion_04_kernel_locus():
     grid = BaseGrid.line(600, -0.5, 2.5)
     fam = constant_scalar_family(grid, steps_per_half=64)
-    sec0, sec1 = fam.boundary_pair("full")
+    sec0, sec1 = fam.boundary_pair()
     overlap = pair_overlap_field(sec0, sec1)
     metric = np.abs(np.linalg.det(overlap)) ** 2
     mono = np.abs(fam.monodromy_field())
@@ -151,7 +150,7 @@ def test_criterion_04_kernel_locus():
 
 
 def test_criterion_05_metric_well_defined(demo32, rot32):
-    sec0, sec1 = demo32.boundary_pair("left", rot32)
+    sec0, sec1 = demo32.boundary_pair()[0], rot32
     overlap = pair_overlap_field(sec0, sec1)
     charts = default_cover(sec0.dim)
     shift_u = restricted_shift_field(sec0, sec1, charts[1])
@@ -175,7 +174,7 @@ def test_criterion_05_metric_well_defined(demo32, rot32):
 
 def test_criterion_06_patching_refinement(demo32, rot32, demo64, rot64):
     def residuals(fam, sec):
-        s0, s1 = fam.boundary_pair("left", sec)
+        s0, s1 = fam.boundary_pair()[0], sec
         out = patching_residuals(connection_one_form(s0, s1), 0, 1)
         return (out["inverse_ratio"].max_density_residual(),
                 out["adjoint_ratio"].max_density_residual())
@@ -203,7 +202,7 @@ def test_criterion_07_additivity_refinement(demo32, rot32, demo64, rot64):
 
 def test_criterion_08_families_formulas(demo32, rot32, demo64, rot64):
     def gap(fam, sec):
-        s0, s1 = fam.boundary_pair("left", sec)
+        s0, s1 = fam.boundary_pair()[0], sec
         by_conn = curvature_of(connection_one_form(s0, s1))
         by_blocks = curvature_families_formula(s0, s1)
         d = np.abs(by_conn.samples - by_blocks.samples)
@@ -237,7 +236,7 @@ def test_criterion_09_chern_integrality_and_additivity(demo64):
     sec = vortex_interface(demo64)
     rep = additivity_residual(demo64, sec, max_excluded=0.2, label="vortex")
     triple = (rep.chern, rep.chern_left, rep.chern_right)
-    sec_a, sec_b = demo64.boundary_pair("full")
+    sec_a, sec_b = demo64.boundary_pair()
     worst_integrality = 0.0
     for pair in ((sec_a, sec_b), (sec_a, sec), (sec, sec_b)):
         raw = plaquette_winding(demo64.grid, pair_links(*pair)).total() / (2j * np.pi)
@@ -258,10 +257,11 @@ def test_criterion_10_truncation_convergence():
         for truncation in (32, 64):
             fam = CylinderFamily(grid, truncation=truncation, gamma=gamma,
                                  seed=0, amplitude=1.0, style=style)
-            sec0, sec1 = fam.boundary_pair("full")
+            sec0, sec1 = fam.boundary_pair()
             metric = pair_metric_field(sec0, sec1)
-            conn = connection_one_form(sec0, sec1, cover=[PairChart()],
-                                       sing_floor=1e-6)
+            conn = connection_one_form(sec0, sec1, sing_floor=1e-6)
+            # the plain chart alone covers every plaquette
+            assert len(conn.omega) == 1
             omega = conn.omega[0].samples
             curv_total = curvature_of(conn).total()
             scalars.append((metric, omega, curv_total))

@@ -393,12 +393,12 @@ def test_sweep_coordinate_matches_pointwise_chart_coordinate(tmp_path, text):
     cfg = load_config(str(path))
     sweep = cfg["sweep"]
     grid = BaseGrid.line(int(sweep["samples"]), float(sweep["start"]), float(sweep["stop"]))
-    sec0, sec1 = build_family(cfg, grid).boundary_pair("full")
+    sec0, sec1 = build_family(cfg, grid).boundary_pair()
     overlap = pair_overlap_field(sec0, sec1)
     shift = restricted_shift_field(sec0, sec1, default_cover(sec0.dim)[1])
     want = np.array([chart_coordinate(canonical_det(overlap[k]), shift[k])
-                     for k in range(grid.npoints)])
-    assert len(got) == grid.npoints
+                     for k in range(np.prod(grid.shape))])
+    assert len(got) == np.prod(grid.shape)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
@@ -420,7 +420,7 @@ def test_small_pair_blocks_make_no_linalg_det_or_solve(tmp_path, monkeypatch):
     # closed form in _blocks
     demo = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
     scalar = constant_scalar_family(BaseGrid.torus(8, 8), value=0.3, steps_per_half=16)
-    pairs = [demo.boundary_pair("left", rotated_interface(demo)), scalar.boundary_pair("full")]
+    pairs = [(demo.boundary_pair()[0], rotated_interface(demo)), scalar.boundary_pair()]
     (tmp_path / "demo.cfg").write_text(DEMO_SWEEP)
     calls = {name: _count_calls(monkeypatch, name) for name in ("det", "slogdet", "solve")}
     for cfg in (CONFIGS / "scalar_sweep.cfg", tmp_path / "demo.cfg"):
@@ -434,10 +434,16 @@ def test_small_pair_blocks_make_no_linalg_det_or_solve(tmp_path, monkeypatch):
         assert len(got) == 0, name
 
 
-def test_sweep_rejects_bad_range(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[sweep]\nstart = 2.0\nstop = 1.0\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+def test_sweep_rejects_bad_range(tmp_path, capsys):
+    # a reversed range, and ranges whose step underflows to 0 or overflows to inf
+    for start, stop in ((2.0, 1.0), (0.0, 5e-324), (-1e308, 1e308)):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[sweep]\nstart = {start!r}\nstop = {stop!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_shipped_demo_config_loads():

@@ -75,17 +75,11 @@ def test_zero_connection_has_zero_curvature():
     assert np.abs(f.samples).max() <= 1e-12
 
 
-def test_connection_rejects_empty_cover(demo16, rot16):
-    sec0, sec1 = demo16.boundary_pair("left", rot16)
-    with pytest.raises(ValueError):
-        connection_one_form(sec0, sec1, cover=[])
-
-
 def test_patching_identities_refine_at_second_order(demo16, rot16, demo32, rot32):
     # gauge law: omega_alpha - omega_beta equals the discrete d log of the
     # chart-ratio determinant, with O(h^2) density
     def residual(fam, sec):
-        s0, s1 = fam.boundary_pair("left", sec)
+        s0, s1 = fam.boundary_pair()[0], sec
         out = patching_residuals(connection_one_form(s0, s1), 0, 1)
         return (out["inverse_ratio"].max_density_residual(),
                 out["adjoint_ratio"].max_density_residual())
@@ -101,7 +95,7 @@ def test_patching_identities_refine_at_second_order(demo16, rot16, demo32, rot32
 def test_metric_compatibility_is_exact(demo16, rot16):
     # along each edge the increment of log |det M|^2 is twice the real part
     # of the edge connection sample, with no discretization error at all
-    sec0, sec1 = demo16.boundary_pair("left", rot16)
+    sec0, sec1 = demo16.boundary_pair()[0], rot16
     conn = connection_one_form(sec0, sec1)
     form = conn.omega[0]
     metric = pair_metric_field(sec0, sec1)
@@ -153,18 +147,18 @@ def _oracle_pair(name, request):
     if name.startswith("scalar_rank"):
         fam = constant_scalar_family(BaseGrid.torus(8, 8), rank=int(name[-1]),
                                      steps_per_half=32)
-        return fam.boundary_pair("full")
+        return fam.boundary_pair()
     if name == "cylinder_t6":
-        return CylinderFamily(BaseGrid.torus(8, 8), truncation=6).boundary_pair("full")
+        return CylinderFamily(BaseGrid.torus(8, 8), truncation=6).boundary_pair()
     if name == "vortex_12x20":
         fam = demo_family(BaseGrid.torus(12, 20), steps_per_half=STEPS)
-        return fam.boundary_pair("left", vortex_interface(fam))
+        return fam.boundary_pair()[0], vortex_interface(fam)
     demo16 = request.getfixturevalue("demo16")
     if name == "demo_full":
-        return demo16.boundary_pair("full")
+        return demo16.boundary_pair()
     which, kind = name.split("_")
     sec = request.getfixturevalue("rot16") if kind == "rotated" else vortex_interface(demo16)
-    return demo16.boundary_pair(which, sec)
+    return (demo16.boundary_pair()[0], sec) if which == "left" else (sec, demo16.boundary_pair()[1])
 
 
 @pytest.mark.parametrize("name", [
@@ -190,7 +184,7 @@ def test_families_formula_of_equal_sections_is_zero(rot16):
 
 
 def test_families_formula_variants_agree(demo16, rot16):
-    sec0, sec1 = demo16.boundary_pair("left", rot16)
+    sec0, sec1 = demo16.boundary_pair()[0], rot16
     full = curvature_families_formula(sec0, sec1, variant="full")
     simple = curvature_families_formula(sec0, sec1, variant="simplified")
     diff = np.abs(full.samples - simple.samples)
@@ -201,7 +195,7 @@ def test_families_formula_variants_agree(demo16, rot16):
 
 def test_families_formula_matches_connection_curvature(demo16, rot16, demo32, rot32):
     def gap(fam, sec):
-        s0, s1 = fam.boundary_pair("left", sec)
+        s0, s1 = fam.boundary_pair()[0], sec
         by_conn = curvature_of(connection_one_form(s0, s1))
         by_blocks = curvature_families_formula(s0, s1)
         d = np.abs(by_conn.samples - by_blocks.samples)
@@ -219,7 +213,7 @@ def test_families_formula_takes_center_frames_from_the_plaquette_blocks(monkeypa
     # on fresh sections: the frames are read, and one eigh per section for
     # its plaquette blocks also gives the center frames; none on a repeat
     fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
-    s0, s1 = fam.boundary_pair("left", rotated_interface(fam))
+    s0, s1 = fam.boundary_pair()[0], rotated_interface(fam)
     calls = _count_calls(monkeypatch, "eigh")
     got = curvature_families_formula(s0, s1, variant="full")
     assert len(calls) == 2
@@ -335,7 +329,7 @@ def test_verify_curvature_suite_reuses_the_report(monkeypatch):
     assert len(calls["nearest_projection"]) == 2
     assert len(checks) == 12
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
-    for s in (fam.boundary_pair("full")[0], sec):
+    for s in (fam.boundary_pair()[0], sec):
         for block in s._derived["plaquette_blocks"]:
             with pytest.raises(ValueError):
                 block[(0,) * block.ndim] = 0.0
@@ -366,7 +360,7 @@ class _FixedPairModel:
     def __init__(self, sec0, sec1):
         self.pair = (sec0, sec1)
 
-    def boundary_pair(self, which="full", section=None):
+    def boundary_pair(self):
         return self.pair
 
 
@@ -431,7 +425,7 @@ def test_lazy_atlas_matches_every_chart_evaluated(name, evaluated, request):
     fam, sec = _lazy_case(name, request)
     rep = additivity_residual(fam, sec)
     assert [len(c.omega) for c in rep.connections] == evaluated
-    sec_a, sec_b = fam.boundary_pair("full")
+    sec_a, sec_b = fam.boundary_pair()
     pairs = ((sec_a, sec_b), (sec_a, sec), (sec, sec_b))
     forms = (rep.curvature, rep.curvature_left, rep.curvature_right)
     for (s0, s1), conn, form in zip(pairs, rep.connections, forms):
@@ -469,10 +463,9 @@ def test_patching_residuals_evaluate_the_charts_they_read(demo16, rot16, demo32)
     vortex = vortex_interface(demo32)
     # (pair, charts, charts the stop rule evaluates); the vortex pair has
     # points outside its first charts, so the residual masks are not empty
-    for fam, which, sec, a, b, lazy in ((demo16, "left", rot16, 0, 1, 1),
-                                        (demo32, "right", vortex, 0, 1, 3),
-                                        (demo32, "right", vortex, 3, 1, 3)):
-        s0, s1 = fam.boundary_pair(which, sec)
+    for fam, (s0, s1), a, b, lazy in ((demo16, (demo16.boundary_pair()[0], rot16), 0, 1, 1),
+                                      (demo32, (vortex, demo32.boundary_pair()[1]), 0, 1, 3),
+                                      (demo32, (vortex, demo32.boundary_pair()[1]), 3, 1, 3)):
         conn = connection_one_form(s0, s1)
         assert len(conn.omega) == lazy
         got = patching_residuals(conn, a, b)
@@ -493,14 +486,15 @@ def test_uncovered_point_evaluates_the_whole_cover_before_raising(monkeypatch):
     f1[3, 3] = [[0.0], [1.0]]
     sec0, sec1 = ProjectionSection.build(g, f0), ProjectionSection.build(g, f1)
     cover = [PairChart(), PairChart(np.diag([1.0, 0.0])), PairChart()]
+    monkeypatch.setattr(curvature_module, "default_cover", lambda dim: cover)
     calls = _count_calls(monkeypatch, "_chart_edge_data", (curvature_module,))
     with pytest.raises(CoverageError, match=r"^1 grid points lie outside every chart domain$"):
-        connection_one_form(sec0, sec1, cover=cover)
+        connection_one_form(sec0, sec1)
     assert len(calls) == 3
 
 
 def test_chart_indices_outside_the_cover_raise(demo16, rot16):
-    conn = connection_one_form(*demo16.boundary_pair("left", rot16))
+    conn = connection_one_form(demo16.boundary_pair()[0], rot16)
     for a, b in ((-1, 0), (0, -4), (0, 4), (7, 1)):
         with pytest.raises(IndexError):
             patching_residuals(conn, a, b)
@@ -510,7 +504,7 @@ def test_chart_indices_outside_the_cover_raise(demo16, rot16):
 
 
 def test_evaluate_with_no_charts_does_nothing(demo16, rot16):
-    conn = connection_one_form(*demo16.boundary_pair("left", rot16))
+    conn = connection_one_form(demo16.boundary_pair()[0], rot16)
     before = len(conn.omega)
     conn.evaluate()
     assert len(conn.omega) == before

@@ -42,7 +42,7 @@ def test_moved_representative_keeps_the_class():
     a = np.eye(4) + random_complex(rng, 4, 4, scale=0.2)
     e = canonical_det(a)
     q = np.eye(4) + random_complex(rng, 4, 4, scale=0.2)
-    moved = e.moved(q)
+    moved = LineElement(e.base, e.rep @ q, e.scale / np.linalg.det(q))
     alpha = random_complex(rng, 4, 4, scale=0.3)
     assert chart_coordinate(moved, alpha) == pytest.approx(chart_coordinate(e, alpha), rel=1e-10)
 
@@ -130,7 +130,8 @@ def test_norm_scales_quadratically():
     a = np.eye(4) + random_complex(rng, 4, 4, scale=0.2)
     e = canonical_det(a)
     mu = 0.3 - 1.1j
-    assert norm_sq(e.scaled(mu)) == pytest.approx(abs(mu) ** 2 * norm_sq(e), rel=1e-12)
+    scaled = LineElement(e.base, e.rep, mu * e.scale)
+    assert norm_sq(scaled) == pytest.approx(abs(mu) ** 2 * norm_sq(e), rel=1e-12)
 
 
 def test_norm_matches_dense_determinant_oracle():
@@ -149,7 +150,7 @@ def test_inner_product_hermitian_and_antilinear_left():
     e2 = LineElement(a, a @ (np.eye(4) + random_complex(rng, 4, 4, scale=0.2)), 0.4j)
     assert inner_product(e1, e2) == pytest.approx(np.conj(inner_product(e2, e1)))
     mu = 0.2 - 0.9j
-    assert inner_product(e1.scaled(mu), e2) == pytest.approx(
+    assert inner_product(LineElement(e1.base, e1.rep, mu * e1.scale), e2) == pytest.approx(
         np.conj(mu) * inner_product(e1, e2))
 
 
@@ -252,7 +253,7 @@ def test_metric_agrees_between_trivializations(demo16, rot16):
     # through two different shifted trivializations and compare
     from detbundle.curvature import default_cover, pair_overlap_field, restricted_shift_field
 
-    sec0, sec1 = demo16.boundary_pair("left", rot16)
+    sec0, sec1 = demo16.boundary_pair()[0], rot16
     overlap = pair_overlap_field(sec0, sec1)
     charts = default_cover(sec0.dim)
     shifts = [restricted_shift_field(sec0, sec1, c) for c in charts[1:3]]
@@ -271,4 +272,4 @@ def test_metric_agrees_between_trivializations(demo16, rot16):
         rhs = abs(zb) ** 2 * norm_sq(canonical_det(overlap[idx] + shifts[1][idx]))
         assert lhs == pytest.approx(rhs, rel=1e-8)
         checked += 1
-    assert checked >= 0.95 * demo16.grid.npoints
+    assert checked >= 0.95 * np.prod(demo16.grid.shape)

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
+import types
 from pathlib import Path
 
 import detbundle
@@ -31,17 +33,42 @@ def _names_read(path: Path) -> set[str]:
     return read
 
 
-def test_every_public_name_has_a_caller_outside_tests():
-    # a public helper that only its own tests call is a twin to delete or an
-    # oracle to move into the tests; the benchmark tracer's targets count as
-    # callers, since the tracer wraps them by name
+def _callers() -> set[str]:
+    """Names read in src/ or demos/, plus the benchmark tracer's target paths,
+    which count as callers since the tracer wraps them by name."""
     files = [p for p in (ROOT / "src" / "detbundle").glob("*.py") if p.name != "__init__.py"]
     files += (ROOT / "demos").glob("*.py")
     read = set().union(*(_names_read(p) for p in files))
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    wrapped = {path for _, path, _ in tracer.TARGETS}
+    return read | {path for _, path, _ in tracer.TARGETS}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public helper that only its own tests call is a twin to delete or an
+    # oracle to move into the tests
+    callers = _callers()
     uncalled = [name for name in detbundle.__all__
-                if name != "__version__" and name not in read | wrapped]
+                if name != "__version__" and name not in callers]
+    assert uncalled == []
+
+
+def test_every_public_member_has_a_caller_outside_tests():
+    # the same rule for the methods and properties of the exported classes.
+    # The scan matches attribute names only, so a member is counted as read
+    # when another class's member of the same name is: it cannot see that
+    # Projection.complement or CylinderFamily.dim would have no reader.
+    callers = _callers()
+    uncalled = []
+    for name in detbundle.__all__:
+        cls = getattr(detbundle, name)
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            if member.startswith("_") or not isinstance(
+                    value, (property, classmethod, staticmethod, types.FunctionType)):
+                continue
+            if member not in callers and f"{name}.{member}" not in callers:
+                uncalled.append(f"{name}.{member}")
     assert uncalled == []

@@ -53,11 +53,11 @@ def test_transfer_composition():
 
 
 def test_transfer_inverse_direction():
+    # transfers only run forward; T(pi -> 0) is not cached as an inverse
     fam = demo_family(BaseGrid.torus(6, 6), steps_per_half=32)
-    fwd = fam.transfer_field(0.0, np.pi)
-    bwd = fam.transfer_field(np.pi, 0.0)
-    prod = bwd @ fwd
-    assert np.abs(prod - np.eye(2)).max() <= 1e-10
+    with pytest.raises(ValueError, match="forward"):
+        fam.transfer_field(np.pi, 0.0)
+    assert fam._flows == {}
 
 
 def test_transfer_unitarity_for_hermitian_potential():
@@ -156,6 +156,20 @@ def test_transfer_requires_lattice_aligned_endpoints():
     fam = demo_family(BaseGrid.torus(6, 6), steps_per_half=32)
     with pytest.raises(ValueError):
         fam.transfer_field(0.0, 1.0)
+
+
+@pytest.mark.parametrize("rank, block, message", [
+    # the Magnus step would return I here, not I + i pi a
+    (2, np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+    # the 1x1 closed form would drop the imaginary part
+    (1, np.array([[0.3 + 0.5j]]), "Hermitian"),
+    (2, np.eye(3), r"shape \(3, 3\), want \(4, 4, 2, 2\)"),
+])
+def test_transfer_rejects_non_hermitian_or_misshaped_potentials(rank, block, message):
+    fam = Dirac1DFamily(BaseGrid.torus(4, 4), lambda b1, b2, x: block, rank=rank,
+                        steps_per_half=16)
+    with pytest.raises(ValueError, match=message):
+        fam.transfer_field(0.0, np.pi)
 
 
 # -- Cauchy-data bundles ----------------------------------------------------------
@@ -342,7 +356,7 @@ def test_frame_first_sections_make_no_eigh(monkeypatch):
     fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
     calls = _count_calls(monkeypatch, "eigh")
     # the pair's second leg is the complement of the right section, built with it
-    for sec in (*fam.boundary_pair("full"), fam.calderon_section("right"), vortex_interface(fam)):
+    for sec in (*fam.boundary_pair(), fam.calderon_section("right"), vortex_interface(fam)):
         sec.frames()
     assert len(calls) == 0
     # a generic complement has no frame at hand
@@ -399,13 +413,6 @@ def test_rotated_interface_matches_the_dense_exponential(rank):
     u = (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     want = u @ fam.calderon_section("left").frames()
     assert np.abs(rotated_interface(fam, 0.4).frames() - want).max() <= 1e-14
-
-
-def test_boundary_pair_requires_interface_for_half_pairs(demo16):
-    with pytest.raises(ValueError):
-        demo16.boundary_pair("left")
-    with pytest.raises(ValueError):
-        demo16.boundary_pair("sideways", demo16.calderon_section("left"))
 
 
 # -- truncated cylinder --------------------------------------------------------------
