@@ -7,8 +7,6 @@ residuals alone but moves one unit of Chern number between the halves while
 the total stays put.
 """
 
-import numpy as np
-
 from detbundle.curvature import additivity_residual
 from detbundle.grassmann import BaseGrid
 from detbundle.models import demo_family, rotated_interface, vortex_interface

@@ -151,8 +151,12 @@ def _chart_settings(cfg) -> dict:
     return {"sing_floor": sing_floor, "max_excluded": max_excluded}
 
 
+def _model_kind(cfg) -> str:
+    return cfg["model"]["kind"].strip().lower()
+
+
 def build_family(cfg: dict[str, dict[str, str]], grid: BaseGrid):
-    kind = cfg["model"]["kind"].strip().lower()
+    kind = _model_kind(cfg)
     steps = _as_int(cfg, "model", "steps_per_half")
     try:
         if kind == "dirac":
@@ -202,8 +206,8 @@ def _grid_axes(cfg) -> list[int]:
 
 def _torus_from(cfg) -> BaseGrid:
     n1, n2 = _grid_axes(cfg)
-    if min(n1, n2) < 4:
-        raise ConfigError("grid axes need at least 4 points")
+    if min(n1, n2) < 8:
+        raise ConfigError("curvature runs need grid axes of at least 8 points")
     return BaseGrid.torus(n1, n2)
 
 
@@ -239,8 +243,6 @@ def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
     curvature_kwargs = {}
     if "curvature" in names:
         grid = _torus_from(cfg)
-        if min(grid.shape) < 8:
-            raise ConfigError("curvature suites need grid axes of at least 8 points")
         curvature_kwargs = _chart_settings(cfg)
         family = build_family(cfg, grid)
         curvature_kwargs.update(family=family, section=build_interface(cfg, family))
@@ -268,8 +270,6 @@ def cmd_curvature(cfg: dict, out_dir: Path) -> int:
     payload = _meta(cfg, "curvature", _grid_axes(cfg))
     chart_settings = _chart_settings(cfg)
     grid = _torus_from(cfg)
-    if min(grid.shape) < 8:
-        raise ConfigError("curvature reports need grid axes of at least 8 points")
     family = build_family(cfg, grid)
     section = build_interface(cfg, family)
     report = additivity_residual(family, section, label=cfg["model"]["kind"], **chart_settings)
@@ -307,9 +307,10 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         grid = BaseGrid.line(samples, start, stop)
     except ValueError as err:
         raise ConfigError(f"sweep range [{start}, {stop}] over {samples} samples: {err}") from err
-    family = build_family(cfg, grid)
-    if isinstance(family, CylinderFamily):
+    # a cylinder family lives on a torus only
+    if _model_kind(cfg) == "cylinder":
         raise ConfigError("sweep supports the transfer-matrix families only")
+    family = build_family(cfg, grid)
     sec0, sec1 = family.boundary_pair()
     plain = det(pair_overlap_field(sec0, sec1))
     shifted = pair_overlap_field(sec0, sec1, default_cover(sec0.dim)[1])

@@ -173,7 +173,6 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
     and the backward transports are the adjoints of the forward ones at b-e.
     """
     g = sec0.grid
-    g.require_periodic()
     m = pair_overlap_field(sec0, sec1, chart)
     healthy, msafe = _guard(m, sing_floor)
     u0, u1 = _frame_transports(sec0), _frame_transports(sec1)
@@ -208,7 +207,7 @@ class ChartedConnection:
     omega, healthy and det list, per chart evaluated so far, the edge samples
     with their exclusion mask, the point-wise domain and the determinant (1
     outside it).  plaquette_chart is the first chart healthy on each
-    plaquette's stencil (each point's, on a 1-axis grid), -1 if none is.
+    plaquette's stencil, -1 if none is.
     On overlaps the forms differ by the discrete d log of the transition ratio,
     up to O(h^2) density.
     """
@@ -249,10 +248,8 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
     conn = ChartedConnection(g, (sec0, sec1), cover, sing_floor, np.full(g.shape, -1))
     for i in range(len(cover)):
         conn.evaluate(i)
-        ok = conn.healthy[i]
-        if g.ndim == 2:
-            ok = np.logical_and.reduce([_roll(_roll(ok, g, 0, da), g, 1, db)
-                                        for da, db in _PLAQ_STENCIL])
+        ok = np.logical_and.reduce([_roll(_roll(conn.healthy[i], g, 0, da), g, 1, db)
+                                    for da, db in _PLAQ_STENCIL])
         conn.plaquette_chart[ok & (conn.plaquette_chart < 0)] = i
         if (conn.plaquette_chart >= 0).all():
             return conn
@@ -272,8 +269,6 @@ def curvature_of(conn: ChartedConnection) -> DiscreteForm:
     Plaquettes that no chart covers are masked.
     """
     g = conn.grid
-    if g.ndim != 2:
-        raise ValueError("curvature needs a 2-axis grid")
     vals = np.zeros(g.shape, dtype=complex)
     for i, form in enumerate(conn.omega):
         take = conn.plaquette_chart == i
@@ -332,9 +327,7 @@ def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
     if variant not in ("full", "simplified"):
         raise ValueError("variant must be 'full' or 'simplified'")
     g = sec0.grid
-    if g.ndim != 2:
-        raise ValueError("curvature needs a 2-axis grid")
-    g.require_periodic()
+    g.require_torus()
     _frames_pair(sec0, sec1)
     f0c, r0 = _plaquette_curvature_blocks(sec0)
     f1c, r1 = _plaquette_curvature_blocks(sec1)
@@ -398,9 +391,7 @@ def pair_links(sec0: ProjectionSection, sec1: ProjectionSection) -> np.ndarray:
 
 def plaquette_winding(grid: BaseGrid, links: np.ndarray) -> DiscreteForm:
     """Principal-log plaquette holonomy of normalized link overlaps."""
-    if grid.ndim != 2:
-        raise ValueError("plaquette holonomy needs a 2-axis grid")
-    grid.require_periodic()
+    grid.require_torus()
     links = np.asarray(links)
     if links.shape != grid.shape + (2,):
         raise ValueError("links must carry one complex overlap per edge")
@@ -492,9 +483,7 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
     """
     sec_a, sec_b = model.boundary_pair()
     g = sec_a.grid
-    g.require_periodic()
-    if g.ndim != 2:
-        raise ValueError("the additivity comparison needs a 2-axis grid")
+    g.require_torus()
 
     # one charted connection per pair; chart 0 of the default cover is the
     # plain overlap chart, which carries the one-form identity and F

@@ -22,4 +22,4 @@ class VortexOnLink(ValueError):
 
 
 class GridDomainError(IndexError):
-    """A stencil stepped over the boundary of a non-periodic axis."""
+    """A torus operation (a form, a neighbour step, a plaquette) met a 1-axis line grid."""

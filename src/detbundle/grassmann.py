@@ -1,7 +1,8 @@
 """Projections, sections of the restricted Grassmannian over a discretized base,
 and the small exterior calculus used to differentiate them.
 
-Conventions.  A base grid is a 1- or 2-axis lattice, periodic axes wrap.
+Conventions.  A base grid is a 2-axis torus, both axes wrapping, or a 1-axis
+open line that only samples a scan; forms and neighbour steps need the torus.
 Discrete k-forms store cell-integrated samples: degree 0 on points, degree 1 on
 the directed edge (b -> b + e_mu) at index [b, mu], degree 2 on the plaquette
 with lower-left corner b.  The coboundary is then the plain oriented sum and
@@ -40,11 +41,10 @@ PROJECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BaseGrid:
-    """Uniform lattice over a 1- or 2-dimensional parameter domain."""
+    """Uniform lattice: a 2-axis torus (both axes wrap) or a 1-axis open line."""
 
     shape: tuple[int, ...]
     spacing: tuple[float, ...]
-    periodic: tuple[bool, ...]
     origin: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -53,26 +53,23 @@ class BaseGrid:
             raise ValueError("grid must have 1 or 2 axes")
         if not self.origin:
             object.__setattr__(self, "origin", (0.0,) * d)
-        if len(self.spacing) != d or len(self.periodic) != d or len(self.origin) != d:
-            raise ValueError("shape, spacing, periodic and origin must have equal length")
+        if len(self.spacing) != d or len(self.origin) != d:
+            raise ValueError("shape, spacing and origin must have equal length")
         if any(int(n) < 4 for n in self.shape):
             raise ValueError("every axis needs at least 4 points")
         if any(not (0 < h < np.inf) for h in self.spacing):
             raise ValueError("grid spacing must be positive and finite")
 
     @classmethod
-    def torus(cls, n1: int, n2: int | None = None):
-        """Flat periodic grid with axis length 2*pi."""
-        length = 2.0 * np.pi
-        if n2 is None:
-            return cls((n1,), (length / n1,), (True,))
-        return cls((n1, n2), (length / n1, length / n2), (True, True))
+    def torus(cls, n1: int, n2: int):
+        """Flat 2-axis torus with axis length 2*pi."""
+        return cls((n1, n2), (2.0 * np.pi / n1, 2.0 * np.pi / n2))
 
     @classmethod
     def line(cls, n: int, start: float, stop: float):
         """Open 1-d scan grid; samples include both endpoints."""
         # __post_init__ rejects n < 4; max() only keeps n = 1 from dividing by zero
-        return cls((n,), ((stop - start) / max(n - 1, 1),), (False,), (float(start),))
+        return cls((n,), ((stop - start) / max(n - 1, 1),), (float(start),))
 
     @property
     def ndim(self) -> int:
@@ -87,42 +84,36 @@ class BaseGrid:
         return np.meshgrid(*axes, indexing="ij")
 
     def shift(self, idx: tuple[int, ...], axis: int, step: int) -> tuple[int, ...]:
+        self.require_torus()
         idx = tuple(int(i) for i in (idx if isinstance(idx, tuple) else (idx,)))
         if len(idx) != self.ndim:
             raise ValueError("index rank does not match grid")
-        j = idx[axis] + step
-        n = self.shape[axis]
-        if self.periodic[axis]:
-            j %= n
-        elif not (0 <= j < n):
-            raise GridDomainError(f"step over boundary of non-periodic axis {axis}")
         out = list(idx)
-        out[axis] = j
+        out[axis] = (idx[axis] + step) % self.shape[axis]
         return tuple(out)
 
     def plaquette_area(self) -> float:
-        if self.ndim != 2:
-            raise ValueError("plaquettes need a 2-axis grid")
+        self.require_torus()
         return self.spacing[0] * self.spacing[1]
 
-    def require_periodic(self):
-        if not all(self.periodic):
-            raise GridDomainError("operation requires all axes periodic")
+    def require_torus(self):
+        """The one grid-kind guard: a 1-axis grid is an open line, not a torus."""
+        if self.ndim != 2:
+            raise GridDomainError("operation needs a 2-axis torus, not a 1-axis line")
 
 
 def _roll(values: np.ndarray, grid: BaseGrid, axis: int, step: int) -> np.ndarray:
-    """Whole-field neighbor lookup; only legal on periodic axes."""
-    if not grid.periodic[axis]:
-        raise GridDomainError(f"axis {axis} is not periodic")
+    """Whole-field neighbor lookup on the torus."""
+    grid.require_torus()
     return np.roll(values, -step, axis=axis)
 
 
 @dataclass
 class DiscreteForm:
-    """Cell-integrated scalar k-form on a BaseGrid.
+    """Cell-integrated scalar k-form on a torus BaseGrid.
 
     samples shape: degree 0 and 2 -> grid.shape, degree 1 -> grid.shape +
-    (ndim,).  mask marks excluded cells (True = excluded) and always has the
+    (2,).  mask marks excluded cells (True = excluded) and always has the
     samples' shape; mask=None builds the all-False mask.
     """
 
@@ -134,8 +125,7 @@ class DiscreteForm:
     def __post_init__(self):
         if self.degree not in (0, 1, 2):
             raise ValueError("degree must be 0, 1 or 2")
-        if self.degree == 2 and self.grid.ndim != 2:
-            raise ValueError("degree-2 forms need a 2-axis grid")
+        self.grid.require_torus()
         self.samples = np.asarray(self.samples)
         cells = self.grid.shape + ((self.grid.ndim,) if self.degree == 1 else ())
         if self.samples.shape != cells:
@@ -147,7 +137,6 @@ class DiscreteForm:
     def coboundary(self) -> "DiscreteForm":
         """Discrete exterior derivative (oriented sum of face samples)."""
         g = self.grid
-        g.require_periodic()
         if self.degree == 0:
             out = np.stack(
                 [_roll(self.samples, g, ax, +1) - self.samples for ax in range(g.ndim)],
@@ -155,8 +144,6 @@ class DiscreteForm:
             )
             return DiscreteForm(g, 1, out)
         if self.degree == 1:
-            if g.ndim != 2:
-                raise ValueError("coboundary of a 1-form needs a 2-axis grid")
             e0 = self.samples.take(0, axis=2)
             e1 = self.samples.take(1, axis=2)
             out = e0 + _roll(e1, g, 0, +1) - _roll(e0, g, 1, +1) - e1
@@ -188,7 +175,7 @@ class DiscreteForm:
         Masked cells are written as nan, nan: their samples are not data.
         """
         v = np.where(self.mask, complex(np.nan, np.nan), self.samples).ravel()
-        header = ["i", "j"][: self.grid.ndim] + (["mu"] if self.degree == 1 else []) + ["re", "im"]
+        header = ["i", "j"] + (["mu"] if self.degree == 1 else []) + ["re", "im"]
         cols = [i.ravel().tolist() for i in np.indices(self.samples.shape)]
         cols += [v.real.tolist(), v.imag.tolist()]
         with open(path, "w", newline="") as fh:
@@ -283,7 +270,7 @@ class ProjectionSection:
         if "smoothness" not in self._derived:
             g, v, c = self.grid, self.values, 0.0
             for ax in range(g.ndim):
-                d = _roll(v, g, ax, +1) - v if g.periodic[ax] else np.diff(v, axis=ax)
+                d = _roll(v, g, ax, +1) - v
                 if d.size:
                     c = max(c, float(np.max(np.linalg.norm(d, ord=2, axis=(-2, -1)))) / g.spacing[ax])
             self._derived["smoothness"] = c
@@ -407,9 +394,6 @@ def curvature_trace_form(section: ProjectionSection) -> DiscreteForm:
     differences, times the plaquette area (samples are integrals).
     """
     g = section.grid
-    if g.ndim != 2:
-        raise ValueError("curvature needs a 2-axis grid")
-    g.require_periodic()
     pc, comm = _plaquette_corners(section.values, g)
     vals = np.trace(pc @ comm, axis1=-2, axis2=-1) * g.plaquette_area()
     return DiscreteForm(g, 2, vals)
@@ -424,7 +408,6 @@ def _frame_transports(section: ProjectionSection) -> np.ndarray:
     """
     if "transports" not in section._derived:
         g = section.grid
-        g.require_periodic()
         f = section.frames()
         fh = np.swapaxes(f.conj(), -1, -2)
         out = [bmm(fh, _roll(f, g, ax, +1)) for ax in range(g.ndim)]

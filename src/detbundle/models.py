@@ -47,10 +47,10 @@ class Dirac1DFamily:
     Parameters
     ----------
     grid : BaseGrid
-        Parameter lattice; 1 axis for scans, 2 axes (periodic) for curvature.
+        Parameter lattice: a 1-axis line for scans, a 2-axis torus for curvature.
     potential : callable
         potential(b1, b2, x) -> array of Hermitian (n, n) blocks, broadcasting
-        over the coordinate arrays b1, b2 (b2 is zero-filled on 1-axis grids).
+        over the coordinate arrays b1, b2 (b2 is zero-filled on a 1-axis line).
         Must be 2*pi periodic in x.
     rank : int
         Block size n.
@@ -98,6 +98,9 @@ class Dirac1DFamily:
         want = self.grid.shape + (self.rank, self.rank)
         if a.shape != want:
             try:
+                # only the grid axes broadcast: a scalar or a row is not an (n, n) block
+                if a.shape[-2:] != want[-2:]:
+                    raise ValueError
                 a = np.broadcast_to(a, want)
             except ValueError:
                 raise ValueError(f"potential blocks have shape {a.shape}, want {want}") from None
@@ -331,9 +334,7 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
     near-degeneracy to the disc.
     """
     g = fam.grid
-    if g.ndim != 2:
-        raise ValueError("the twisted interface needs a 2-axis grid")
-    g.require_periodic()
+    g.require_torus()
     if not (0 < radius < np.pi):
         raise ValueError("radius must fit inside the fundamental domain")
     t = fam.transfer_field(0.0, np.pi)
@@ -416,7 +417,7 @@ def smoothing_perturbation(seed: int, gamma: float, truncation: int) -> np.ndarr
 
 
 class CylinderFamily:
-    """Truncated boundary family diag(k) + smoothing perturbation over a grid.
+    """Truncated boundary family diag(k) + smoothing perturbation over a torus.
 
     style="conjugated" rotates diag(k) by exp(i S(b)) with S(b) built from two
     seeded smoothing matrices and periodic profile functions; the spectrum is
@@ -432,6 +433,7 @@ class CylinderFamily:
             raise ValueError("truncation must be at least 1")
         if style not in ("conjugated", "additive"):
             raise ValueError("style must be 'conjugated' or 'additive'")
+        grid.require_torus()
         self.grid = grid
         self.truncation = int(truncation)
         self.gamma = float(gamma)
@@ -439,9 +441,7 @@ class CylinderFamily:
         self.amplitude = float(amplitude)
         self.style = style
         self.modes = np.arange(-truncation, truncation + 1)
-        b = grid.coords()
-        self._b1 = b[0]
-        self._b2 = b[1] if grid.ndim == 2 else np.zeros_like(b[0])
+        self._b1, self._b2 = grid.coords()
         self._aps: ProjectionSection | None = None
 
     def _phase_matrix(self, scale: float, seed: int) -> np.ndarray:
@@ -457,14 +457,13 @@ class CylinderFamily:
         d = np.diag(self.modes.astype(complex))
         if self.style == "conjugated":
             u = _expi(self._phase_matrix(self.amplitude, self.seed))
-            return u @ d[(None,) * self.grid.ndim] @ np.swapaxes(u.conj(), -1, -2)
+            return u @ d @ np.swapaxes(u.conj(), -1, -2)
         v = smoothing_perturbation(self.seed, self.gamma, self.truncation).copy()
         zero = self.truncation
         v[zero, :] = 0.0
         v[:, zero] = 0.0
-        f = 0.35 * np.cos(self._b1) * np.cos(self._b2) if self.grid.ndim == 2 \
-            else 0.35 * np.cos(self._b1)
-        return d[(None,) * self.grid.ndim] + f[..., None, None] * v
+        f = 0.35 * np.cos(self._b1) * np.cos(self._b2)
+        return d + f[..., None, None] * v
 
     def aps_section(self) -> ProjectionSection:
         """Non-negative spectral projections of the boundary family.

@@ -446,6 +446,16 @@ def test_sweep_rejects_bad_range(tmp_path, capsys):
         assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_sweep_rejects_the_cylinder_family(tmp_path, capsys):
+    # the cylinder family lives on a torus; the kind is refused before any
+    # family is built on the sweep's line
+    cfg = tmp_path / "cylinder.cfg"
+    cfg.write_text("[model]\nkind = Cylinder\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: sweep supports the transfer-matrix families only\n"
+
+
 def test_shipped_demo_config_loads():
     cfg = load_config(str(CONFIGS / "demo.cfg"))
     assert cfg["interface"]["kind"] == "rotated"

@@ -510,31 +510,12 @@ def test_evaluate_with_no_charts_does_nothing(demo16, rot16):
     assert len(conn.omega) == before
 
 
-def test_lazy_atlas_on_rank_zero_and_one_axis_pairs():
+def test_lazy_atlas_on_rank_zero_pairs():
     zero = ProjectionSection.build(BaseGrid.torus(8, 8), np.zeros((8, 8, 2, 0)))
     conn = connection_one_form(zero, zero)
     assert len(conn.omega) == 1 and (conn.plaquette_chart == 0).all()
     for form in patching_residuals(conn, 0, 3).values():
         assert not form.mask.any() and not np.abs(form.samples).any()
-    # on a circle the stop rule reads points: the frame of leg 1 turns to a
-    # right angle with leg 0 at the top, where only the swap chart is healthy
-    g = BaseGrid.torus(12)
-    theta = np.arange(12) * g.spacing[0]
-    f0 = np.zeros((12, 2, 1), dtype=complex)
-    f0[:, 0, 0] = 1.0
-    for top, evaluated in ((0.3, 1), (np.pi / 2, 4)):
-        turn = top * (1.0 - np.cos(theta)) / 2.0
-        f1 = np.stack([np.cos(turn), np.sin(turn)], axis=-1)[..., None].astype(complex)
-        sec0, sec1 = ProjectionSection.build(g, f0), ProjectionSection.build(g, f1)
-        conn = connection_one_form(sec0, sec1)
-        assert len(conn.omega) == evaluated
-        assert (conn.plaquette_chart == np.where(np.isclose(turn, np.pi / 2), 3, 0)).all()
-        for i, chart in enumerate(default_cover(2)[:evaluated]):
-            ref = _chart_edge_data(sec0, sec1, chart, 0.1)
-            assert np.array_equal(conn.omega[i].samples, ref["omega"])
-            assert np.array_equal(conn.omega[i].mask, ref["edge_mask"])
-    with pytest.raises(ValueError):
-        curvature_of(conn)
 
 
 # -- Chern numbers ----------------------------------------------------------------------

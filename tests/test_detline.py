@@ -21,7 +21,7 @@ from detbundle.detline import (
     transition,
 )
 from detbundle.errors import OutOfChart
-from detbundle.grassmann import BaseGrid, Projection, graph_projection
+from detbundle.grassmann import BaseGrid, Projection
 from detbundle.models import constant_scalar_family
 from detbundle.opcalc import fredholm_det
 

@@ -1,4 +1,5 @@
-"""Every exported name resolves, and every public name has a caller outside the tests."""
+"""Every exported name resolves, every public name has a caller outside the
+tests, and no file imports a name it never reads."""
 
 import ast
 import importlib
@@ -72,3 +73,23 @@ def test_every_public_member_has_a_caller_outside_tests():
             if member not in callers and f"{name}.{member}" not in callers:
                 uncalled.append(f"{name}.{member}")
     assert uncalled == []
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    # __init__.py imports to re-export, so it is the one file exempt
+    files = [p for p in (ROOT / "src" / "detbundle").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    unread = []
+    for path in sorted(files):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.relative_to(ROOT)}: {bound}")
+    assert unread == []

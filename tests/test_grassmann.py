@@ -20,7 +20,17 @@ from detbundle.grassmann import (
     spectral_projection,
     toeplitz_inverse,
 )
-from detbundle.models import bloch_curvature_density, bloch_section, bloch_vector, demo_family, rotated_interface
+from detbundle.curvature import connection_one_form, curvature_families_formula, plaquette_winding
+from detbundle.models import (
+    CylinderFamily,
+    bloch_curvature_density,
+    bloch_section,
+    bloch_vector,
+    constant_scalar_family,
+    demo_family,
+    rotated_interface,
+    vortex_interface,
+)
 from detbundle.opcalc import operator_norm
 
 from conftest import random_complex, random_frame, random_projection
@@ -33,7 +43,8 @@ def test_torus_grid_layout():
     g = BaseGrid.torus(8, 16)
     assert g.shape == (8, 16)
     assert g.spacing == (2.0 * np.pi / 8, 2.0 * np.pi / 16)
-    assert all(g.periodic)
+    assert g.ndim == 2
+    g.require_torus()
     assert g.plaquette_area() == pytest.approx(g.spacing[0] * g.spacing[1])
 
 
@@ -42,7 +53,9 @@ def test_line_grid_includes_endpoints():
     c = g.axis_coords(0)
     assert c[0] == pytest.approx(-0.5)
     assert c[-1] == pytest.approx(2.5)
-    assert not g.periodic[0]
+    assert g.ndim == 1
+    with pytest.raises(GridDomainError):
+        g.require_torus()
 
 
 def test_shift_wraps_only_on_periodic_axes():
@@ -51,6 +64,29 @@ def test_shift_wraps_only_on_periodic_axes():
     line = BaseGrid.line(4, 0.0, 1.0)
     with pytest.raises(GridDomainError):
         line.shift((3,), 0, 1)
+
+
+TORUS_ONLY = {
+    "shift": lambda line, sec: line.shift((0,), 0, 1),
+    "plaquette_area": lambda line, sec: line.plaquette_area(),
+    "DiscreteForm": lambda line, sec: DiscreteForm(line, 0, np.zeros(line.shape)),
+    "section_links": lambda line, sec: section_links(sec),
+    "connection_one_form": lambda line, sec: connection_one_form(sec, sec),
+    "curvature_families_formula": lambda line, sec: curvature_families_formula(sec, sec),
+    "plaquette_winding": lambda line, sec: plaquette_winding(line, np.ones(line.shape + (2,))),
+    "vortex_interface": lambda line, sec: vortex_interface(
+        constant_scalar_family(line, steps_per_half=16)),
+    "CylinderFamily": lambda line, sec: CylinderFamily(line, truncation=2),
+}
+
+
+@pytest.mark.parametrize("call", TORUS_ONLY.values(), ids=TORUS_ONLY.keys())
+def test_torus_operations_reject_a_line_grid(call):
+    # require_torus is the one grid-kind guard, and every torus operation meets it
+    line = BaseGrid.line(6, 0.0, 1.0)
+    sec = ProjectionSection.build(line, np.broadcast_to(np.eye(2, 1, dtype=complex), (6, 2, 1)))
+    with pytest.raises(GridDomainError):
+        call(line, sec)
 
 
 def test_grid_rejects_tiny_axes():

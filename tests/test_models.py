@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from detbundle import verify
-from detbundle.detline import canonical_det, chart_coordinate, metric_norm_sq
-from detbundle.errors import OutOfChart
+from detbundle.detline import metric_norm_sq
 from detbundle.grassmann import BaseGrid, graph_projection
 from detbundle.models import (
     DEMO_COEFFICIENTS,
@@ -164,6 +163,10 @@ def test_transfer_requires_lattice_aligned_endpoints():
     # the 1x1 closed form would drop the imaginary part
     (1, np.array([[0.3 + 0.5j]]), "Hermitian"),
     (2, np.eye(3), r"shape \(3, 3\), want \(4, 4, 2, 2\)"),
+    # a scalar or a 1x1 sample is not c*I, and a row is not a block
+    (2, 0.3, r"shape \(\), want \(4, 4, 2, 2\)"),
+    (2, np.array([[0.3]]), r"shape \(1, 1\), want \(4, 4, 2, 2\)"),
+    (2, np.array([0.3, 0.1]), r"shape \(2,\), want \(4, 4, 2, 2\)"),
 ])
 def test_transfer_rejects_non_hermitian_or_misshaped_potentials(rank, block, message):
     fam = Dirac1DFamily(BaseGrid.torus(4, 4), lambda b1, b2, x: block, rank=rank,
