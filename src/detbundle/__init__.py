@@ -65,7 +65,6 @@ from .models import (
 from .curvature import (
     ChartedConnection,
     CurvatureReport,
-    PairChart,
     additivity_residual,
     chern_number,
     chern_of_pair,
@@ -102,7 +101,7 @@ __all__ = [
     "coefficient_family", "constant_scalar_family", "demo_family",
     "potential_from_coefficients", "rotated_interface",
     "smoothing_perturbation", "vortex_interface",
-    "ChartedConnection", "CurvatureReport", "PairChart", "additivity_residual",
+    "ChartedConnection", "CurvatureReport", "additivity_residual",
     "chern_number", "chern_of_pair", "chern_of_section",
     "composition_trace_identity", "connection_one_form",
     "curvature_families_formula", "curvature_of", "default_cover", "f_function",

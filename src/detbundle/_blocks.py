@@ -127,6 +127,12 @@ def trace_solve(m: np.ndarray, ts) -> list[np.ndarray]:
              - m[..., 1, 0] * t[..., 0, 1] + m[..., 0, 0] * t[..., 1, 1]) / d for t in ts]
 
 
+def _cond_ok(m: np.ndarray, cond_bound: float) -> np.ndarray:
+    """Per matrix of a stack: nonzero and within the condition bound."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return (s[..., -1] * cond_bound >= s[..., 0]) & (s[..., 0] > 0)
+
+
 def orthonormalizer(a: np.ndarray) -> np.ndarray:
     """Upper-triangular R^-1 with R* R = a, so X R^-1 is orthonormal when X* X = a;
     R* is the Cholesky factor of a."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._blocks import det
+from ._blocks import _cond_ok, det
 from .errors import CoverageError, DegenerateSpectrum, NearSingular, OutOfChart, VortexOnLink
 from .grassmann import BaseGrid
-from .detline import _cond_ok
 from .models import (
     DEMO_COEFFICIENTS,
     CylinderFamily,
@@ -38,7 +38,7 @@ from .models import (
     vortex_interface,
 )
 from .curvature import additivity_residual, default_cover, pair_overlap_field
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "load_config", "config_hash"]
 
@@ -171,7 +171,7 @@ def build_family(cfg: dict[str, dict[str, str]], grid: BaseGrid):
             return CylinderFamily(
                 grid,
                 truncation=_as_int(cfg, "cylinder", "truncation"),
-                gamma=_positive(_as_float(cfg, "cylinder", "gamma"), "cylinder.gamma"),
+                gamma=_as_float(cfg, "cylinder", "gamma"),
                 seed=_seed(cfg),
                 amplitude=_as_float(cfg, "cylinder", "amplitude"),
                 style=cfg["cylinder"]["style"].strip().lower(),
@@ -240,14 +240,16 @@ def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     report = _meta(cfg, f"verify {suite}", _grid_axes(cfg))
     tol = _positive(_as_float(cfg, "run", "tol"), "run.tol")
-    curvature_kwargs = {}
+    kwargs = {}
     if "curvature" in names:
         grid = _torus_from(cfg)
-        curvature_kwargs = _chart_settings(cfg)
+        kwargs = _chart_settings(cfg)
         family = build_family(cfg, grid)
-        curvature_kwargs.update(family=family, section=build_interface(cfg, family))
-    results = run_suites(names, seed=report["seed"], tol=tol, curvature_kwargs=curvature_kwargs)
-    report["suites"] = {name: [c.as_dict() for c in checks]
+        kwargs.update(family=family, section=build_interface(cfg, family))
+    results = {name: run_suite(name, seed=report["seed"], tol=tol,
+                               **(kwargs if name == "curvature" else {}))
+               for name in names}
+    report["suites"] = {name: [dataclasses.asdict(c) for c in checks]
                         for name, checks in results.items()}
     failures = [f"{name}.{c.name}" for name, checks in results.items()
                 for c in checks if not c.passed]
@@ -356,8 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", metavar="K", type=int, help="override run seed")
         p.add_argument("--out", metavar="DIR", default="out",
                        help="output directory (default: ./out)")
-        p.add_argument("--tol", metavar="X", type=float,
-                       help="override the base tolerance")
 
     pv = sub.add_parser("verify", help="run invariant suites")
     pv.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
@@ -377,8 +377,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["grid.n2"] = str(args.grid)
     if args.seed is not None:
         overrides["run.seed"] = str(args.seed)
-    if args.tol is not None:
-        overrides["run.tol"] = repr(args.tol)
     try:
         cfg = load_config(args.config, overrides)
         out_dir = Path(args.out)

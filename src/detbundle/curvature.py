@@ -29,18 +29,13 @@ from .grassmann import (
     DiscreteForm,
     Projection,
     ProjectionSection,
-    _frame_transports,
-    _plaquette_corners,
-    _readonly,
     _roll,
-    nearest_projection,
     section_links,
     toeplitz_inverse,
 )
 from .opcalc import as_matrix
 
 __all__ = [
-    "PairChart",
     "default_cover",
     "ChartedConnection",
     "CurvatureReport",
@@ -67,28 +62,12 @@ __all__ = [
 VORTEX_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class PairChart:
-    """Chart datum for a projection pair: compress I + block.
+def default_cover(dim: int) -> list[np.ndarray | None]:
+    """Plain chart plus three constant-block shifts that bridge degeneracies.
 
-    block=None is the plain overlap chart.  The ambient block is constant
-    over the base, so the chart datum is smooth wherever it is invertible.
+    A chart of a projection pair is its constant ambient block C: the pair is
+    compressed through I + C, and None is the plain overlap chart C = 0.
     """
-
-    block: np.ndarray | None = None
-
-    def ambient(self, dim: int) -> np.ndarray:
-        out = np.eye(dim, dtype=complex)
-        if self.block is None:
-            return out
-        c = as_matrix(self.block)
-        if c.shape != (dim, dim):
-            raise ValueError("chart block does not match the ambient dimension")
-        return out + c
-
-
-def default_cover(dim: int) -> list[PairChart]:
-    """Plain chart plus three constant-block shifts that bridge degeneracies."""
     n = dim // 2
     upper = np.zeros((dim, dim), dtype=complex)
     upper[:n, :n] = np.eye(n)
@@ -97,7 +76,7 @@ def default_cover(dim: int) -> list[PairChart]:
     swap = np.zeros((dim, dim), dtype=complex)
     swap[:n, n:] = np.eye(n, dim - n)
     swap[n:, :n] = np.eye(dim - n, n)
-    return [PairChart(), PairChart(upper), PairChart(lower), PairChart(swap)]
+    return [None, upper, lower, swap]
 
 
 def _wrap_branch(values: np.ndarray) -> np.ndarray:
@@ -120,18 +99,22 @@ def _frames_pair(sec0: ProjectionSection, sec1: ProjectionSection):
     return sec0.frames(), sec1.frames()
 
 
-def _chart_datum(f0: np.ndarray, f1: np.ndarray, chart: PairChart) -> np.ndarray:
-    """Compressed chart datum M = F1* (I + C) F0 of stacked range frames."""
+def _chart_datum(f0: np.ndarray, f1: np.ndarray, chart: np.ndarray | None) -> np.ndarray:
+    """Compressed chart datum M = F1* (I + C) F0 of stacked range frames; None is C = 0."""
     f1h = np.swapaxes(f1.conj(), -1, -2)
-    if chart.block is None:
+    if chart is None:
         return bmm(f1h, f0)
+    dim = f0.shape[-2]
+    c = as_matrix(chart)
+    if c.shape != (dim, dim):
+        raise ValueError("chart block does not match the ambient dimension")
     # one product for the whole stack of frames, not one per point
-    amb_f0 = np.moveaxis(np.tensordot(chart.ambient(f0.shape[-2]), f0, axes=(1, -2)), 0, -2)
+    amb_f0 = np.moveaxis(np.tensordot(np.eye(dim, dtype=complex) + c, f0, axes=(1, -2)), 0, -2)
     return bmm(f1h, amb_f0)
 
 
 def pair_overlap_field(sec0: ProjectionSection, sec1: ProjectionSection,
-                       chart: PairChart = PairChart()) -> np.ndarray:
+                       chart: np.ndarray | None = None) -> np.ndarray:
     """Chart datum M(b) = F1(b)* (I + C) F0(b) of the pair; the plain overlap F1* F0 by default."""
     return _chart_datum(*_frames_pair(sec0, sec1), chart)
 
@@ -142,7 +125,7 @@ def pair_metric_field(sec0: ProjectionSection, sec1: ProjectionSection) -> np.nd
 
 
 def restricted_shift_field(sec0: ProjectionSection, sec1: ProjectionSection,
-                           chart: PairChart) -> np.ndarray:
+                           chart: np.ndarray) -> np.ndarray:
     """Compressed chart shift F1* C F0: the chart datum minus the plain overlap."""
     return pair_overlap_field(sec0, sec1, chart) - pair_overlap_field(sec0, sec1)
 
@@ -163,7 +146,7 @@ def _dlog_edges(values: np.ndarray, g: BaseGrid) -> np.ndarray:
 
 
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
-                     chart: PairChart, sing_floor: float) -> dict:
+                     chart: np.ndarray | None, sing_floor: float) -> dict:
     """Edge samples of the chart connection form plus health bookkeeping.
 
     Everything is computed on k x k blocks.  With the frame transport
@@ -175,7 +158,7 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
     g = sec0.grid
     m = pair_overlap_field(sec0, sec1, chart)
     healthy, msafe = _guard(m, sing_floor)
-    u0, u1 = _frame_transports(sec0), _frame_transports(sec1)
+    u0, u1 = sec0.transports, sec1.transports
     ts = []
     for ax in range(g.ndim):
         u0f, u1f = u0[..., ax, :, :], u1[..., ax, :, :]
@@ -214,7 +197,7 @@ class ChartedConnection:
 
     grid: BaseGrid
     sections: tuple[ProjectionSection, ProjectionSection]
-    cover: list[PairChart]
+    cover: list[np.ndarray | None]
     sing_floor: float
     plaquette_chart: np.ndarray
     omega: list[DiscreteForm] = field(default_factory=list)
@@ -299,42 +282,21 @@ def patching_residuals(conn: ChartedConnection, a: int, b: int) -> dict[str, Dis
     }
 
 
-def _plaquette_curvature_blocks(sec: ProjectionSection):
-    """Center range frames and sandwiched curvature block per plaquette.
-
-    Both come from one eigh of the corner average and are cached read-only
-    on the section, like its links.
-    """
-    if "plaquette_blocks" not in sec._derived:
-        pc, comm = _plaquette_corners(sec.values, sec.grid)
-        pc, fc = nearest_projection(pc, sec.base_rank)
-        sec._derived["plaquette_blocks"] = (
-            _readonly(fc.copy()), _readonly(pc @ comm @ pc * sec.grid.plaquette_area()))
-    return sec._derived["plaquette_blocks"]
-
-
 def curvature_families_formula(sec0: ProjectionSection, sec1: ProjectionSection,
-                               variant: str = "full",
                                sing_floor: float = 0.1) -> DiscreteForm:
-    """Curvature plaquettes from the two subbundle curvature blocks.
+    """Curvature plaquettes tr(X R1 Phi) - tr(R0) from the two subbundle curvature blocks.
 
-    variant="full" evaluates tr(X R1 Phi) - tr(R0) with Phi the compression
-    between the plaquette-center projections and X its compressed inverse;
-    variant="simplified" evaluates tr(R1) - tr(R0), the split-fibration
-    shortcut.  The two agree to machine precision wherever X exists, and the
-    full variant masks plaquettes with a near-singular compression.
+    R0 and R1 are the sections' plaquette blocks, Phi the compression between
+    their plaquette-centre projections and X its compressed inverse.
+    Plaquettes with a near-singular compression are masked.
     """
-    if variant not in ("full", "simplified"):
-        raise ValueError("variant must be 'full' or 'simplified'")
     g = sec0.grid
     g.require_torus()
     _frames_pair(sec0, sec1)
-    f0c, r0 = _plaquette_curvature_blocks(sec0)
-    f1c, r1 = _plaquette_curvature_blocks(sec1)
+    f0c, r0 = sec0.plaquette_blocks
+    f1c, r1 = sec1.plaquette_blocks
     tr0 = np.trace(r0, axis1=-2, axis2=-1)
-    if variant == "simplified":
-        return DiscreteForm(g, 2, np.trace(r1, axis1=-2, axis2=-1) - tr0)
-    healthy, mcsafe = _guard(_chart_datum(f0c, f1c, PairChart()), sing_floor)
+    healthy, mcsafe = _guard(_chart_datum(f0c, f1c, None), sing_floor)
     n = bmm(bmm(np.swapaxes(f1c.conj(), -1, -2), r1), f0c)
     vals = trace_solve(mcsafe, [n])[0] - tr0
     return DiscreteForm(g, 2, vals, mask=~healthy)

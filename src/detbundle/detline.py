@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import bmm, det
+from ._blocks import _cond_ok, bmm, det
 from .errors import OutOfChart
 from .grassmann import Projection
 from .opcalc import as_matrix, fredholm_det, schatten_profile
@@ -84,12 +84,6 @@ def canonical_det(a) -> LineElement:
 
 # condition-number bound of a chart domain: sigma_max <= COND_BOUND * sigma_min
 COND_BOUND = 1e10
-
-
-def _cond_ok(m: np.ndarray, cond_bound: float) -> np.ndarray:
-    """Per matrix of a stack: nonzero and within the condition bound."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return (s[..., -1] * cond_bound >= s[..., 0]) & (s[..., 0] > 0)
 
 
 def _chart_det(m: np.ndarray, rhs: np.ndarray, message: str) -> complex:

@@ -13,6 +13,7 @@ normalized by cell volume, so second-order schemes show O(h^2) densities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -219,6 +220,18 @@ class Projection:
         return self._frame
 
 
+def _plaquette_corners(values: np.ndarray, grid: BaseGrid):
+    """Per plaquette: corner-averaged P and [d0 P, d1 P] of face-averaged central differences."""
+    c00 = values
+    c10 = _roll(values, grid, 0, +1)
+    c01 = _roll(values, grid, 1, +1)
+    c11 = _roll(c10, grid, 1, +1)
+    pc = 0.25 * (c00 + c10 + c01 + c11)
+    d0 = (c10 + c11 - c00 - c01) / (2.0 * grid.spacing[0])
+    d1 = (c01 + c11 - c00 - c10) / (2.0 * grid.spacing[1])
+    return pc, d0 @ d1 - d1 @ d0
+
+
 def nearest_projection(h: np.ndarray, rank: int):
     """Closest orthogonal projection to a Hermitian matrix with a spectral gap at 1/2.
 
@@ -236,13 +249,13 @@ class ProjectionSection:
     """Field of rank-k projections over a BaseGrid, owned by their range frames.
 
     An immutable value: ``build`` keeps a read-only copy of orthonormal range
-    frames F; the projections F F*, the complement, the smoothness constant,
-    the frame transports and the ``section_links`` are cached on first use.
+    frames F; the projections F F*, the smoothness constant, the frame
+    transports, the links, the plaquette blocks and the complement are cached
+    properties, computed on first read.
     """
 
     grid: BaseGrid
     _frames: np.ndarray = field(repr=False)
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, grid: BaseGrid, frames) -> "ProjectionSection":
@@ -257,39 +270,67 @@ class ProjectionSection:
     def dim(self) -> int:
         return self._frames.shape[-2]
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
         """Read-only projections F F*, shape grid.shape + (dim, dim)."""
-        if "values" not in self._derived:
-            self._derived["values"] = _readonly(self._frames @ np.swapaxes(self._frames.conj(), -1, -2))
-        return self._derived["values"]
+        return _readonly(self._frames @ np.swapaxes(self._frames.conj(), -1, -2))
 
-    @property
+    @cached_property
     def smoothness(self) -> float:
         """Constant C with ||P(b+e) - P(b)|| <= C*h over all grid edges."""
-        if "smoothness" not in self._derived:
-            g, v, c = self.grid, self.values, 0.0
-            for ax in range(g.ndim):
-                d = _roll(v, g, ax, +1) - v
-                if d.size:
-                    c = max(c, float(np.max(np.linalg.norm(d, ord=2, axis=(-2, -1)))) / g.spacing[ax])
-            self._derived["smoothness"] = c
-        return self._derived["smoothness"]
+        g, v, c = self.grid, self.values, 0.0
+        for ax in range(g.ndim):
+            d = _roll(v, g, ax, +1) - v
+            if d.size:
+                c = max(c, float(np.max(np.linalg.norm(d, ord=2, axis=(-2, -1)))) / g.spacing[ax])
+        return c
+
+    @cached_property
+    def transports(self) -> np.ndarray:
+        """Read-only forward frame transports U(b, b+e) = F(b)* F(b+e) along each axis.
+
+        Shape grid.shape + (ndim, k, k).  The backward transport U(b, b-e) is
+        the adjoint of the forward one at b-e, so it is not stored.
+        """
+        g = self.grid
+        f = self.frames()
+        fh = np.swapaxes(f.conj(), -1, -2)
+        out = [bmm(fh, _roll(f, g, ax, +1)) for ax in range(g.ndim)]
+        return _readonly(np.stack(out, axis=g.ndim))
+
+    @cached_property
+    def _links(self) -> np.ndarray:
+        return _readonly(det(self.transports))
+
+    @cached_property
+    def plaquette_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only centre range frames and sandwiched curvature block per plaquette.
+
+        Both come from one eigh of the corner-averaged projection: the frames
+        span its nearest projection Pc, and the block is Pc [d0 P, d1 P] Pc
+        times the plaquette area.
+        """
+        pc, comm = _plaquette_corners(self.values, self.grid)
+        pc, fc = nearest_projection(pc, self.base_rank)
+        return _readonly(fc.copy()), _readonly(pc @ comm @ pc * self.grid.plaquette_area())
 
     def frames(self) -> np.ndarray:
         """Read-only orthonormal range frames, shape grid.shape + (dim, base_rank)."""
         return self._frames
 
+    @cached_property
+    def _complement(self) -> "ProjectionSection":
+        comp = ProjectionSection.build(self.grid, spectral_frames(np.eye(self.dim) - 2.0 * self.values))
+        self._set_complement(comp)
+        return comp
+
     def complement(self) -> "ProjectionSection":
         """Section of I - P (+1 eigenspaces of I - 2P); its complement is this section."""
-        if "complement" not in self._derived:
-            self._set_complement(ProjectionSection.build(
-                self.grid, spectral_frames(np.eye(self.dim) - 2.0 * self.values)))
-        return self._derived["complement"]
+        return self._complement
 
     def _set_complement(self, comp: "ProjectionSection") -> None:
         """Record comp, built from frames of ran(I - P), as the complement both ways."""
-        self._derived["complement"], comp._derived["complement"] = comp, self
+        self.__dict__["_complement"], comp.__dict__["_complement"] = comp, self
 
 
 def spectral_frames(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
@@ -375,18 +416,6 @@ def second_fundamental_form(section: ProjectionSection, idx, axis: int) -> np.nd
     return (np.eye(section.dim) - p) @ diff @ p
 
 
-def _plaquette_corners(values: np.ndarray, grid: BaseGrid):
-    """Per plaquette: corner-averaged P and [d0 P, d1 P] of face-averaged central differences."""
-    c00 = values
-    c10 = _roll(values, grid, 0, +1)
-    c01 = _roll(values, grid, 1, +1)
-    c11 = _roll(c10, grid, 1, +1)
-    pc = 0.25 * (c00 + c10 + c01 + c11)
-    d0 = (c10 + c11 - c00 - c01) / (2.0 * grid.spacing[0])
-    d1 = (c01 + c11 - c00 - c10) / (2.0 * grid.spacing[1])
-    return pc, d0 @ d1 - d1 @ d0
-
-
 def curvature_trace_form(section: ProjectionSection) -> DiscreteForm:
     """Scalar curvature 2-form Tr(P [dP, dP]) of the subbundle ran(P).
 
@@ -399,29 +428,11 @@ def curvature_trace_form(section: ProjectionSection) -> DiscreteForm:
     return DiscreteForm(g, 2, vals)
 
 
-def _frame_transports(section: ProjectionSection) -> np.ndarray:
-    """Forward frame transports U(b, b+e) = F(b)* F(b+e) along each axis.
-
-    Shape grid.shape + (ndim, k, k).  The backward transport U(b, b-e) is the
-    adjoint of the forward one at b-e, so it is not stored.  Computed once
-    per section and cached read-only, like its frames.
-    """
-    if "transports" not in section._derived:
-        g = section.grid
-        f = section.frames()
-        fh = np.swapaxes(f.conj(), -1, -2)
-        out = [bmm(fh, _roll(f, g, ax, +1)) for ax in range(g.ndim)]
-        section._derived["transports"] = _readonly(np.stack(out, axis=g.ndim))
-    return section._derived["transports"]
-
-
 def section_links(section: ProjectionSection) -> np.ndarray:
     """Frame overlap determinants det(F(b)* F(b+e)) along each axis.
 
     The per-point frame gauge is arbitrary; closed-loop products of these
     links are gauge independent.  Shape: grid.shape + (ndim,).  These are
-    the determinants of the cached frame transports, cached read-only too.
+    the determinants of the section's cached transports, cached read-only too.
     """
-    if "links" not in section._derived:
-        section._derived["links"] = _readonly(det(_frame_transports(section)))
-    return section._derived["links"]
+    return section._links

@@ -433,6 +433,12 @@ class CylinderFamily:
             raise ValueError("truncation must be at least 1")
         if style not in ("conjugated", "additive"):
             raise ValueError("style must be 'conjugated' or 'additive'")
+        if not 0 < gamma < np.inf:
+            raise ValueError("decay rate gamma must be positive and finite")
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not np.isfinite(amplitude):
+            raise ValueError("amplitude must be finite")
         grid.require_torus()
         self.grid = grid
         self.truncation = int(truncation)

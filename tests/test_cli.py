@@ -250,6 +250,20 @@ def test_verify_degenerate_curvature_exits_one(tmp_path, capsys):
     assert any("exclusion" in name for name in report["failures"])
 
 
+def test_verify_reports_uncovered_points_with_the_error_message(tmp_path, capsys):
+    # every point lies outside every chart domain: no edge fraction is
+    # measured, so the check carries nan and the coverage error's own message
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("[model]\nsteps_per_half = 16\n[grid]\nn1 = 8\nn2 = 8\n"
+                   "[run]\nsing_floor = 1e300\n")
+    assert main(["verify", "curvature", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "[FAIL] curvature.exclusion_coverage  measured=nan" in capsys.readouterr().out
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    check = report["suites"]["curvature"][0]
+    assert check["name"] == "exclusion_coverage" and math.isnan(check["measured"])
+    assert check["detail"] == "64 grid points lie outside every chart domain"
+
+
 # -- curvature ----------------------------------------------------------------------
 
 
@@ -281,6 +295,13 @@ def test_curvature_flat_family_all_zero(tmp_path):
     report = json.loads((out / "curvature_report.json").read_text())
     assert report["report"]["chern"] == {"full": 0, "left": 0, "right": 0,
                                          "additive": True}
+
+
+def test_curvature_has_no_tol_flag(tmp_path):
+    # the base tolerance is the config key run.tol; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", "--tol", "1e-3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_curvature_degenerate_family_exits_one(tmp_path, capsys):
@@ -428,8 +449,7 @@ def test_small_pair_blocks_make_no_linalg_det_or_solve(tmp_path, monkeypatch):
     for s0, s1 in pairs:
         pair_metric_field(s0, s1)
         f_function_field(s0, s0, s1, 0.1)
-        for variant in ("full", "simplified"):
-            curvature_families_formula(s0, s1, variant=variant)
+        curvature_families_formula(s0, s1)
     for name, got in calls.items():
         assert len(got) == 0, name
 

@@ -12,7 +12,6 @@ from detbundle.grassmann import (
     DiscreteForm,
     Projection,
     ProjectionSection,
-    _frame_transports,
     _plaquette_corners,
     _roll,
     nearest_projection,
@@ -29,7 +28,6 @@ from detbundle.models import (
     vortex_interface,
 )
 from detbundle.curvature import (
-    PairChart,
     _chart_edge_data,
     additivity_residual,
     chern_number,
@@ -118,7 +116,7 @@ def _ambient_chart_edge_data(sec0, sec1, chart, sing_floor):
     """
     g = sec0.grid
     f0, f1 = sec0.frames(), sec1.frames()
-    amb = chart.ambient(sec0.dim)
+    amb = np.eye(sec0.dim) + (0.0 if chart is None else chart)
     f1h = np.swapaxes(f1.conj(), -1, -2)
     m = f1h @ (amb @ f0)
     k = m.shape[-1]
@@ -184,10 +182,11 @@ def test_families_formula_of_equal_sections_is_zero(rot16):
 
 
 def test_families_formula_variants_agree(demo16, rot16):
+    # the full formula against the split-fibration shortcut tr(R1) - tr(R0)
     sec0, sec1 = demo16.boundary_pair()[0], rot16
-    full = curvature_families_formula(sec0, sec1, variant="full")
-    simple = curvature_families_formula(sec0, sec1, variant="simplified")
-    diff = np.abs(full.samples - simple.samples)
+    full = curvature_families_formula(sec0, sec1)
+    tr0, tr1 = (np.trace(s.plaquette_blocks[1], axis1=-2, axis2=-1) for s in (sec0, sec1))
+    diff = np.abs(full.samples - (tr1 - tr0))
     if full.mask is not None:
         diff = np.where(full.mask, 0.0, diff)
     assert diff.max() <= 1e-9
@@ -215,9 +214,9 @@ def test_families_formula_takes_center_frames_from_the_plaquette_blocks(monkeypa
     fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
     s0, s1 = fam.boundary_pair()[0], rotated_interface(fam)
     calls = _count_calls(monkeypatch, "eigh")
-    got = curvature_families_formula(s0, s1, variant="full")
+    got = curvature_families_formula(s0, s1)
     assert len(calls) == 2
-    assert curvature_families_formula(s0, s1, variant="full").samples.tolist() == got.samples.tolist()
+    assert curvature_families_formula(s0, s1).samples.tolist() == got.samples.tolist()
     assert len(calls) == 2
     # oracle: frames from an eigh of each center projection, tr(X N) by solve
     monkeypatch.undo()
@@ -233,11 +232,6 @@ def test_families_formula_takes_center_frames_from_the_plaquette_blocks(monkeypa
             - np.trace(rs[0], axis1=-2, axis2=-1))
     assert not got.mask.any()
     assert np.abs(got.samples - want).max() <= 1e-13
-
-
-def test_curvature_rejects_unknown_variant(rot16):
-    with pytest.raises(ValueError):
-        curvature_families_formula(rot16, rot16, variant="fast")
 
 
 # -- splitting comparison function -----------------------------------------------------
@@ -283,8 +277,8 @@ def test_additivity_diagonalises_each_section_once(monkeypatch):
 
 
 def test_frame_transports_are_cached_read_only(rot16):
-    u = _frame_transports(rot16)
-    assert u is _frame_transports(rot16)
+    u = rot16.transports
+    assert u is rot16.transports
     assert u.shape == rot16.grid.shape + (2, 2, 2)
     with pytest.raises(ValueError):
         u[0, 0, 0, 0, 0] = 1.0
@@ -310,17 +304,18 @@ def test_cylinder_charts_solve_once_and_take_no_det(monkeypatch):
 
 def test_verify_curvature_suite_reuses_the_report(monkeypatch):
     # the suite reads the left pair's connection, its patching residuals and
-    # its curvature from the additivity report, and both variants of the
-    # families formula share each section's cached plaquette blocks: one
-    # connection per pair, chart 0 of each plus chart 1 of the left pair for
-    # its patching residuals, and one nearest_projection per section
-    from detbundle import curvature as curvature_module, verify
+    # its curvature from the additivity report, and the families formula and
+    # the tr(R1) - tr(R0) shortcut share each section's cached plaquette
+    # blocks: one connection per pair, chart 0 of each plus chart 1 of the
+    # left pair for its patching residuals, and one nearest_projection per
+    # section
+    from detbundle import curvature as curvature_module, grassmann, verify
     from detbundle.cli import build_family, build_interface, load_config
 
     cfg = load_config(None)
     fam = build_family(cfg, BaseGrid.torus(16, 16))
     sec = build_interface(cfg, fam)
-    calls = {name: _count_calls(monkeypatch, name, (curvature_module, verify))
+    calls = {name: _count_calls(monkeypatch, name, (curvature_module, grassmann, verify))
              for name in ("connection_one_form", "nearest_projection", "_chart_edge_data")}
     checks = verify.run_suite("curvature", family=fam, section=sec,
                               sing_floor=0.1, max_excluded=0.05)
@@ -330,7 +325,7 @@ def test_verify_curvature_suite_reuses_the_report(monkeypatch):
     assert len(checks) == 12
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
     for s in (fam.boundary_pair()[0], sec):
-        for block in s._derived["plaquette_blocks"]:
+        for block in s.plaquette_blocks:
             with pytest.raises(ValueError):
                 block[(0,) * block.ndim] = 0.0
 
@@ -485,7 +480,7 @@ def test_uncovered_point_evaluates_the_whole_cover_before_raising(monkeypatch):
     f1 = f0.copy()
     f1[3, 3] = [[0.0], [1.0]]
     sec0, sec1 = ProjectionSection.build(g, f0), ProjectionSection.build(g, f1)
-    cover = [PairChart(), PairChart(np.diag([1.0, 0.0])), PairChart()]
+    cover = [None, np.diag([1.0, 0.0]), None]
     monkeypatch.setattr(curvature_module, "default_cover", lambda dim: cover)
     calls = _count_calls(monkeypatch, "_chart_edge_data", (curvature_module,))
     with pytest.raises(CoverageError, match=r"^1 grid points lie outside every chart domain$"):

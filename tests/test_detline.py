@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detbundle._blocks import _cond_ok
 from detbundle.detline import (
     LineElement,
-    _cond_ok,
     canonical_det,
     chart_coordinate,
     coordinate,

@@ -1,7 +1,9 @@
 """Every exported name resolves, every public name has a caller outside the
-tests, and no file imports a name it never reads."""
+tests, no file imports a name it never reads, and no module imports another
+module's private names."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -67,8 +69,9 @@ def test_every_public_member_has_a_caller_outside_tests():
         if not inspect.isclass(cls):
             continue
         for member, value in vars(cls).items():
-            if member.startswith("_") or not isinstance(
-                    value, (property, classmethod, staticmethod, types.FunctionType)):
+            if member.startswith("_") or not isinstance(value, (
+                    property, functools.cached_property, classmethod, staticmethod,
+                    types.FunctionType)):
                 continue
             if member not in callers and f"{name}.{member}" not in callers:
                 uncalled.append(f"{name}.{member}")
@@ -93,3 +96,19 @@ def test_no_file_imports_a_name_it_never_reads():
                     if bound not in read:
                         unread.append(f"{path.relative_to(ROOT)}: {bound}")
     assert unread == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private name stays inside its module; _blocks is the shared kernel
+    # module, and grassmann's _roll and _readonly are the two exceptions
+    allowed = {("grassmann", "_roll"), ("grassmann", "_readonly")}
+    leaks = []
+    for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level and node.module):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and node.module != "_blocks" \
+                        and (node.module, alias.name) not in allowed:
+                    leaks.append(f"{path.name}: {node.module}.{alias.name}")
+    assert leaks == []

@@ -452,6 +452,18 @@ def test_cylinder_rejects_bad_style():
         CylinderFamily(BaseGrid.torus(4, 4), truncation=4, style="imaginary")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"gamma": 0.0}, "gamma"), ({"gamma": -0.6}, "gamma"), ({"gamma": float("nan")}, "gamma"),
+    ({"gamma": float("inf")}, "gamma"), ({"seed": -1}, "seed"),
+    ({"amplitude": float("nan")}, "amplitude"), ({"amplitude": float("inf")}, "amplitude"),
+], ids=["gamma_zero", "gamma_negative", "gamma_nan", "gamma_inf", "seed_negative",
+        "amplitude_nan", "amplitude_inf"])
+def test_cylinder_checks_its_numbers_at_construction(kwargs, message):
+    # each of these used to construct, then fail in numpy or LAPACK on first use
+    with pytest.raises(ValueError, match=message):
+        CylinderFamily(BaseGrid.torus(8, 8), truncation=4, **kwargs)
+
+
 def test_section_continuity_bound():
     fam = CylinderFamily(BaseGrid.torus(8, 8), truncation=16, gamma=0.6, seed=0)
     sec = fam.aps_section()
