@@ -127,6 +127,11 @@ def trace_solve(m: np.ndarray, ts) -> list[np.ndarray]:
              - m[..., 1, 0] * t[..., 0, 1] + m[..., 0, 0] * t[..., 1, 1]) / d for t in ts]
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _cond_ok(m: np.ndarray, cond_bound: float) -> np.ndarray:
     """Per matrix of a stack: nonzero and within the condition bound."""
     s = np.linalg.svd(m, compute_uv=False)

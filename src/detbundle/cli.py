@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._blocks import _cond_ok, det
+from .detline import COND_BOUND
 from .errors import CoverageError, DegenerateSpectrum, NearSingular, OutOfChart, VortexOnLink
 from .grassmann import BaseGrid
 from .models import (
@@ -186,8 +187,7 @@ def build_family(cfg: dict[str, dict[str, str]], grid: BaseGrid):
 
 def build_interface(cfg: dict[str, dict[str, str]], family):
     if isinstance(family, CylinderFamily):
-        return family.conjugated_section(
-            0.5 * _as_float(cfg, "cylinder", "amplitude"), seed_offset=4)
+        return family.conjugated_section(0.5 * family.amplitude, seed_offset=4)
     kind = cfg["interface"]["kind"].strip().lower()
     if kind == "rotated":
         return rotated_interface(family, strength=_as_float(cfg, "interface", "strength"))
@@ -316,7 +316,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     sec0, sec1 = family.boundary_pair()
     plain = det(pair_overlap_field(sec0, sec1))
     shifted = pair_overlap_field(sec0, sec1, default_cover(sec0.dim)[1])
-    if not _cond_ok(shifted, 1e8).all():
+    if not _cond_ok(shifted, COND_BOUND).all():
         raise OutOfChart("base + shift is not invertible within the condition bound")
     # the canonical element [M, 1] has coordinate det(M1^-1 M) in the shifted chart
     columns = {"metric": np.abs(plain) ** 2, "monodromy": family.monodromy_field(),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blocks import bmm, det, det_logabs, smallest_singular_value, trace_solve
+from ._blocks import _readonly, bmm, det, det_logabs, smallest_singular_value, trace_solve
 from .detline import frame_metric_sq
 from .errors import CoverageError, NearSingular, VortexOnLink
 from .grassmann import (
@@ -189,8 +189,8 @@ class ChartedConnection:
 
     omega, healthy and det list, per chart evaluated so far, the edge samples
     with their exclusion mask, the point-wise domain and the determinant (1
-    outside it).  plaquette_chart is the first chart healthy on each
-    plaquette's stencil, -1 if none is.
+    outside it), all read-only.  plaquette_chart is the first chart healthy
+    on each plaquette's stencil, -1 if none is.
     On overlaps the forms differ by the discrete d log of the transition ratio,
     up to O(h^2) density.
     """
@@ -210,9 +210,10 @@ class ChartedConnection:
             raise IndexError(f"charts {charts} are not all in a cover of {len(self.cover)}")
         while len(self.omega) <= max(charts, default=-1):
             data = _chart_edge_data(*self.sections, self.cover[len(self.omega)], self.sing_floor)
-            self.omega.append(DiscreteForm(self.grid, 1, data["omega"], mask=data["edge_mask"]))
-            self.healthy.append(data["healthy"])
-            self.det.append(data["det"])
+            self.omega.append(DiscreteForm(self.grid, 1, _readonly(data["omega"]),
+                                           mask=_readonly(data["edge_mask"])))
+            self.healthy.append(_readonly(data["healthy"]))
+            self.det.append(_readonly(data["det"]))
 
 
 def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,

@@ -83,7 +83,7 @@ def canonical_det(a) -> LineElement:
 
 
 # condition-number bound of a chart domain: sigma_max <= COND_BOUND * sigma_min
-COND_BOUND = 1e10
+COND_BOUND = 1e8
 
 
 def _chart_det(m: np.ndarray, rhs: np.ndarray, message: str) -> complex:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import bmm, det, orthonormalizer
+from ._blocks import _readonly, bmm, det, orthonormalizer
 from .errors import DegenerateSpectrum, GridDomainError, NearSingular
 from .opcalc import as_matrix
 
@@ -182,11 +182,6 @@ class DiscreteForm:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cols))
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _orthonormal(frames, lead: tuple[int, ...], what: str) -> np.ndarray:

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._blocks import bmm as _bmm, det as _det, expi as _expi
-from .grassmann import BaseGrid, ProjectionSection, _readonly, graph_frames, spectral_frames
+from ._blocks import _readonly, bmm as _bmm, det as _det, expi as _expi
+from .grassmann import BaseGrid, ProjectionSection, graph_frames, spectral_frames
 
 __all__ = [
     "Dirac1DFamily",
@@ -107,7 +107,7 @@ class Dirac1DFamily:
         return a
 
     def transfer_field(self, x0: float, x1: float) -> np.ndarray:
-        """Transfer matrices T_b(x0 -> x1), x0 <= x1, over the whole grid (cached).
+        """Read-only transfer matrices T_b(x0 -> x1), x0 <= x1, over the whole grid (cached).
 
         The potential must be Hermitian: its first sample is checked, and a
         non-Hermitian block raises ValueError.
@@ -136,7 +136,7 @@ class Dirac1DFamily:
                 t = _bmm(_expi(gen), t)
         if not np.isfinite(t).all():
             raise FloatingPointError("transfer matrices are not finite")
-        self._flows[key] = t
+        self._flows[key] = _readonly(t)
         return t
 
     # -- boundary data -------------------------------------------------------
@@ -380,9 +380,25 @@ def rotated_interface(fam: Dirac1DFamily, strength: float = 0.4) -> ProjectionSe
 # -- truncated Fourier boundary family ----------------------------------------
 
 
+def _check_smoothing(truncation: int, gamma: float, seed: int) -> None:
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    if not 0 < gamma < np.inf:
+        raise ValueError("decay rate gamma must be positive and finite")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 @lru_cache(maxsize=32)
-def _smoothing_cached(seed: int, gamma: float, truncation: int) -> np.ndarray:
-    n = truncation
+def smoothing_perturbation(seed: int, gamma: float, truncation: int) -> np.ndarray:
+    """Seeded Hermitian matrix with |S_jk| <= exp(-gamma (|j| + |k|)), read-only (cached).
+
+    Entries depend only on (seed, j, k) in absolute mode labels, so the
+    matrices for two truncation sizes agree on their common block; that is
+    what makes truncation-stability checks meaningful.
+    """
+    _check_smoothing(truncation, gamma, seed)
+    n, gamma, seed = int(truncation), float(gamma), int(seed)
     dim = 2 * n + 1
     out = np.zeros((dim, dim), dtype=complex)
     modes = range(-n, n + 1)
@@ -399,21 +415,7 @@ def _smoothing_cached(seed: int, gamma: float, truncation: int) -> np.ndarray:
                 c = amp * rng.random() * np.exp(2j * np.pi * rng.random())
                 out[j + n, k + n] = c
                 out[k + n, j + n] = np.conj(c)
-    return out
-
-
-def smoothing_perturbation(seed: int, gamma: float, truncation: int) -> np.ndarray:
-    """Seeded Hermitian matrix with |S_jk| <= exp(-gamma (|j| + |k|)).
-
-    Entries depend only on (seed, j, k) in absolute mode labels, so the
-    matrices for two truncation sizes agree on their common block; that is
-    what makes truncation-stability checks meaningful.
-    """
-    if gamma <= 0:
-        raise ValueError("decay rate gamma must be positive")
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    return _smoothing_cached(int(seed), float(gamma), int(truncation)).copy()
+    return _readonly(out)
 
 
 class CylinderFamily:
@@ -429,14 +431,9 @@ class CylinderFamily:
 
     def __init__(self, grid: BaseGrid, truncation: int, gamma: float = 0.6,
                  seed: int = 0, amplitude: float = 1.0, style: str = "conjugated"):
-        if truncation < 1:
-            raise ValueError("truncation must be at least 1")
+        _check_smoothing(truncation, gamma, seed)
         if style not in ("conjugated", "additive"):
             raise ValueError("style must be 'conjugated' or 'additive'")
-        if not 0 < gamma < np.inf:
-            raise ValueError("decay rate gamma must be positive and finite")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
         if not np.isfinite(amplitude):
             raise ValueError("amplitude must be finite")
         grid.require_torus()

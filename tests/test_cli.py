@@ -454,6 +454,18 @@ def test_small_pair_blocks_make_no_linalg_det_or_solve(tmp_path, monkeypatch):
         assert len(got) == 0, name
 
 
+def test_sweep_point_outside_the_chart_bound_exits_one(tmp_path, capsys, monkeypatch):
+    # the shifted overlap of a unitary monodromy U is I - U/2, with singular
+    # values in [1/2, 3/2]; a bound below 1 puts every sample outside the chart
+    monkeypatch.setattr("detbundle.cli.COND_BOUND", 0.5)
+    code = main(["sweep", "--config", str(CONFIGS / "scalar_sweep.cfg"),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "numerical failure: base + shift is not invertible within the condition bound\n"
+    assert not (tmp_path / "sweep_report.json").exists()
+
+
 def test_sweep_rejects_bad_range(tmp_path, capsys):
     # a reversed range, and ranges whose step underflows to 0 or overflows to inf
     for start, stop in ((2.0, 1.0), (0.0, 5e-324), (-1e308, 1e308)):

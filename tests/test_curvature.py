@@ -276,6 +276,14 @@ def test_additivity_diagonalises_each_section_once(monkeypatch):
         sec.values[0, 0, 0, 0] = 1.0
 
 
+def test_chart_data_are_read_only(demo16, rot16):
+    conn = connection_one_form(demo16.boundary_pair()[0], rot16)
+    conn.evaluate(len(conn.cover) - 1)
+    stored = conn.healthy + conn.det + [f.samples for f in conn.omega] + [f.mask for f in conn.omega]
+    assert len(stored) == 4 * len(conn.cover)
+    assert not any(a.flags.writeable for a in stored)
+
+
 def test_frame_transports_are_cached_read_only(rot16):
     u = rot16.transports
     assert u is rot16.transports

@@ -100,8 +100,8 @@ def test_no_file_imports_a_name_it_never_reads():
 
 def test_no_module_imports_another_modules_private_names():
     # a private name stays inside its module; _blocks is the shared kernel
-    # module, and grassmann's _roll and _readonly are the two exceptions
-    allowed = {("grassmann", "_roll"), ("grassmann", "_readonly")}
+    # module, and grassmann's _roll is the one exception
+    allowed = {("grassmann", "_roll")}
     leaks = []
     for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -143,6 +143,16 @@ def test_monodromy_composes_the_cached_halves():
     assert np.abs(mono - np.linalg.det(np.eye(2) - whole)).max() <= 1e-12
 
 
+def test_cached_transfers_are_read_only():
+    # an in-place write into a cached transfer used to move the monodromy
+    fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
+    mono = fam.monodromy_field()
+    t = fam.transfer_field(0.0, np.pi)
+    with pytest.raises(ValueError):
+        t *= 2
+    np.testing.assert_array_equal(fam.monodromy_field(), mono)
+
+
 def test_models_suite_takes_the_base_tolerance():
     checks = {c.name: c for c in verify.run_suite("models", tol=1e-3)}
     for name in ("transfer_constant_closed_form", "monodromy_half_integer_value",
@@ -498,3 +508,46 @@ def test_smoothing_trace_norm_truncation_stable():
 def test_smoothing_rejects_nonpositive_decay():
     with pytest.raises(ValueError):
         smoothing_perturbation(0, 0.0, 8)
+
+
+@pytest.mark.parametrize("seed, gamma, message", [
+    (0, float("nan"), "decay rate gamma must be positive and finite"),
+    (0, float("inf"), "decay rate gamma must be positive and finite"),
+    (-1, 0.6, "seed must be non-negative"),
+], ids=["gamma_nan", "gamma_inf", "seed_negative"])
+def test_smoothing_rejects_non_finite_decay_and_negative_seed(seed, gamma, message):
+    # a nan gamma returned a matrix of nans; a negative seed failed inside numpy
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        smoothing_perturbation(seed, gamma, 3)
+
+
+def _smoothing_oracle(seed: int, gamma: float, n: int) -> np.ndarray:
+    """One generator per entry j <= k, seeded by (seed, j, k) in absolute mode labels."""
+    out = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    for j in range(-n, n + 1):
+        for k in range(j, n + 1):
+            rng = np.random.default_rng([seed, j + 8192, k + 8192])
+            amp = np.exp(-gamma * (abs(j) + abs(k)))
+            if j == k:
+                out[j + n, k + n] = amp * (2.0 * rng.random() - 1.0)
+            else:
+                c = amp * rng.random() * np.exp(2j * np.pi * rng.random())
+                out[j + n, k + n], out[k + n, j + n] = c, np.conj(c)
+    return out
+
+
+@pytest.mark.parametrize("seed, gamma, n", [
+    (0, 0.6, 32), (5, 0.5, 64), (3, 0.6, 8), (123456, 1.3, 40), (0, 0.6, 1)])
+def test_smoothing_matches_the_per_entry_generator_oracle(seed, gamma, n):
+    s = smoothing_perturbation(seed, gamma, n)
+    assert s.tobytes() == _smoothing_oracle(seed, gamma, n).tobytes()
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+
+
+def test_cylinder_construction_draws_no_smoothing_matrix(monkeypatch):
+    def draw(*args):
+        raise AssertionError("construction drew a smoothing matrix")
+
+    monkeypatch.setattr("detbundle.models.smoothing_perturbation", draw)
+    CylinderFamily(BaseGrid.torus(8, 8), truncation=5, gamma=0.45, seed=91)
