@@ -27,7 +27,7 @@ a *= 3.0 / trace_norm(a)
 prof = schatten_profile(a)
 print(f"dim {dim}, trace norm {prof.trace_norm:.4f}, operator norm {prof.operator_norm:.4f}")
 
-# the series truncates itself once the Schatten bound kills a tail term
+# the series is finite: it sums all dim + 1 exterior-power traces
 series = fredholm_det(a, method="series")
 dense = fredholm_det(a, method="dense")
 print(f"det(I+A)  series {series:.12f}")

@@ -189,8 +189,8 @@ class ChartedConnection:
 
     omega, healthy and det list, per chart evaluated so far, the edge samples
     with their exclusion mask, the point-wise domain and the determinant (1
-    outside it), all read-only.  plaquette_chart is the first chart healthy
-    on each plaquette's stencil, -1 if none is.
+    outside it), all read-only.  plaquette_chart, also read-only, is the first
+    chart healthy on each plaquette's stencil, -1 if none is.
     On overlaps the forms differ by the discrete d log of the transition ratio,
     up to O(h^2) density.
     """
@@ -236,11 +236,13 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
                                     for da, db in _PLAQ_STENCIL])
         conn.plaquette_chart[ok & (conn.plaquette_chart < 0)] = i
         if (conn.plaquette_chart >= 0).all():
-            return conn
-    covered = np.logical_or.reduce(conn.healthy)
-    if not covered.all():
-        raise CoverageError(
-            f"{int((~covered).sum())} grid points lie outside every chart domain")
+            break
+    else:
+        covered = np.logical_or.reduce(conn.healthy)
+        if not covered.all():
+            raise CoverageError(
+                f"{int((~covered).sum())} grid points lie outside every chart domain")
+    _readonly(conn.plaquette_chart)
     return conn
 
 

@@ -143,7 +143,10 @@ class DiscreteForm:
                 [_roll(self.samples, g, ax, +1) - self.samples for ax in range(g.ndim)],
                 axis=g.ndim,
             )
-            return DiscreteForm(g, 1, out)
+            # an edge is masked when either of its ends is
+            m = np.stack([self.mask | _roll(self.mask, g, ax, +1) for ax in range(g.ndim)],
+                         axis=g.ndim)
+            return DiscreteForm(g, 1, out, mask=m)
         if self.degree == 1:
             e0 = self.samples.take(0, axis=2)
             e1 = self.samples.take(1, axis=2)

@@ -64,7 +64,7 @@ class Dirac1DFamily:
     The Cauchy-data sections are built from their graph frames.
     """
 
-    def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int = 256):
+    def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int):
         if rank < 1:
             raise ValueError("rank must be at least 1")
         if steps_per_half < 8:
@@ -184,7 +184,7 @@ class Dirac1DFamily:
 # -- shipped families ---------------------------------------------------------
 
 
-def demo_family(grid: BaseGrid, steps_per_half: int = 256) -> Dirac1DFamily:
+def demo_family(grid: BaseGrid, steps_per_half: int) -> Dirac1DFamily:
     """Rank-2 family over the torus, periodic in both parameters.
 
     a(b, x) = 0.5 I + 0.22 n(b) . sigma + 0.18 (cos x sigma_1 + sin x sigma_2)
@@ -198,8 +198,8 @@ def demo_family(grid: BaseGrid, steps_per_half: int = 256) -> Dirac1DFamily:
     return coefficient_family(grid, DEMO_COEFFICIENTS, steps_per_half=steps_per_half)
 
 
-def constant_scalar_family(grid: BaseGrid, value: float | None = None, rank: int = 1,
-                           steps_per_half: int = 256) -> Dirac1DFamily:
+def constant_scalar_family(grid: BaseGrid, value: float | None = None, rank: int = 1, *,
+                           steps_per_half: int) -> Dirac1DFamily:
     """Scalar family a(b, x) = c * I with c the first grid coordinate (or fixed).
 
     Closed forms: T(x0 -> x1) = exp(i c (x1 - x0)) I, so the monodromy
@@ -277,7 +277,7 @@ def potential_from_coefficients(coefficients: dict[str, float]):
 
 
 def coefficient_family(grid: BaseGrid, coefficients: dict[str, float],
-                       steps_per_half: int = 256) -> Dirac1DFamily:
+                       steps_per_half: int) -> Dirac1DFamily:
     """Dirac1DFamily built from a potential coefficient table."""
     return Dirac1DFamily(grid, potential_from_coefficients(coefficients),
                          rank=2, steps_per_half=steps_per_half)
@@ -295,7 +295,7 @@ def bloch_vector(b1, b2, mass: float = 1.0) -> np.ndarray:
     return n / norm
 
 
-def bloch_curvature_density(b1, b2, mass: float = 1.0) -> np.ndarray:
+def bloch_curvature_density(b1, b2, mass: float) -> np.ndarray:
     """Exact curvature density (i/2) nhat . (d1 nhat x d2 nhat) of the upper band.
 
     Closed form for the normalized direction field: n . (d1 n x d2 n)/|n|^3
@@ -309,7 +309,7 @@ def bloch_curvature_density(b1, b2, mass: float = 1.0) -> np.ndarray:
     return 0.5j * triple / norm**3
 
 
-def bloch_section(grid: BaseGrid, mass: float = 1.0) -> ProjectionSection:
+def bloch_section(grid: BaseGrid, mass: float) -> ProjectionSection:
     """Rank-one projection field (1/2)(I + nhat . sigma) of the upper band."""
     b1, b2 = grid.coords()
     nhat = bloch_vector(b1, b2, mass)
@@ -479,7 +479,7 @@ class CylinderFamily:
             self._aps = ProjectionSection.build(self.grid, spectral_frames(self.boundary_operator_field()))
         return self._aps
 
-    def conjugated_section(self, scale: float = 1.0, seed_offset: int = 0) -> ProjectionSection:
+    def conjugated_section(self, scale: float, seed_offset: int) -> ProjectionSection:
         """Closed-form section exp(i S(b)) P0 exp(-i S(b)) with P0 = diag(k >= 0);
         its frames are the columns of exp(i S(b)) for the modes k >= 0."""
         u = _expi(self._phase_matrix(scale, self.seed + seed_offset))

@@ -49,22 +49,14 @@ def trace(a) -> complex:
     return complex(np.trace(_square(a)))
 
 
-def _singular_values(a) -> np.ndarray:
-    # eigenvalues of A*A are the squared singular values; clip roundoff
-    m = as_matrix(a)
-    w = np.linalg.eigvalsh(m.conj().T @ m)
-    return np.sqrt(np.clip(w, 0.0, None))
-
-
 def trace_norm(a) -> float:
     """Schatten-1 norm: sum of singular values."""
-    return float(np.sum(_singular_values(a)))
+    return schatten_profile(a).trace_norm
 
 
 def operator_norm(a) -> float:
     """Largest singular value."""
-    s = _singular_values(a)
-    return float(s[-1]) if s.size else 0.0
+    return schatten_profile(a).operator_norm
 
 
 @dataclass(frozen=True)
@@ -82,8 +74,9 @@ class SchattenProfile:
 
 
 def schatten_profile(a) -> SchattenProfile:
-    s = _singular_values(a)
-    top = float(s[-1]) if s.size else 0.0
+    """Both norms from one svd; its singular values come largest first."""
+    s = np.linalg.svd(as_matrix(a), compute_uv=False)
+    top = float(s[0]) if s.size else 0.0
     return SchattenProfile(trace_norm=float(np.sum(s)), operator_norm=top)
 
 
@@ -97,8 +90,8 @@ def _power_traces(a: np.ndarray, rmax: int) -> np.ndarray:
     return p
 
 
-def _elementary_from_powers(p: np.ndarray):
-    """Yield e_1, e_2, ... of the eigenvalues from the power sums p[0..rmax]."""
+def _elementary_from_powers(p: np.ndarray) -> np.ndarray:
+    """e_0, e_1, ... of the eigenvalues from the power sums p[0..rmax]."""
     # Newton's identities: r*e_r = sum_{k=1..r} (-1)^(k-1) e_{r-k} p_k
     e = np.zeros(len(p), dtype=complex)
     e[0] = 1.0
@@ -109,7 +102,7 @@ def _elementary_from_powers(p: np.ndarray):
             acc += sign * e[r - k] * p[k]
             sign = -sign
         e[r] = acc / r
-        yield e[r]
+    return e
 
 
 def wedge_trace(a, r: int) -> complex:
@@ -122,22 +115,16 @@ def wedge_trace(a, r: int) -> complex:
     m = _square(a)
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError("wedge order must be a non-negative integer")
-    n = m.shape[0]
-    if r == 0:
-        return 1.0 + 0.0j
-    if r > n:
+    if r > m.shape[0]:
         return 0.0 + 0.0j
-    *_, e_r = _elementary_from_powers(_power_traces(m, r))
-    return complex(e_r)
+    return complex(_elementary_from_powers(_power_traces(m, r))[r])
 
 
 def fredholm_det(a, method: str = "dense") -> complex:
     """Regularized determinant det(I + A) of a finite matrix A.
 
     method="dense" evaluates det(I + A) by LU.  method="series" sums the
-    exterior-power traces and truncates once the incremental term drops
-    below 1e-12 * (1 + |partial sum|); the series is finite (order <= dim)
-    so truncation only saves work.
+    exterior-power traces e_0 + e_1 + ... + e_dim, a finite series.
     """
     m = _square(a)
     n = m.shape[0]
@@ -145,12 +132,8 @@ def fredholm_det(a, method: str = "dense") -> complex:
         return complex(np.linalg.det(np.eye(n) + m))
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    total = 1.0 + 0.0j
-    for e_r in _elementary_from_powers(_power_traces(m, n)):
-        total += e_r
-        if abs(e_r) < 1e-12 * (1.0 + abs(total)):
-            break
-    return complex(total)
+    # summed in order, e_0 first
+    return complex(sum(_elementary_from_powers(_power_traces(m, n))))
 
 
 def compound_matrix(a, r: int) -> np.ndarray:

@@ -57,10 +57,10 @@ class CheckResult:
     passed: bool
     measured: float
     threshold: float
-    detail: str = ""
+    detail: str
 
 
-def _result(name: str, measured, threshold: float, detail: str = "") -> CheckResult:
+def _result(name: str, measured, threshold: float, detail: str) -> CheckResult:
     m = float(measured)
     ok = bool(np.isfinite(m)) and m <= threshold
     return CheckResult(name, ok, m, float(threshold), detail)
@@ -80,14 +80,14 @@ def _random_projection(rng: np.random.Generator, dim: int, rank: int) -> Project
     return Projection(np.linalg.qr(a)[0])
 
 
-def _rel(x, y, floor: float = 1e-12) -> float:
+def _rel(x, y, floor: float) -> float:
     return float(abs(x - y) / max(abs(y), floor))
 
 
 # -- opcalc ---------------------------------------------------------------------
 
 
-def suite_opcalc(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
+def suite_opcalc(seed: int, tol: float) -> list[CheckResult]:
     rng = _rng(seed, 1)
     worst_series = 0.0
     worst_mult = 0.0
@@ -153,7 +153,7 @@ def _matrix_sign_projection(h: np.ndarray) -> np.ndarray:
     return 0.5 * (np.eye(h.shape[0]) + x)
 
 
-def suite_grassmann(seed: int = 0) -> list[CheckResult]:
+def suite_grassmann(seed: int) -> list[CheckResult]:
     rng = _rng(seed, 11)
     worst_laws = 0.0
     worst_sign = 0.0
@@ -230,7 +230,7 @@ def suite_grassmann(seed: int = 0) -> list[CheckResult]:
 # -- detline ----------------------------------------------------------------------
 
 
-def suite_detline(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
+def suite_detline(seed: int, tol: float) -> list[CheckResult]:
     rng = _rng(seed, 21)
     worst_cocycle = 0.0
     worst_gauge = 0.0
@@ -341,7 +341,7 @@ def suite_detline(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
 # -- models -----------------------------------------------------------------------
 
 
-def suite_models(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
+def suite_models(seed: int, tol: float) -> list[CheckResult]:
     fine_steps = 512
     line = BaseGrid.line(8, 0.3, 0.74)
     fam_c = constant_scalar_family(line, steps_per_half=fine_steps)
@@ -419,7 +419,7 @@ def suite_models(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
 # -- curvature ----------------------------------------------------------------------
 
 
-def suite_curvature(seed: int = 0, tol: float = 1e-9, *, family, section,
+def suite_curvature(seed: int, tol: float, *, family, section,
                     sing_floor: float, max_excluded: float) -> list[CheckResult]:
     g = family.grid
     checks: list[CheckResult] = []

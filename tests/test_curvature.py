@@ -284,6 +284,16 @@ def test_chart_data_are_read_only(demo16, rot16):
     assert not any(a.flags.writeable for a in stored)
 
 
+def test_plaquette_chart_is_read_only(demo16, rot16):
+    conn = connection_one_form(demo16.boundary_pair()[0], rot16)
+    before = curvature_of(conn)
+    with pytest.raises(ValueError):
+        conn.plaquette_chart[:] = -1
+    after = curvature_of(conn)
+    assert np.array_equal(after.samples, before.samples) and np.array_equal(after.mask, before.mask)
+    assert not after.mask.all()
+
+
 def test_frame_transports_are_cached_read_only(rot16):
     u = rot16.transports
     assert u is rot16.transports

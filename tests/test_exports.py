@@ -1,6 +1,6 @@
 """Every exported name resolves, every public name has a caller outside the
-tests, no file imports a name it never reads, and no module imports another
-module's private names."""
+tests, no file imports a name it never reads, no module imports another
+module's private names, and no default is one that every caller overrides."""
 
 import ast
 import functools
@@ -112,3 +112,50 @@ def test_no_module_imports_another_modules_private_names():
                         and (node.module, alias.name) not in allowed:
                     leaks.append(f"{path.name}: {node.module}.{alias.name}")
     assert leaks == []
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(callee name, positional parameters, defaulted parameters) per function
+    of a file.  A method drops its self, and __init__ is called by the class
+    name."""
+    tree = ast.parse(path.read_text())
+    out = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            skip = int(isinstance(scope, ast.ClassDef) and "staticmethod" not in map(
+                ast.unparse, fn.decorator_list))
+            pos = [a.arg for a in fn.args.posonlyargs + fn.args.args][skip:]
+            named = pos[len(pos) - len(fn.args.defaults):] if fn.args.defaults else []
+            named += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+            out.append((scope.name if fn.name == "__init__" else fn.name, pos, named))
+    return out
+
+
+def test_no_default_is_overridden_by_every_caller():
+    # a default that every call overrides is one no caller takes; drop it.
+    # Calls match by bare or attribute name, so every same-named call must
+    # override, and a call with *args or **kwargs counts as overriding
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    calls.setdefault(name, []).append(node)
+
+    def overrides(call: ast.Call, pos: list[str], param: str) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg in (None, param) for k in call.keywords):
+            return True
+        return param in pos and pos.index(param) < len(call.args)
+
+    unused = []
+    for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
+        for name, pos, named in _defaulted_parameters(path):
+            sites = calls.get(name, [])
+            unused += [f"{path.name}: {name}({param})" for param in named
+                       if sites and all(overrides(c, pos, param) for c in sites)]
+    assert unused == []

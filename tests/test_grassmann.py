@@ -340,6 +340,20 @@ def test_coboundary_squared_is_zero():
     assert np.abs(dd.samples).max() <= 1e-13
 
 
+def test_coboundary_masks_the_edges_of_a_masked_point():
+    # an edge is excluded when either end is, the rule of the chart edge data
+    g = BaseGrid.torus(8, 8)
+    samples = np.ones((8, 8), dtype=complex)
+    mask = np.zeros((8, 8), dtype=bool)
+    samples[3, 3], mask[3, 3] = np.nan, True
+    d = DiscreteForm(g, 0, samples, mask=mask).coboundary()
+    expected = np.zeros((8, 8, 2), dtype=bool)
+    expected[3, 3] = True  # the two edges leaving (3, 3)
+    expected[2, 3, 0] = expected[3, 2, 1] = True  # the two arriving
+    assert np.array_equal(d.mask, expected)
+    assert d.max_density_residual() == 0.0
+
+
 def test_form_total_skips_masked_cells():
     g = BaseGrid.torus(4, 4)
     samples = np.ones((4, 4))

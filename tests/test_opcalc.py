@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detbundle.opcalc import (
@@ -34,18 +34,25 @@ def test_trace_norm_of_zero():
     assert trace_norm(np.zeros((5, 5))) == 0.0
 
 
+def _graded(rng) -> np.ndarray:
+    """Q1 diag(1, 0.5, 1e-3, 1e-7, 1e-10, 1e-12) Q2* with random unitary Q1, Q2:
+    the squares of its smaller singular values are lost to rounding in A* A."""
+    q1, q2 = (np.linalg.qr(random_complex(rng, 6, 6))[0] for _ in range(2))
+    return q1 @ np.diag([1.0, 0.5, 1e-3, 1e-7, 1e-10, 1e-12]) @ q2.conj().T
+
+
 def test_trace_norm_matches_svd_oracle():
     rng = np.random.default_rng(12)
-    a = random_complex(rng, 10, 6)
-    expected = np.sum(np.linalg.svd(a, compute_uv=False))
-    assert abs(trace_norm(a) - expected) <= 1e-10 * expected
+    for a in (random_complex(rng, 10, 6), _graded(rng)):
+        expected = np.sum(np.linalg.svd(a, compute_uv=False))
+        assert abs(trace_norm(a) - expected) <= 1e-10 * expected
 
 
 def test_operator_norm_matches_svd_oracle():
     rng = np.random.default_rng(13)
-    a = random_complex(rng, 7, 9)
-    expected = np.linalg.svd(a, compute_uv=False)[0]
-    assert abs(operator_norm(a) - expected) <= 1e-12 * expected
+    for a in (random_complex(rng, 7, 9), _graded(rng)):
+        expected = np.linalg.svd(a, compute_uv=False)[0]
+        assert abs(operator_norm(a) - expected) <= 1e-12 * expected
 
 
 def test_schatten_profile_orders_norms():
@@ -110,6 +117,7 @@ def test_wedge_schatten_bound(dim, r, seed):
 
 
 @given(dim=st.integers(2, 24), seed=st.integers(0, 2**31))
+@example(dim=19, seed=17)  # a series stopped at its first term below 1e-12 is off by 2.5e-13
 @settings(max_examples=80, deadline=None)
 def test_fredholm_series_matches_dense(dim, seed):
     rng = np.random.default_rng(seed)
@@ -117,7 +125,7 @@ def test_fredholm_series_matches_dense(dim, seed):
     a *= min(1.0, 4.0 / trace_norm(a))
     dense = fredholm_det(a, method="dense")
     series = fredholm_det(a, method="series")
-    assert series == pytest.approx(dense, rel=1e-9, abs=1e-9)
+    assert series == pytest.approx(dense, rel=1e-13, abs=1e-13)
 
 
 def test_fredholm_dense_matches_lu_oracle():
