@@ -29,7 +29,6 @@ from .grassmann import (
     DiscreteForm,
     Projection,
     ProjectionSection,
-    _roll,
     section_links,
     toeplitz_inverse,
 )
@@ -39,15 +38,12 @@ __all__ = [
     "default_cover",
     "ChartedConnection",
     "CurvatureReport",
-    "pair_overlap_field",
     "pair_metric_field",
-    "restricted_shift_field",
     "connection_one_form",
     "curvature_of",
     "patching_residuals",
     "curvature_families_formula",
     "f_function",
-    "f_function_field",
     "additivity_residual",
     "pair_links",
     "plaquette_winding",
@@ -142,7 +138,7 @@ def _guard(m: np.ndarray, sing_floor: float):
 
 def _dlog_edges(values: np.ndarray, g: BaseGrid) -> np.ndarray:
     """Edge increments Log(v(b+e) / v(b)) of a point field, one trailing entry per axis."""
-    return np.stack([np.log(_roll(values, g, ax, +1) / values) for ax in range(g.ndim)], g.ndim)
+    return np.stack([np.log(g.roll(values, ax, +1) / values) for ax in range(g.ndim)], g.ndim)
 
 
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -163,17 +159,17 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
     for ax in range(g.ndim):
         u0f, u1f = u0[..., ax, :, :], u1[..., ax, :, :]
         u0fh, u1fh = np.swapaxes(u0f.conj(), -1, -2), np.swapaxes(u1f.conj(), -1, -2)
-        fwd = bmm(bmm(u1f, _roll(m, g, ax, +1)), u0fh)
-        bwd = _roll(bmm(bmm(u1fh, m), u0f), g, ax, -1)
+        fwd = bmm(bmm(u1f, g.roll(m, ax, +1)), u0fh)
+        bwd = g.roll(bmm(bmm(u1fh, m), u0f), ax, -1)
         ts.append((fwd - bwd) / (2.0 * g.spacing[ax]))
     dets, logabs = det_logabs(msafe)
     comps, masks = [], []
     for ax, tr in enumerate(trace_solve(msafe, ts)):
         # half the increment of log|det M|^2 is the increment of log|det M|
-        re = _roll(logabs, g, ax, +1) - logabs
-        im = 0.5 * g.spacing[ax] * (tr.imag + _roll(tr.imag, g, ax, +1))
+        re = g.roll(logabs, ax, +1) - logabs
+        im = 0.5 * g.spacing[ax] * (tr.imag + g.roll(tr.imag, ax, +1))
         comps.append(re + 1j * im)
-        masks.append(~(healthy & _roll(healthy, g, ax, +1)))
+        masks.append(~(healthy & g.roll(healthy, ax, +1)))
     return {"omega": np.stack(comps, axis=g.ndim), "edge_mask": np.stack(masks, axis=g.ndim),
             "healthy": healthy, "det": dets}
 
@@ -232,7 +228,7 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
     conn = ChartedConnection(g, (sec0, sec1), cover, sing_floor, np.full(g.shape, -1))
     for i in range(len(cover)):
         conn.evaluate(i)
-        ok = np.logical_and.reduce([_roll(_roll(conn.healthy[i], g, 0, da), g, 1, db)
+        ok = np.logical_and.reduce([g.roll(g.roll(conn.healthy[i], 0, da), 1, db)
                                     for da, db in _PLAQ_STENCIL])
         conn.plaquette_chart[ok & (conn.plaquette_chart < 0)] = i
         if (conn.plaquette_chart >= 0).all():
@@ -366,7 +362,7 @@ def plaquette_winding(grid: BaseGrid, links: np.ndarray) -> DiscreteForm:
     u = links / mags
     u0 = u[..., 0]
     u1 = u[..., 1]
-    w = u0 * _roll(u1, grid, 0, +1) * np.conj(_roll(u0, grid, 1, +1)) * np.conj(u1)
+    w = u0 * grid.roll(u1, 0, +1) * np.conj(grid.roll(u0, 1, +1)) * np.conj(u1)
     return DiscreteForm(grid, 2, np.log(w))
 
 
@@ -417,7 +413,7 @@ class CurvatureReport:
     chern_right: int
     residuals: dict[str, float]
     connections: tuple[ChartedConnection, ChartedConnection, ChartedConnection]
-    label: str = ""
+    label: str
 
     @property
     def chern_additive(self) -> bool:

@@ -21,7 +21,6 @@ from .opcalc import as_matrix, fredholm_det, schatten_profile
 
 __all__ = [
     "LineElement",
-    "pad_square",
     "canonical_det",
     "chart_coordinate",
     "coordinate",
@@ -31,8 +30,6 @@ __all__ = [
     "sew",
     "sew_gauge_factor",
     "metric_norm_sq",
-    "pair_metric_sq",
-    "frame_metric_sq",
 ]
 
 

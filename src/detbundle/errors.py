@@ -1,5 +1,14 @@
 """Error taxonomy shared across the package."""
 
+__all__ = [
+    "DegenerateSpectrum",
+    "NearSingular",
+    "OutOfChart",
+    "CoverageError",
+    "VortexOnLink",
+    "GridDomainError",
+]
+
 
 class DegenerateSpectrum(ValueError):
     """Eigenvalues inside the forbidden band around zero; spectral projection ill-posed."""

@@ -27,14 +27,11 @@ __all__ = [
     "Projection",
     "ProjectionSection",
     "spectral_projection",
-    "spectral_frames",
     "graph_projection",
-    "graph_frames",
     "toeplitz_inverse",
     "curvature_trace_form",
     "second_fundamental_form",
     "section_links",
-    "nearest_projection",
 ]
 
 PROJECTION_TOL = 1e-10
@@ -102,11 +99,10 @@ class BaseGrid:
         if self.ndim != 2:
             raise GridDomainError("operation needs a 2-axis torus, not a 1-axis line")
 
-
-def _roll(values: np.ndarray, grid: BaseGrid, axis: int, step: int) -> np.ndarray:
-    """Whole-field neighbor lookup on the torus."""
-    grid.require_torus()
-    return np.roll(values, -step, axis=axis)
+    def roll(self, values: np.ndarray, axis: int, step: int) -> np.ndarray:
+        """Whole-field neighbour lookup on the torus: entry b holds values[b + step e_axis]."""
+        self.require_torus()
+        return np.roll(values, -step, axis=axis)
 
 
 @dataclass
@@ -140,20 +136,20 @@ class DiscreteForm:
         g = self.grid
         if self.degree == 0:
             out = np.stack(
-                [_roll(self.samples, g, ax, +1) - self.samples for ax in range(g.ndim)],
+                [g.roll(self.samples, ax, +1) - self.samples for ax in range(g.ndim)],
                 axis=g.ndim,
             )
             # an edge is masked when either of its ends is
-            m = np.stack([self.mask | _roll(self.mask, g, ax, +1) for ax in range(g.ndim)],
+            m = np.stack([self.mask | g.roll(self.mask, ax, +1) for ax in range(g.ndim)],
                          axis=g.ndim)
             return DiscreteForm(g, 1, out, mask=m)
         if self.degree == 1:
             e0 = self.samples.take(0, axis=2)
             e1 = self.samples.take(1, axis=2)
-            out = e0 + _roll(e1, g, 0, +1) - _roll(e0, g, 1, +1) - e1
+            out = e0 + g.roll(e1, 0, +1) - g.roll(e0, 1, +1) - e1
             m0 = self.mask.take(0, axis=2)
             m1 = self.mask.take(1, axis=2)
-            m = m0 | m1 | _roll(m1, g, 0, +1) | _roll(m0, g, 1, +1)
+            m = m0 | m1 | g.roll(m1, 0, +1) | g.roll(m0, 1, +1)
             return DiscreteForm(g, 2, out, mask=m)
         raise ValueError("no degree-3 cells on a 2-axis grid")
 
@@ -221,9 +217,9 @@ class Projection:
 def _plaquette_corners(values: np.ndarray, grid: BaseGrid):
     """Per plaquette: corner-averaged P and [d0 P, d1 P] of face-averaged central differences."""
     c00 = values
-    c10 = _roll(values, grid, 0, +1)
-    c01 = _roll(values, grid, 1, +1)
-    c11 = _roll(c10, grid, 1, +1)
+    c10 = grid.roll(values, 0, +1)
+    c01 = grid.roll(values, 1, +1)
+    c11 = grid.roll(c10, 1, +1)
     pc = 0.25 * (c00 + c10 + c01 + c11)
     d0 = (c10 + c11 - c00 - c01) / (2.0 * grid.spacing[0])
     d1 = (c01 + c11 - c00 - c10) / (2.0 * grid.spacing[1])
@@ -278,7 +274,7 @@ class ProjectionSection:
         """Constant C with ||P(b+e) - P(b)|| <= C*h over all grid edges."""
         g, v, c = self.grid, self.values, 0.0
         for ax in range(g.ndim):
-            d = _roll(v, g, ax, +1) - v
+            d = g.roll(v, ax, +1) - v
             if d.size:
                 c = max(c, float(np.max(np.linalg.norm(d, ord=2, axis=(-2, -1)))) / g.spacing[ax])
         return c
@@ -293,7 +289,7 @@ class ProjectionSection:
         g = self.grid
         f = self.frames()
         fh = np.swapaxes(f.conj(), -1, -2)
-        out = [bmm(fh, _roll(f, g, ax, +1)) for ax in range(g.ndim)]
+        out = [bmm(fh, g.roll(f, ax, +1)) for ax in range(g.ndim)]
         return _readonly(np.stack(out, axis=g.ndim))
 
     @cached_property
@@ -318,17 +314,11 @@ class ProjectionSection:
 
     @cached_property
     def _complement(self) -> "ProjectionSection":
-        comp = ProjectionSection.build(self.grid, spectral_frames(np.eye(self.dim) - 2.0 * self.values))
-        self._set_complement(comp)
-        return comp
+        return ProjectionSection.build(self.grid, spectral_frames(np.eye(self.dim) - 2.0 * self.values))
 
     def complement(self) -> "ProjectionSection":
-        """Section of I - P (+1 eigenspaces of I - 2P); its complement is this section."""
+        """Section of I - P, spanned by the +1 eigenspaces of I - 2P (cached)."""
         return self._complement
-
-    def _set_complement(self, comp: "ProjectionSection") -> None:
-        """Record comp, built from frames of ran(I - P), as the complement both ways."""
-        self.__dict__["_complement"], comp.__dict__["_complement"] = comp, self
 
 
 def spectral_frames(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:

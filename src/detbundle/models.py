@@ -11,7 +11,7 @@ stability studies.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,9 +158,6 @@ class Dirac1DFamily:
         else:
             t = self.transfer_field(np.pi, 2.0 * np.pi)
             sec = ProjectionSection.build(self.grid, graph_frames(t, eye))
-            # the orthogonal complement of {(T w, w)} is the graph of -T*
-            sec._set_complement(ProjectionSection.build(
-                self.grid, graph_frames(eye, -np.swapaxes(t.conj(), -1, -2))))
         self._sections[side] = sec
         return sec
 
@@ -175,10 +172,17 @@ class Dirac1DFamily:
     def full_monodromy_det(self, idx) -> complex:
         return complex(self.monodromy_field()[idx])
 
+    @cached_property
+    def _right_complement(self) -> ProjectionSection:
+        # the orthogonal complement of {(T w, w)}, T = T(pi -> 2pi), is the graph of -T*
+        t = self.transfer_field(np.pi, 2.0 * np.pi)
+        eye = np.broadcast_to(np.eye(self.rank, dtype=complex), t.shape)
+        return ProjectionSection.build(self.grid, graph_frames(eye, -np.swapaxes(t.conj(), -1, -2)))
+
     def boundary_pair(self):
         """Compression pair (P0, P1) of the full determinant: the left Cauchy
-        data and the complement of the right."""
-        return self.calderon_section("left"), self.calderon_section("right").complement()
+        data and the complement of the right, built from the graph of -T*."""
+        return self.calderon_section("left"), self._right_complement
 
 
 # -- shipped families ---------------------------------------------------------

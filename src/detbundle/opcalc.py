@@ -16,10 +16,8 @@ import numpy as np
 
 __all__ = [
     "SchattenProfile",
-    "as_matrix",
     "trace",
     "trace_norm",
-    "operator_norm",
     "schatten_profile",
     "wedge_trace",
     "fredholm_det",

@@ -13,7 +13,6 @@ from detbundle.grassmann import (
     Projection,
     ProjectionSection,
     _plaquette_corners,
-    _roll,
     nearest_projection,
     section_links,
     spectral_frames,
@@ -127,13 +126,13 @@ def _ambient_chart_edge_data(sec0, sec1, chart, sing_floor):
     phi = (sec1.values @ amb) @ sec0.values
     comps, masks = [], []
     for ax in range(g.ndim):
-        dphi = (_roll(phi, g, ax, +1) - _roll(phi, g, ax, -1)) / (2.0 * g.spacing[ax])
+        dphi = (g.roll(phi, ax, +1) - g.roll(phi, ax, -1)) / (2.0 * g.spacing[ax])
         t = f1h @ dphi @ f0
         di = np.trace(np.linalg.solve(msafe, t), axis1=-2, axis2=-1).imag
-        re = 0.5 * (_roll(logm, g, ax, +1) - logm)
-        im = 0.5 * g.spacing[ax] * (di + _roll(di, g, ax, +1))
+        re = 0.5 * (g.roll(logm, ax, +1) - logm)
+        im = 0.5 * g.spacing[ax] * (di + g.roll(di, ax, +1))
         comps.append(re + 1j * im)
-        masks.append(~(healthy & _roll(healthy, g, ax, +1)))
+        masks.append(~(healthy & g.roll(healthy, ax, +1)))
     return {"omega": np.stack(comps, axis=g.ndim), "edge_mask": np.stack(masks, axis=g.ndim),
             "healthy": healthy, "det": np.linalg.det(msafe)}
 
@@ -271,7 +270,7 @@ def test_additivity_diagonalises_each_section_once(monkeypatch):
         assert len(calls[name]) == 0, name
     assert sec.frames() is sec.frames()
     assert section_links(sec) is section_links(sec)
-    assert sec.complement().complement() is sec
+    assert sec.complement() is sec.complement()
     with pytest.raises(ValueError):
         sec.values[0, 0, 0, 0] = 1.0
 

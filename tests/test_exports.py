@@ -16,13 +16,34 @@ import detbundle
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _modules() -> list[types.ModuleType]:
+    return [importlib.import_module(f"detbundle.{m.name}")
+            for m in pkgutil.iter_modules(detbundle.__path__) if m.name != "__main__"]
+
+
 def test_every_name_in_every_all_resolves():
-    modules = [detbundle] + [importlib.import_module(f"detbundle.{m.name}")
-                             for m in pkgutil.iter_modules(detbundle.__path__)
-                             if m.name != "__main__"]
-    missing = [f"{mod.__name__}.{name}" for mod in modules
+    missing = [f"{mod.__name__}.{name}" for mod in [detbundle, *_modules()]
                for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_each_public_name_is_declared_once():
+    # a module's __all__ is the one declaration of the names it exports: no
+    # name sits in two lists, a listed function or class is defined where it
+    # is listed, and the package re-exports every list but verify's and cli's
+    owners: dict[str, list[str]] = {}
+    foreign = []
+    for mod in _modules():
+        short = mod.__name__.rsplit(".", 1)[1]
+        for name in getattr(mod, "__all__", ()):
+            owners.setdefault(name, []).append(short)
+            value = getattr(mod, name)
+            if callable(value) and value.__module__ != mod.__name__:
+                foreign.append(f"{short}.{name} from {value.__module__}")
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+    assert foreign == []
+    exported = {n for n, m in owners.items() if m[0] not in ("verify", "cli")}
+    assert set(detbundle.__all__) - {"__version__"} == exported
 
 
 def _names_read(path: Path) -> set[str]:
@@ -99,27 +120,45 @@ def test_no_file_imports_a_name_it_never_reads():
 
 
 def test_no_module_imports_another_modules_private_names():
-    # a private name stays inside its module; _blocks is the shared kernel
-    # module, and grassmann's _roll is the one exception
-    allowed = {("grassmann", "_roll")}
+    # a private name stays inside its module; _blocks, the shared kernel
+    # module, is the one exception
     leaks = []
     for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not (isinstance(node, ast.ImportFrom) and node.level and node.module):
                 continue
             for alias in node.names:
-                if alias.name.startswith("_") and node.module != "_blocks" \
-                        and (node.module, alias.name) not in allowed:
+                if alias.name.startswith("_") and node.module != "_blocks":
                     leaks.append(f"{path.name}: {node.module}.{alias.name}")
     assert leaks == []
 
 
+def _dataclass_fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
+    """(fields, defaulted fields) of a dataclass in declaration order; a
+    field(...) value is a default only with a default or a default_factory."""
+    names, named = [], []
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.append(stmt.target.id)
+            value = stmt.value
+            if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+                value = next((k for k in value.keywords
+                              if k.arg in ("default", "default_factory")), None)
+            if value is not None:
+                named.append(stmt.target.id)
+    return names, named
+
+
 def _defaulted_parameters(path: Path) -> list[tuple[str, list[str], list[str]]]:
     """(callee name, positional parameters, defaulted parameters) per function
-    of a file.  A method drops its self, and __init__ is called by the class
-    name."""
+    of a file and per dataclass.  A method drops its self, and __init__ and a
+    dataclass's fields are called by the class name."""
     tree = ast.parse(path.read_text())
     out = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list):
+            out.append((cls.name, *_dataclass_fields(cls)))
     for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
         for fn in scope.body:
             if not isinstance(fn, ast.FunctionDef):
@@ -136,8 +175,9 @@ def _defaulted_parameters(path: Path) -> list[tuple[str, list[str], list[str]]]:
 
 def test_no_default_is_overridden_by_every_caller():
     # a default that every call overrides is one no caller takes; drop it.
-    # Calls match by bare or attribute name, so every same-named call must
-    # override, and a call with *args or **kwargs counts as overriding
+    # Dataclass fields count as parameters of their class.  Calls match by
+    # bare or attribute name, so every same-named call must override, and a
+    # call with *args or **kwargs counts as overriding
     calls: dict[str, list[ast.Call]] = {}
     for folder in ("src", "tests", "demos", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):

@@ -191,11 +191,13 @@ def test_projection_rejects_malformed_frames():
 
 
 def test_both_complements_are_identity_minus_projection():
-    # a section's complement: the +1 eigenspace of I - 2P
+    # a section's complement: the +1 eigenspace of I - 2P, cached; the
+    # complement of the complement projects back onto the section
     sec = rotated_interface(demo_family(BaseGrid.torus(8, 8), steps_per_half=16))
     comp = sec.complement()
-    assert comp.base_rank == 2 and comp.complement() is sec
+    assert comp.base_rank == 2 and sec.complement() is comp
     assert np.abs(comp.values - (np.eye(4) - sec.values)).max() <= 1e-14
+    assert np.abs(comp.complement().values - sec.values).max() <= 1e-14
 
 
 # -- compressions --------------------------------------------------------------

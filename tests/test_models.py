@@ -368,7 +368,7 @@ def test_vortex_interface_matches_projection_formula(demo16, orientation):
 def test_frame_first_sections_make_no_eigh(monkeypatch):
     fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
     calls = _count_calls(monkeypatch, "eigh")
-    # the pair's second leg is the complement of the right section, built with it
+    # the pair's second leg is the graph of -T*, built from the transfer
     for sec in (*fam.boundary_pair(), fam.calderon_section("right"), vortex_interface(fam)):
         sec.frames()
     assert len(calls) == 0
@@ -385,11 +385,14 @@ def test_right_calderon_complement_is_the_graph_of_minus_t_adjoint(rank):
     fam = constant_scalar_family(BaseGrid.torus(6, 6), rank=rank, steps_per_half=16) \
         if rank != 2 else demo_family(BaseGrid.torus(6, 6), steps_per_half=16)
     right = fam.calderon_section("right")
-    comp = right.complement()
-    assert comp.base_rank == rank and comp.complement() is right
+    comp = fam.boundary_pair()[1]
+    assert comp.base_rank == rank and fam.boundary_pair()[1] is comp
     assert np.abs(comp.values - (np.eye(2 * rank) - right.values)).max() <= 1e-14
-    # and the right section is {(T w, w)} with T = T(pi -> 2pi)
+    # the pair's second leg is the graph {(v, -T* v)}
     t = fam.transfer_field(np.pi, 2.0 * np.pi)
+    f = comp.frames()
+    assert np.abs(f[..., rank:, :] + np.swapaxes(t.conj(), -1, -2) @ f[..., :rank, :]).max() <= 1e-14
+    # and the right section is {(T w, w)} with T = T(pi -> 2pi)
     f = right.frames()
     assert np.abs(f[..., :rank, :] - t @ f[..., rank:, :]).max() <= 1e-14
 
