@@ -14,7 +14,7 @@ t = fam.transfer_field(0.0, np.pi)[0]
 print(f"transfer over half the circle: {t[0, 0]:.10f}")
 print(f"closed form exp(i c pi):       {np.exp(1j * 0.75 * np.pi):.10f}")
 
-mono = fam.full_monodromy_det((0,))
+mono = fam.monodromy_field()[0]
 print(f"det(I - T_full) at c=0.75: {mono:.10f} (vanishes only at integer c)")
 
 # the demo two-band family: left and right boundary-value bundles, and the

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from ._blocks import _cond_ok, det
 from .detline import COND_BOUND
-from .errors import CoverageError, DegenerateSpectrum, NearSingular, OutOfChart, VortexOnLink
+from .errors import CoverageError, DegenerateSpectrum, OutOfChart, VortexOnLink
 from .grassmann import BaseGrid
 from .models import (
     DEMO_COEFFICIENTS,
@@ -298,12 +298,8 @@ def cmd_curvature(cfg: dict, out_dir: Path) -> int:
 
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     samples = _as_int(cfg, "sweep", "samples")
-    if samples < 4:
-        raise ConfigError("sweep.samples must be at least 4")
     start = _as_float(cfg, "sweep", "start")
     stop = _as_float(cfg, "sweep", "stop")
-    if not stop > start:
-        raise ConfigError("sweep.stop must exceed sweep.start")
     payload = _meta(cfg, "sweep", [samples])
     try:
         grid = BaseGrid.line(samples, start, stop)
@@ -391,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except CoverageError as err:
         print(f"coverage failure: {err}", file=sys.stderr)
         return 1
-    except (VortexOnLink, NearSingular, OutOfChart, DegenerateSpectrum, FloatingPointError) as err:
+    except (VortexOnLink, OutOfChart, DegenerateSpectrum, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
 

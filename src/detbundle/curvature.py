@@ -23,7 +23,7 @@ import numpy as np
 
 from ._blocks import _readonly, bmm, det, det_logabs, smallest_singular_value, trace_solve
 from .detline import frame_metric_sq
-from .errors import CoverageError, NearSingular, VortexOnLink
+from .errors import CoverageError, OutOfChart, VortexOnLink
 from .grassmann import (
     BaseGrid,
     DiscreteForm,
@@ -332,12 +332,12 @@ def f_function(model, section: ProjectionSection, idx) -> complex:
 
     Compares the full boundary pair of the model with the composition of the
     two half pairs through the interface section; 1 when the section equals
-    the first Cauchy-data bundle.  Raises NearSingular at excluded points.
+    the first Cauchy-data bundle.  Raises OutOfChart at excluded points.
     """
     sec_a, sec_b = model.boundary_pair()
     vals, healthy = f_function_field(sec_a, section, sec_b, 1e-8)
     if not healthy[idx]:
-        raise NearSingular(f"a compression is near-singular at {idx}")
+        raise OutOfChart(f"a compression is near-singular at {idx}")
     return complex(vals[idx])
 
 

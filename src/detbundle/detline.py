@@ -17,7 +17,7 @@ import numpy as np
 from ._blocks import _cond_ok, bmm, det
 from .errors import OutOfChart
 from .grassmann import Projection
-from .opcalc import as_matrix, fredholm_det, schatten_profile
+from .opcalc import as_matrix, fredholm_det, schatten_profile, square_matrix
 
 __all__ = [
     "LineElement",
@@ -33,34 +33,17 @@ __all__ = [
 ]
 
 
-def pad_square(a) -> np.ndarray:
-    """Pad a rectangular matrix with zero rows or columns to make it square.
-
-    A surjective-side deficit (more columns than rows) gets zero rows, the
-    opposite gets zero columns; square input passes through.  This realizes
-    the index-zero reduction A (+) 0 used for families of nonzero index.
-    """
-    m = as_matrix(a)
-    rows, cols = m.shape
-    if rows == cols:
-        return m
-    n = max(rows, cols)
-    out = np.zeros((n, n), dtype=complex)
-    out[:rows, :cols] = m
-    return out
-
-
 @dataclass(frozen=True)
 class LineElement:
-    """Class [rep, scale] in the determinant line of ``base``."""
+    """Class [rep, scale] in the determinant line of the square operator ``base``."""
 
     base: np.ndarray
     rep: np.ndarray
     scale: complex
 
     def __post_init__(self):
-        b = pad_square(self.base)
-        r = pad_square(self.rep)
+        b = square_matrix(self.base)
+        r = square_matrix(self.rep)
         if b.shape != r.shape:
             raise ValueError("representative and base act on different spaces")
         # trace-class surrogate: the perturbation must carry finite norms
@@ -76,7 +59,7 @@ class LineElement:
 
 def canonical_det(a) -> LineElement:
     """Canonical element [A, 1] of the determinant line of A."""
-    return LineElement(pad_square(a), pad_square(a), 1.0)
+    return LineElement(a, a, 1.0)
 
 
 # condition-number bound of a chart domain: sigma_max <= COND_BOUND * sigma_min
@@ -103,7 +86,7 @@ def chart_coordinate(e: LineElement, alpha) -> complex:
 
 def transition(a, alpha, beta) -> complex:
     """Chart transition factor det((A + alpha)(A + beta)^-1) between two shifts."""
-    a = pad_square(a)
+    a = square_matrix(a)
     return _chart_det(a + as_matrix(beta), a + as_matrix(alpha),
                       "beta-chart is not invertible at this point")
 

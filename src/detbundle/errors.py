@@ -2,7 +2,6 @@
 
 __all__ = [
     "DegenerateSpectrum",
-    "NearSingular",
     "OutOfChart",
     "CoverageError",
     "VortexOnLink",
@@ -14,12 +13,8 @@ class DegenerateSpectrum(ValueError):
     """Eigenvalues inside the forbidden band around zero; spectral projection ill-posed."""
 
 
-class NearSingular(ValueError):
-    """A restricted operator is numerically non-invertible (point outside the chart)."""
-
-
 class OutOfChart(ValueError):
-    """A base point lies outside the domain of the requested trivialization."""
+    """A compression is numerically non-invertible here: the point lies outside the chart."""
 
 
 class CoverageError(RuntimeError):

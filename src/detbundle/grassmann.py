@@ -17,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import _readonly, bmm, det, orthonormalizer
-from .errors import DegenerateSpectrum, GridDomainError, NearSingular
-from .opcalc import as_matrix
+from ._blocks import _readonly, bmm, det, orthonormalizer, smallest_singular_value
+from .errors import DegenerateSpectrum, GridDomainError, OutOfChart
+from .opcalc import as_matrix, square_matrix
 
 __all__ = [
     "BaseGrid",
@@ -81,15 +81,6 @@ class BaseGrid:
         axes = [self.axis_coords(k, offset) for k in range(self.ndim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def shift(self, idx: tuple[int, ...], axis: int, step: int) -> tuple[int, ...]:
-        self.require_torus()
-        idx = tuple(int(i) for i in (idx if isinstance(idx, tuple) else (idx,)))
-        if len(idx) != self.ndim:
-            raise ValueError("index rank does not match grid")
-        out = list(idx)
-        out[axis] = (idx[axis] + step) % self.shape[axis]
-        return tuple(out)
-
     def plaquette_area(self) -> float:
         self.require_torus()
         return self.spacing[0] * self.spacing[1]
@@ -100,7 +91,7 @@ class BaseGrid:
             raise GridDomainError("operation needs a 2-axis torus, not a 1-axis line")
 
     def roll(self, values: np.ndarray, axis: int, step: int) -> np.ndarray:
-        """Whole-field neighbour lookup on the torus: entry b holds values[b + step e_axis]."""
+        """The neighbour lookup on the torus: entry b holds values[b + step e_axis]."""
         self.require_torus()
         return np.roll(values, -step, axis=axis)
 
@@ -352,10 +343,7 @@ def spectral_frames(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
 
 def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
     """Projection onto the span of eigenvectors with non-negative eigenvalues."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("square matrix required")
-    return Projection(spectral_frames(m, gap_tol))
+    return Projection(spectral_frames(square_matrix(a), gap_tol))
 
 
 def graph_frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -370,37 +358,35 @@ def graph_frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def graph_projection(t) -> Projection:
     """Projection onto the graph {(v, T v)} inside C^n (+) C^n."""
-    tm = as_matrix(t)
-    if tm.shape[0] != tm.shape[1]:
-        raise ValueError("graph projection expects a square block")
+    tm = square_matrix(t)
     return Projection(graph_frames(np.eye(tm.shape[0], dtype=complex), tm))
 
 
 def toeplitz_inverse(p0: Projection, p1: Projection, phi) -> np.ndarray:
     """Ambient inverse X of a map phi: range(P0) -> range(P1).
 
-    X satisfies X phi = P0 and phi X = P1.  Raises NearSingular when the
-    smallest restricted singular value drops below 1e-12.
+    X satisfies X phi = P0 and phi X = P1.  Raises OutOfChart when the
+    smallest restricted singular value drops below 1e-12; rank 0 gives 0.
     """
     if p0.rank != p1.rank:
         raise ValueError("ranks differ; the restriction cannot be invertible")
     f0, f1 = p0.frame(), p1.frame()
     m = f1.conj().T @ as_matrix(phi) @ f0
-    if p0.rank == 0:
-        return np.zeros((p0.dim, p0.dim), dtype=complex)
-    smin = np.linalg.svd(m, compute_uv=False)[-1]
+    smin = smallest_singular_value(m)
     if smin < 1e-12:
-        raise NearSingular(f"restricted singular value {smin:.3e} below 1e-12")
+        raise OutOfChart(f"restricted singular value {smin:.3e} below 1e-12")
     return f0 @ np.linalg.inv(m) @ f1.conj().T
 
 
 def second_fundamental_form(section: ProjectionSection, idx, axis: int) -> np.ndarray:
     """Off-diagonal derivative block (I - P(b)) dP P(b) by central difference."""
-    g = section.grid
-    fwd = g.shift(idx, axis, +1)
-    bwd = g.shift(idx, axis, -1)
-    diff = (section.values[fwd] - section.values[bwd]) / (2.0 * g.spacing[axis])
-    p = section.values[idx]
+    g, v = section.grid, section.values
+    fwd, bwd = g.roll(v, axis, +1), g.roll(v, axis, -1)
+    idx = tuple(int(i) for i in (idx if isinstance(idx, tuple) else (idx,)))
+    if len(idx) != g.ndim:
+        raise ValueError("index rank does not match grid")
+    diff = (fwd[idx] - bwd[idx]) / (2.0 * g.spacing[axis])
+    p = v[idx]
     return (np.eye(section.dim) - p) @ diff @ p
 
 

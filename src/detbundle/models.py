@@ -169,9 +169,6 @@ class Dirac1DFamily:
         t = _bmm(self.transfer_field(np.pi, 2.0 * np.pi), self.transfer_field(0.0, np.pi))
         return _det(np.eye(self.rank) - t)
 
-    def full_monodromy_det(self, idx) -> complex:
-        return complex(self.monodromy_field()[idx])
-
     @cached_property
     def _right_complement(self) -> ProjectionSection:
         # the orthogonal complement of {(T w, w)}, T = T(pi -> 2pi), is the graph of -T*

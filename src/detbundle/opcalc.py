@@ -35,7 +35,8 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _square(a) -> np.ndarray:
+def square_matrix(a) -> np.ndarray:
+    """``as_matrix(a)``, required to be square."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
@@ -44,7 +45,7 @@ def _square(a) -> np.ndarray:
 
 def trace(a) -> complex:
     """Sum of diagonal entries of a square matrix."""
-    return complex(np.trace(_square(a)))
+    return complex(np.trace(square_matrix(a)))
 
 
 def trace_norm(a) -> float:
@@ -110,7 +111,7 @@ def wedge_trace(a, r: int) -> complex:
     computed from power-sum traces through Newton's identities (no
     eigendecomposition).  Returns 1 for r = 0 and exactly 0 for r > dim.
     """
-    m = _square(a)
+    m = square_matrix(a)
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError("wedge order must be a non-negative integer")
     if r > m.shape[0]:
@@ -124,7 +125,7 @@ def fredholm_det(a, method: str = "dense") -> complex:
     method="dense" evaluates det(I + A) by LU.  method="series" sums the
     exterior-power traces e_0 + e_1 + ... + e_dim, a finite series.
     """
-    m = _square(a)
+    m = square_matrix(a)
     n = m.shape[0]
     if method == "dense":
         return complex(np.linalg.det(np.eye(n) + m))
@@ -140,7 +141,7 @@ def compound_matrix(a, r: int) -> np.ndarray:
     Intended for small dimensions; used to check wedge bounds against the
     Schatten calculus.
     """
-    m = _square(a)
+    m = square_matrix(a)
     n = m.shape[0]
     if not isinstance(r, (int, np.integer)) or r < 0 or r > n:
         raise ValueError("compound order must satisfy 0 <= r <= dim")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detbundle.detline import pair_metric_sq
-from detbundle.errors import CoverageError, VortexOnLink
+from detbundle.errors import CoverageError, OutOfChart, VortexOnLink
 from detbundle.grassmann import (
     BaseGrid,
     DiscreteForm,
@@ -241,6 +241,14 @@ def test_f_function_is_one_when_section_equals_first_leg(demo16):
     assert f_function(demo16, left, (3, 5)) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_f_function_raises_out_of_chart_at_an_excluded_point():
+    # at c = 1 the periodic kernel is open everywhere, so the full pair's
+    # compression is singular at every point
+    fam = constant_scalar_family(BaseGrid.torus(8, 8), value=1.0, steps_per_half=64)
+    with pytest.raises(OutOfChart, match="near-singular at"):
+        f_function(fam, fam.calderon_section("left"), (0, 0))
+
+
 def test_additivity_report_demo(demo16, rot16):
     rep = additivity_residual(demo16, rot16, label="demo")
     r = rep.residuals
@@ -345,6 +353,22 @@ def test_verify_curvature_suite_reuses_the_report(monkeypatch):
         for block in s.plaquette_blocks:
             with pytest.raises(ValueError):
                 block[(0,) * block.ndim] = 0.0
+
+
+def test_verify_curvature_suite_reuses_the_report_on_a_cylinder(monkeypatch):
+    # CylinderFamily does not cache its pair, so every boundary_pair() builds
+    # two conjugated sections; the suite reads the first boundary section off
+    # the report instead of building the pair a second time
+    from detbundle import verify
+
+    fam = CylinderFamily(BaseGrid.torus(8, 8), truncation=4)
+    sec = fam.conjugated_section(0.5 * fam.amplitude, seed_offset=4)
+    calls = _count_calls(monkeypatch, "conjugated_section", (CylinderFamily,))
+    checks = verify.run_suite("curvature", family=fam, section=sec,
+                              sing_floor=0.05, max_excluded=0.05)
+    assert len(calls) == 2
+    assert len(checks) == 12
+    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
 def test_additivity_residual_refines_at_second_order(demo16, rot16, demo32, rot32):

@@ -15,27 +15,33 @@ from detbundle.detline import (
     inner_product,
     metric_norm_sq,
     norm_sq,
-    pad_square,
     pair_metric_sq,
     sew,
     sew_gauge_factor,
     transition,
 )
 from detbundle.errors import OutOfChart
-from detbundle.grassmann import BaseGrid, Projection
+from detbundle.grassmann import BaseGrid, Projection, graph_projection, spectral_projection
 from detbundle.models import constant_scalar_family
 from detbundle.opcalc import fredholm_det
 
 from conftest import random_complex, random_frame
 
 
-def test_pad_square_adds_zero_rows_and_columns():
-    wide = pad_square(np.ones((2, 3)))
-    assert wide.shape == (3, 3)
-    np.testing.assert_allclose(wide[2], 0.0)
-    tall = pad_square(np.ones((3, 2)))
-    assert tall.shape == (3, 3)
-    np.testing.assert_allclose(tall[:, 2], 0.0)
+SQUARE_ONLY = {
+    "canonical_det": canonical_det,
+    "LineElement": lambda m: LineElement(m, m, 1.0),
+    "transition": lambda m: transition(m, m, m),
+    "spectral_projection": spectral_projection,
+    "graph_projection": graph_projection,
+}
+
+
+@pytest.mark.parametrize("call", SQUARE_ONLY.values(), ids=SQUARE_ONLY.keys())
+def test_lines_and_projections_need_a_square_matrix(call):
+    # opcalc.square_matrix is the one square check behind all five
+    with pytest.raises(ValueError, match="square matrix required"):
+        call(np.ones((2, 3)))
 
 
 def test_moved_representative_keeps_the_class():
@@ -171,7 +177,7 @@ def test_sew_of_identity_segments_is_identity_toeplitz():
 
 def test_sew_rank_mismatch_raises():
     with pytest.raises(ValueError):
-        sew(canonical_det(np.ones((2, 3))), canonical_det(np.ones((2, 2))))
+        sew(canonical_det(np.eye(3)), canonical_det(np.eye(2)))
 
 
 @given(seed=st.integers(0, 2**31))

@@ -1,6 +1,7 @@
 """Every exported name resolves, every public name has a caller outside the
 tests, no file imports a name it never reads, no module imports another
-module's private names, and no default is one that every caller overrides."""
+module's private names, no default is one that every caller overrides, and
+only the kernel modules take singular values."""
 
 import ast
 import functools
@@ -131,6 +132,20 @@ def test_no_module_imports_another_modules_private_names():
                 if alias.name.startswith("_") and node.module != "_blocks":
                     leaks.append(f"{path.name}: {node.module}.{alias.name}")
     assert leaks == []
+
+
+def test_only_blocks_and_opcalc_take_singular_values():
+    # _blocks owns the smallest singular value and the condition bound, and
+    # opcalc the Schatten norms; every other module asks one of them
+    sites = []
+    for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
+        if path.name in ("_blocks.py", "opcalc.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "svd"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
 
 
 def _dataclass_fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:

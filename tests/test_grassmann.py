@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from detbundle.errors import DegenerateSpectrum, GridDomainError, NearSingular
+from detbundle.errors import DegenerateSpectrum, GridDomainError, OutOfChart
 from detbundle.grassmann import (
     BaseGrid,
     DiscreteForm,
@@ -58,16 +58,18 @@ def test_line_grid_includes_endpoints():
         g.require_torus()
 
 
-def test_shift_wraps_only_on_periodic_axes():
+def test_roll_wraps_only_on_the_torus():
     g = BaseGrid.torus(4, 4)
-    assert g.shift((3, 0), 0, 1) == (0, 0)
+    v = np.arange(16).reshape(4, 4)
+    assert g.roll(v, 0, +1)[3, 0] == v[0, 0]
+    assert g.roll(v, 1, -1)[2, 0] == v[2, 3]
     line = BaseGrid.line(4, 0.0, 1.0)
     with pytest.raises(GridDomainError):
-        line.shift((3,), 0, 1)
+        line.roll(np.arange(4), 0, 1)
 
 
 TORUS_ONLY = {
-    "shift": lambda line, sec: line.shift((0,), 0, 1),
+    "roll": lambda line, sec: line.roll(np.zeros(line.shape), 0, 1),
     "plaquette_area": lambda line, sec: line.plaquette_area(),
     "DiscreteForm": lambda line, sec: DiscreteForm(line, 0, np.zeros(line.shape)),
     "section_links": lambda line, sec: section_links(sec),
@@ -211,10 +213,14 @@ def test_toeplitz_of_equal_projections_is_identity_on_range():
 
 
 def test_toeplitz_inverse_of_projection_is_projection():
+    # rank 0 takes the general path too: the smallest singular value of an
+    # empty compression is +inf, and X is the dim x dim zero matrix
     rng = np.random.default_rng(24)
-    p = Projection(random_frame(rng, 5, 2))
-    x = toeplitz_inverse(p, p, p.matrix)
-    np.testing.assert_allclose(x, p.matrix, atol=1e-10)
+    for rank in (2, 0):
+        p = Projection(random_frame(rng, 5, rank))
+        x = toeplitz_inverse(p, p, p.matrix)
+        assert x.shape == (5, 5)
+        np.testing.assert_allclose(x, p.matrix, atol=1e-10)
 
 
 def test_toeplitz_inverse_two_sided_laws():
@@ -236,7 +242,7 @@ def test_toeplitz_inverse_two_sided_laws():
 def test_toeplitz_inverse_raises_on_orthogonal_ranges():
     p0 = Projection(np.array([[1.0], [0.0]]))
     p1 = Projection(np.array([[0.0], [1.0]]))
-    with pytest.raises(NearSingular):
+    with pytest.raises(OutOfChart):
         toeplitz_inverse(p0, p1, p1.matrix @ p0.matrix)
 
 

@@ -224,14 +224,14 @@ def test_bundle_intersection_iff_monodromy_eigenvalue_one():
 def test_monodromy_zero_potential():
     fam = constant_scalar_family(BaseGrid.line(4, 0.0, 1.0), value=0.0,
                                  steps_per_half=16)
-    assert abs(fam.full_monodromy_det((0,))) <= 1e-12
+    assert abs(fam.monodromy_field()[0]) <= 1e-12
 
 
 def test_monodromy_half_integer_closed_form():
     # det(1 - e^{2 pi i c}) = 2 exactly at c = 1/2
     fam = constant_scalar_family(BaseGrid.line(4, 0.0, 1.0), value=0.5,
                                  steps_per_half=512)
-    assert abs(fam.full_monodromy_det((0,)) - 2.0) <= 1e-9
+    assert abs(fam.monodromy_field()[0] - 2.0) <= 1e-9
 
 
 def test_kernel_locus_matches_pair_determinant():
