@@ -85,11 +85,11 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> di
     if path is not None:
         parser = configparser.ConfigParser()
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from err
-        except configparser.Error as err:
+        except (configparser.Error, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot parse config file: {err}") from err
         for sec in parser.sections():
             if sec not in cfg:
@@ -222,15 +222,13 @@ def _meta(cfg, command: str, grid: list[int]) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(c) for c in row) + "\n")
@@ -275,7 +273,6 @@ def cmd_curvature(cfg: dict, out_dir: Path) -> int:
     family = build_family(cfg, grid)
     section = build_interface(cfg, family)
     report = additivity_residual(family, section, label=cfg["model"]["kind"], **chart_settings)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.curvature.to_csv(out_dir / "curvature_full.csv")
     report.curvature_left.to_csv(out_dir / "curvature_left.csv")
     report.curvature_right.to_csv(out_dir / "curvature_right.csv")
@@ -376,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory: {err}") from err
         if args.command == "verify":
             return cmd_verify(args.suite, cfg, out_dir)
         if args.command == "curvature":

@@ -17,7 +17,7 @@ import numpy as np
 from ._blocks import _cond_ok, bmm, det
 from .errors import OutOfChart
 from .grassmann import Projection
-from .opcalc import as_matrix, fredholm_det, schatten_profile, square_matrix
+from .opcalc import as_matrix, fredholm_det, square_matrix
 
 __all__ = [
     "LineElement",
@@ -46,8 +46,6 @@ class LineElement:
         r = square_matrix(self.rep)
         if b.shape != r.shape:
             raise ValueError("representative and base act on different spaces")
-        # trace-class surrogate: the perturbation must carry finite norms
-        schatten_profile(r - b)
         object.__setattr__(self, "base", b)
         object.__setattr__(self, "rep", r)
         object.__setattr__(self, "scale", complex(self.scale))

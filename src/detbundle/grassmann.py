@@ -169,7 +169,7 @@ class DiscreteForm:
         header = ["i", "j"] + (["mu"] if self.degree == 1 else []) + ["re", "im"]
         cols = [i.ravel().tolist() for i in np.indices(self.samples.shape)]
         cols += [v.real.tolist(), v.imag.tolist()]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cols))
 
@@ -346,20 +346,16 @@ def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
     return Projection(spectral_frames(square_matrix(a), gap_tol))
 
 
-def graph_frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Orthonormal range frames [X; Y] L^-* of stacked blocks, L L* = X* X + Y* Y.
-
-    Gram-Schmidt on the columns of [X; Y]; with X = I, the graph {(v, Y v)}.
-    """
-    xh, yh = np.swapaxes(x.conj(), -1, -2), np.swapaxes(y.conj(), -1, -2)
-    r_inv = orthonormalizer(bmm(xh, x) + bmm(yh, y))
-    return np.concatenate([bmm(x, r_inv), bmm(y, r_inv)], axis=-2)
+def graph_frames(t: np.ndarray) -> np.ndarray:
+    """Orthonormal frames [L^-*; T L^-*] of the graph {(v, T v)} of a stack of
+    square blocks, L L* = I + T* T: Gram-Schmidt on the columns of [I; T]."""
+    r_inv = orthonormalizer(np.eye(t.shape[-1]) + bmm(np.swapaxes(t.conj(), -1, -2), t))
+    return np.concatenate([r_inv, bmm(t, r_inv)], axis=-2)
 
 
 def graph_projection(t) -> Projection:
     """Projection onto the graph {(v, T v)} inside C^n (+) C^n."""
-    tm = square_matrix(t)
-    return Projection(graph_frames(np.eye(tm.shape[0], dtype=complex), tm))
+    return Projection(graph_frames(square_matrix(t)))
 
 
 def toeplitz_inverse(p0: Projection, p1: Projection, phi) -> np.ndarray:

@@ -49,9 +49,9 @@ class Dirac1DFamily:
     grid : BaseGrid
         Parameter lattice: a 1-axis line for scans, a 2-axis torus for curvature.
     potential : callable
-        potential(b1, b2, x) -> array of Hermitian (n, n) blocks, broadcasting
-        over the coordinate arrays b1, b2 (b2 is zero-filled on a 1-axis line).
-        Must be 2*pi periodic in x.
+        potential(b1, b2, x) -> one Hermitian (n, n) block per grid point, shape
+        grid.shape + (n, n), from the coordinate arrays b1, b2 (b2 is
+        zero-filled on a 1-axis line).  Must be 2*pi periodic in x.
     rank : int
         Block size n.
     steps_per_half : int
@@ -97,13 +97,7 @@ class Dirac1DFamily:
         a = np.asarray(self.potential(self._b1, self._b2, x), dtype=complex)
         want = self.grid.shape + (self.rank, self.rank)
         if a.shape != want:
-            try:
-                # only the grid axes broadcast: a scalar or a row is not an (n, n) block
-                if a.shape[-2:] != want[-2:]:
-                    raise ValueError
-                a = np.broadcast_to(a, want)
-            except ValueError:
-                raise ValueError(f"potential blocks have shape {a.shape}, want {want}") from None
+            raise ValueError(f"potential blocks have shape {a.shape}, want {want}")
         return a
 
     def transfer_field(self, x0: float, x1: float) -> np.ndarray:
@@ -152,12 +146,12 @@ class Dirac1DFamily:
             return self._sections[side]
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        eye = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank))
         if side == "left":
-            sec = ProjectionSection.build(self.grid, graph_frames(eye, self.transfer_field(0.0, np.pi)))
+            frames = graph_frames(self.transfer_field(0.0, np.pi))
         else:
-            t = self.transfer_field(np.pi, 2.0 * np.pi)
-            sec = ProjectionSection.build(self.grid, graph_frames(t, eye))
+            # {(T w, w)} is the graph of T with its two n-row halves swapped
+            frames = np.roll(graph_frames(self.transfer_field(np.pi, 2.0 * np.pi)), self.rank, axis=-2)
+        sec = ProjectionSection.build(self.grid, frames)
         self._sections[side] = sec
         return sec
 
@@ -173,8 +167,7 @@ class Dirac1DFamily:
     def _right_complement(self) -> ProjectionSection:
         # the orthogonal complement of {(T w, w)}, T = T(pi -> 2pi), is the graph of -T*
         t = self.transfer_field(np.pi, 2.0 * np.pi)
-        eye = np.broadcast_to(np.eye(self.rank, dtype=complex), t.shape)
-        return ProjectionSection.build(self.grid, graph_frames(eye, -np.swapaxes(t.conj(), -1, -2)))
+        return ProjectionSection.build(self.grid, graph_frames(-np.swapaxes(t.conj(), -1, -2)))
 
     def boundary_pair(self):
         """Compression pair (P0, P1) of the full determinant: the left Cauchy
@@ -339,9 +332,9 @@ def vortex_interface(fam: Dirac1DFamily, radius: float = 1.1,
     if not (0 < radius < np.pi):
         raise ValueError("radius must fit inside the fundamental domain")
     t = fam.transfer_field(0.0, np.pi)
-    eye = np.broadcast_to(np.eye(fam.rank, dtype=complex), t.shape)
     frames = fam.calderon_section("left").frames().copy()
-    gvec = graph_frames(-np.swapaxes(t.conj(), -1, -2), eye)[..., :, 0]
+    # {(-T* w, w)}: the graph of -T* with its two n-row halves swapped
+    gvec = np.roll(graph_frames(-np.swapaxes(t.conj(), -1, -2)), fam.rank, axis=-2)[..., :, 0]
 
     b1, b2 = g.coords()
     span1 = g.spacing[0] * g.shape[0]

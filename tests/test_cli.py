@@ -488,6 +488,31 @@ def test_sweep_rejects_the_cylinder_family(tmp_path, capsys):
         "config error: sweep supports the transfer-matrix families only\n"
 
 
+def test_unusable_out_directory_exits_two_before_numerics(tmp_path, capsys, monkeypatch):
+    # a regular file, or a path under one, cannot hold the outputs; main
+    # refuses it before any family is built
+    def no_numerics(*args, **kwargs):
+        raise AssertionError("numerics ran before the output directory was made")
+
+    monkeypatch.setattr("detbundle.cli.build_family", no_numerics)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        code = main(["sweep", "--config", str(CONFIGS / "scalar_sweep.cfg"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: cannot create output directory")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"[run]\nseed = 0\n# \xff\xfe\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot parse config file")
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_demo_config_loads():
     cfg = load_config(str(CONFIGS / "demo.cfg"))
     assert cfg["interface"]["kind"] == "rotated"

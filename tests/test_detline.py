@@ -25,7 +25,7 @@ from detbundle.grassmann import BaseGrid, Projection, graph_projection, spectral
 from detbundle.models import constant_scalar_family
 from detbundle.opcalc import fredholm_det
 
-from conftest import random_complex, random_frame
+from conftest import _count_calls, random_complex, random_frame
 
 
 SQUARE_ONLY = {
@@ -42,6 +42,17 @@ def test_lines_and_projections_need_a_square_matrix(call):
     # opcalc.square_matrix is the one square check behind all five
     with pytest.raises(ValueError, match="square matrix required"):
         call(np.ones((2, 3)))
+
+
+def test_line_elements_take_no_singular_values(monkeypatch):
+    # square_matrix already asks what trace class asks at finite size, so a
+    # line element makes no svd to re-check its perturbation
+    rng = np.random.default_rng(40)
+    calls = _count_calls(monkeypatch, "svd")
+    e = sew(canonical_det(np.eye(3) + random_complex(rng, 3, 3, scale=0.2)),
+            canonical_det(np.eye(3) + random_complex(rng, 3, 3, scale=0.2)))
+    assert e.dim == 3
+    assert len(calls) == 0
 
 
 def test_moved_representative_keeps_the_class():

@@ -148,6 +148,19 @@ def test_only_blocks_and_opcalc_take_singular_values():
     assert sites == []
 
 
+def test_every_open_names_its_encoding():
+    # the locale's encoding varies between machines; a named one reads and
+    # writes the same bytes on every machine
+    unnamed = []
+    for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"
+                    and not any(k.arg == "encoding" for k in node.keywords)):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert unnamed == []
+
+
 def _dataclass_fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
     """(fields, defaulted fields) of a dataclass in declaration order; a
     field(...) value is a default only with a default or a default_factory."""

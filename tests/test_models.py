@@ -169,14 +169,16 @@ def test_transfer_requires_lattice_aligned_endpoints():
 
 @pytest.mark.parametrize("rank, block, message", [
     # the Magnus step would return I here, not I + i pi a
-    (2, np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+    (2, np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]]), (4, 4, 2, 2)), "Hermitian"),
     # the 1x1 closed form would drop the imaginary part
-    (1, np.array([[0.3 + 0.5j]]), "Hermitian"),
+    (1, np.broadcast_to(np.array([[0.3 + 0.5j]]), (4, 4, 1, 1)), "Hermitian"),
     (2, np.eye(3), r"shape \(3, 3\), want \(4, 4, 2, 2\)"),
     # a scalar or a 1x1 sample is not c*I, and a row is not a block
     (2, 0.3, r"shape \(\), want \(4, 4, 2, 2\)"),
     (2, np.array([[0.3]]), r"shape \(1, 1\), want \(4, 4, 2, 2\)"),
     (2, np.array([0.3, 0.1]), r"shape \(2,\), want \(4, 4, 2, 2\)"),
+    # one block per grid point: a single (n, n) block is not broadcast
+    (2, 0.3 * np.eye(2), r"shape \(2, 2\), want \(4, 4, 2, 2\)"),
 ])
 def test_transfer_rejects_non_hermitian_or_misshaped_potentials(rank, block, message):
     fam = Dirac1DFamily(BaseGrid.torus(4, 4), lambda b1, b2, x: block, rank=rank,
