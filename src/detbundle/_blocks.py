@@ -132,10 +132,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cond_ok(m: np.ndarray, cond_bound: float) -> np.ndarray:
-    """Per matrix of a stack: nonzero and within the condition bound."""
+# condition-number bound of a chart domain: sigma_max <= COND_BOUND * sigma_min
+COND_BOUND = 1e8
+
+
+def _cond_ok(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: nonzero and within COND_BOUND."""
     s = np.linalg.svd(m, compute_uv=False)
-    return (s[..., -1] * cond_bound >= s[..., 0]) & (s[..., 0] > 0)
+    return (s[..., -1] * COND_BOUND >= s[..., 0]) & (s[..., 0] > 0)
 
 
 def orthonormalizer(a: np.ndarray) -> np.ndarray:

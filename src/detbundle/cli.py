@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from ._blocks import _cond_ok, det
-from .detline import COND_BOUND
 from .errors import CoverageError, DegenerateSpectrum, OutOfChart, VortexOnLink
 from .grassmann import BaseGrid
 from .models import (
@@ -38,7 +37,7 @@ from .models import (
     rotated_interface,
     vortex_interface,
 )
-from .curvature import additivity_residual, default_cover, pair_overlap_field
+from .curvature import additivity_residual, default_cover, pair_metric_field, pair_overlap_field
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "load_config", "config_hash"]
@@ -143,15 +142,6 @@ def _seed(cfg) -> int:
     return seed
 
 
-def _chart_settings(cfg) -> dict:
-    """run.sing_floor and run.max_excluded, checked before any numerics run."""
-    sing_floor = _positive(_as_float(cfg, "run", "sing_floor"), "run.sing_floor")
-    max_excluded = _as_float(cfg, "run", "max_excluded")
-    if not 0 <= max_excluded <= 1:
-        raise ConfigError("run.max_excluded must lie in [0, 1]")
-    return {"sing_floor": sing_floor, "max_excluded": max_excluded}
-
-
 def _model_kind(cfg) -> str:
     return cfg["model"]["kind"].strip().lower()
 
@@ -204,11 +194,19 @@ def _grid_axes(cfg) -> list[int]:
     return [_as_int(cfg, "grid", "n1"), _as_int(cfg, "grid", "n2")]
 
 
-def _torus_from(cfg) -> BaseGrid:
+def _curvature_inputs(cfg) -> dict:
+    """Keyword arguments of a curvature run; the chart settings, then the
+    grid size, are checked before the model is built."""
+    sing_floor = _positive(_as_float(cfg, "run", "sing_floor"), "run.sing_floor")
+    max_excluded = _as_float(cfg, "run", "max_excluded")
+    if not 0 <= max_excluded <= 1:
+        raise ConfigError("run.max_excluded must lie in [0, 1]")
     n1, n2 = _grid_axes(cfg)
     if min(n1, n2) < 8:
         raise ConfigError("curvature runs need grid axes of at least 8 points")
-    return BaseGrid.torus(n1, n2)
+    model = build_family(cfg, BaseGrid.torus(n1, n2))
+    return {"model": model, "section": build_interface(cfg, model),
+            "sing_floor": sing_floor, "max_excluded": max_excluded}
 
 
 def _meta(cfg, command: str, grid: list[int]) -> dict:
@@ -238,12 +236,7 @@ def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     report = _meta(cfg, f"verify {suite}", _grid_axes(cfg))
     tol = _positive(_as_float(cfg, "run", "tol"), "run.tol")
-    kwargs = {}
-    if "curvature" in names:
-        grid = _torus_from(cfg)
-        kwargs = _chart_settings(cfg)
-        family = build_family(cfg, grid)
-        kwargs.update(family=family, section=build_interface(cfg, family))
+    kwargs = _curvature_inputs(cfg) if "curvature" in names else {}
     results = {name: run_suite(name, seed=report["seed"], tol=tol,
                                **(kwargs if name == "curvature" else {}))
                for name in names}
@@ -268,18 +261,14 @@ def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
 
 def cmd_curvature(cfg: dict, out_dir: Path) -> int:
     payload = _meta(cfg, "curvature", _grid_axes(cfg))
-    chart_settings = _chart_settings(cfg)
-    grid = _torus_from(cfg)
-    family = build_family(cfg, grid)
-    section = build_interface(cfg, family)
-    report = additivity_residual(family, section, label=cfg["model"]["kind"], **chart_settings)
+    report = additivity_residual(label=_model_kind(cfg), **_curvature_inputs(cfg))
     report.curvature.to_csv(out_dir / "curvature_full.csv")
     report.curvature_left.to_csv(out_dir / "curvature_left.csv")
     report.curvature_right.to_csv(out_dir / "curvature_right.csv")
     report.defect.to_csv(out_dir / "additivity_residual.csv")
     report.f_winding.to_csv(out_dir / "f_winding.csv")
     excl = report.defect.mask
-    rows = ([*idx, int(excl[idx]), 0] for idx in np.ndindex(*grid.shape))
+    rows = ([*idx, int(excl[idx]), 0] for idx in np.ndindex(*excl.shape))
     _write_rows(out_dir / "exclusions.csv", ["i", "j", "re", "im"], rows)
     payload["report"] = report.summary()
     payload["verdict"] = ("chern additivity holds" if report.chern_additive
@@ -307,13 +296,12 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("sweep supports the transfer-matrix families only")
     family = build_family(cfg, grid)
     sec0, sec1 = family.boundary_pair()
-    plain = det(pair_overlap_field(sec0, sec1))
     shifted = pair_overlap_field(sec0, sec1, default_cover(sec0.dim)[1])
-    if not _cond_ok(shifted, COND_BOUND).all():
+    if not _cond_ok(shifted).all():
         raise OutOfChart("base + shift is not invertible within the condition bound")
     # the canonical element [M, 1] has coordinate det(M1^-1 M) in the shifted chart
-    columns = {"metric": np.abs(plain) ** 2, "monodromy": family.monodromy_field(),
-               "coordinate": plain / det(shifted)}
+    columns = {"metric": pair_metric_field(sec0, sec1), "monodromy": family.monodromy_field(),
+               "coordinate": det(pair_overlap_field(sec0, sec1)) / det(shifted)}
 
     def zero_indices(values: np.ndarray) -> list[int]:
         v = np.abs(values)

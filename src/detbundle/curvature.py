@@ -142,8 +142,9 @@ def _dlog_edges(values: np.ndarray, g: BaseGrid) -> np.ndarray:
 
 
 def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
-                     chart: np.ndarray | None, sing_floor: float) -> dict:
-    """Edge samples of the chart connection form plus health bookkeeping.
+                     chart: np.ndarray | None, sing_floor: float):
+    """Read-only (omega, healthy, det): the chart's connection form, masked on
+    edges that leave its domain, the point-wise domain and det M (1 outside it).
 
     Everything is computed on k x k blocks.  With the frame transport
     U(b, b') = F(b)* F(b') and the chart datum M, the compressed central
@@ -163,15 +164,13 @@ def _chart_edge_data(sec0: ProjectionSection, sec1: ProjectionSection,
         bwd = g.roll(bmm(bmm(u1fh, m), u0f), ax, -1)
         ts.append((fwd - bwd) / (2.0 * g.spacing[ax]))
     dets, logabs = det_logabs(msafe)
-    comps, masks = [], []
-    for ax, tr in enumerate(trace_solve(msafe, ts)):
-        # half the increment of log|det M|^2 is the increment of log|det M|
-        re = g.roll(logabs, ax, +1) - logabs
-        im = 0.5 * g.spacing[ax] * (tr.imag + g.roll(tr.imag, ax, +1))
-        comps.append(re + 1j * im)
-        masks.append(~(healthy & g.roll(healthy, ax, +1)))
-    return {"omega": np.stack(comps, axis=g.ndim), "edge_mask": np.stack(masks, axis=g.ndim),
-            "healthy": healthy, "det": dets}
+    # half the increment of log|det M|^2 is the increment of log|det M|, and
+    # an edge leaves the domain when either end does
+    d_logabs = DiscreteForm(g, 0, logabs, mask=~healthy).coboundary()
+    im = np.stack([0.5 * g.spacing[ax] * (tr.imag + g.roll(tr.imag, ax, +1))
+                   for ax, tr in enumerate(trace_solve(msafe, ts))], axis=g.ndim)
+    omega = DiscreteForm(g, 1, _readonly(d_logabs.samples + 1j * im), mask=_readonly(d_logabs.mask))
+    return omega, _readonly(healthy), _readonly(dets)
 
 
 # a plaquette's corners, then the further points its edges' difference stencils read
@@ -205,11 +204,11 @@ class ChartedConnection:
         if not all(0 <= i < len(self.cover) for i in charts):
             raise IndexError(f"charts {charts} are not all in a cover of {len(self.cover)}")
         while len(self.omega) <= max(charts, default=-1):
-            data = _chart_edge_data(*self.sections, self.cover[len(self.omega)], self.sing_floor)
-            self.omega.append(DiscreteForm(self.grid, 1, _readonly(data["omega"]),
-                                           mask=_readonly(data["edge_mask"])))
-            self.healthy.append(_readonly(data["healthy"]))
-            self.det.append(_readonly(data["det"]))
+            omega, healthy, dets = _chart_edge_data(*self.sections, self.cover[len(self.omega)],
+                                                    self.sing_floor)
+            self.omega.append(omega)
+            self.healthy.append(healthy)
+            self.det.append(dets)
 
 
 def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,

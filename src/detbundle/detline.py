@@ -60,13 +60,9 @@ def canonical_det(a) -> LineElement:
     return LineElement(a, a, 1.0)
 
 
-# condition-number bound of a chart domain: sigma_max <= COND_BOUND * sigma_min
-COND_BOUND = 1e8
-
-
 def _chart_det(m: np.ndarray, rhs: np.ndarray, message: str) -> complex:
     """det(m^-1 rhs) as fredholm_det(q - I); OutOfChart(message) when m fails COND_BOUND."""
-    if not _cond_ok(m, COND_BOUND):
+    if not _cond_ok(m):
         raise OutOfChart(message)
     q = np.linalg.solve(m, rhs)
     return fredholm_det(q - np.eye(q.shape[0]))

@@ -78,7 +78,6 @@ class Dirac1DFamily:
         self._b1 = _readonly(b[0])
         self._b2 = _readonly(b[1] if grid.ndim == 2 else np.zeros_like(b[0]))
         self._flows: dict[tuple[int, int], np.ndarray] = {}
-        self._sections: dict[str, ProjectionSection] = {}
 
     # -- integration ---------------------------------------------------------
 
@@ -142,18 +141,19 @@ class Dirac1DFamily:
         {(T(pi->2pi) w, w)}, the boundary data of solutions on the second
         half read in the (psi(0), psi(pi)) ordering.
         """
-        if side in self._sections:
-            return self._sections[side]
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        if side == "left":
-            frames = graph_frames(self.transfer_field(0.0, np.pi))
-        else:
-            # {(T w, w)} is the graph of T with its two n-row halves swapped
-            frames = np.roll(graph_frames(self.transfer_field(np.pi, 2.0 * np.pi)), self.rank, axis=-2)
-        sec = ProjectionSection.build(self.grid, frames)
-        self._sections[side] = sec
-        return sec
+        return self._left_section if side == "left" else self._right_section
+
+    @cached_property
+    def _left_section(self) -> ProjectionSection:
+        return ProjectionSection.build(self.grid, graph_frames(self.transfer_field(0.0, np.pi)))
+
+    @cached_property
+    def _right_section(self) -> ProjectionSection:
+        # {(T w, w)} is the graph of T with its two n-row halves swapped
+        t = self.transfer_field(np.pi, 2.0 * np.pi)
+        return ProjectionSection.build(self.grid, np.roll(graph_frames(t), self.rank, axis=-2))
 
     def monodromy_field(self) -> np.ndarray:
         """det(I - T(0 -> 2pi)) over the grid; zero exactly at periodic solutions.
@@ -439,7 +439,6 @@ class CylinderFamily:
         self.style = style
         self.modes = np.arange(-truncation, truncation + 1)
         self._b1, self._b2 = grid.coords()
-        self._aps: ProjectionSection | None = None
 
     def _phase_matrix(self, scale: float, seed: int) -> np.ndarray:
         """S(b) = scale (cos b1 S_seed + sin b2 S_seed+1) from seeded smoothing matrices."""
@@ -469,9 +468,11 @@ class CylinderFamily:
         gap condition below zero at some grid point, or when the rank of the
         non-negative subspace changes over the grid.
         """
-        if self._aps is None:
-            self._aps = ProjectionSection.build(self.grid, spectral_frames(self.boundary_operator_field()))
         return self._aps
+
+    @cached_property
+    def _aps(self) -> ProjectionSection:
+        return ProjectionSection.build(self.grid, spectral_frames(self.boundary_operator_field()))
 
     def conjugated_section(self, scale: float, seed_offset: int) -> ProjectionSection:
         """Closed-form section exp(i S(b)) P0 exp(-i S(b)) with P0 = diag(k >= 0);

@@ -418,13 +418,13 @@ def suite_models(seed: int, tol: float) -> list[CheckResult]:
 # -- curvature ----------------------------------------------------------------------
 
 
-def suite_curvature(seed: int, tol: float, *, family, section,
+def suite_curvature(seed: int, tol: float, *, model, section,
                     sing_floor: float, max_excluded: float) -> list[CheckResult]:
-    g = family.grid
+    g = model.grid
     checks: list[CheckResult] = []
 
     try:
-        report = additivity_residual(family, section, sing_floor=sing_floor,
+        report = additivity_residual(model, section, sing_floor=sing_floor,
                                      max_excluded=max_excluded)
     except CoverageError as err:
         # only an edge-budget failure carries a fraction; a point outside every

@@ -297,6 +297,25 @@ def test_curvature_flat_family_all_zero(tmp_path):
                                          "additive": True}
 
 
+def test_report_label_is_the_model_kind_that_ran(tmp_path):
+    # the kind is read case-blind, and the label names the family that ran
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("[model]\nkind = Constant_Scalar\nvalue = 0.5\n"
+                   "steps_per_half = 32\n[grid]\nn1 = 8\nn2 = 8\n")
+    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "curvature_report.json").read_text())
+    assert report["report"]["label"] == "constant_scalar"
+
+
+def test_curvature_and_verify_report_the_same_first_config_error(tmp_path, capsys):
+    # both commands check the chart settings before the grid
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[grid]\nn1 = 6\nn2 = 6\n[run]\nsing_floor = -1\n")
+    for command in (["curvature"], ["verify", "curvature"]):
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: run.sing_floor must be positive\n"
+
+
 def test_curvature_has_no_tol_flag(tmp_path):
     # the base tolerance is the config key run.tol; there is no flag for it
     with pytest.raises(SystemExit) as exc:
@@ -457,7 +476,7 @@ def test_small_pair_blocks_make_no_linalg_det_or_solve(tmp_path, monkeypatch):
 def test_sweep_point_outside_the_chart_bound_exits_one(tmp_path, capsys, monkeypatch):
     # the shifted overlap of a unitary monodromy U is I - U/2, with singular
     # values in [1/2, 3/2]; a bound below 1 puts every sample outside the chart
-    monkeypatch.setattr("detbundle.cli.COND_BOUND", 0.5)
+    monkeypatch.setattr("detbundle._blocks.COND_BOUND", 0.5)
     code = main(["sweep", "--config", str(CONFIGS / "scalar_sweep.cfg"),
                  "--out", str(tmp_path)])
     assert code == 1

@@ -9,7 +9,6 @@ from detbundle.detline import pair_metric_sq
 from detbundle.errors import CoverageError, OutOfChart, VortexOnLink
 from detbundle.grassmann import (
     BaseGrid,
-    DiscreteForm,
     Projection,
     ProjectionSection,
     _plaquette_corners,
@@ -164,12 +163,12 @@ def _oracle_pair(name, request):
 def test_rank_space_chart_data_matches_ambient_oracle(name, request):
     sec0, sec1 = _oracle_pair(name, request)
     for chart in default_cover(sec0.dim):
-        got = _chart_edge_data(sec0, sec1, chart, 0.1)
+        omega, healthy, dets = _chart_edge_data(sec0, sec1, chart, 0.1)
         ref = _ambient_chart_edge_data(sec0, sec1, chart, 0.1)
-        assert np.array_equal(got["healthy"], ref["healthy"])
-        assert np.array_equal(got["edge_mask"], ref["edge_mask"])
-        assert np.abs(got["omega"] - ref["omega"]).max(initial=0.0) <= 1e-13
-        assert np.abs(got["det"] - ref["det"]).max(initial=0.0) <= 1e-13
+        assert np.array_equal(healthy, ref["healthy"])
+        assert np.array_equal(omega.mask, ref["edge_mask"])
+        assert np.abs(omega.samples - ref["omega"]).max(initial=0.0) <= 1e-13
+        assert np.abs(dets - ref["det"]).max(initial=0.0) <= 1e-13
 
 
 # -- curvature formulas --------------------------------------------------------------
@@ -342,7 +341,7 @@ def test_verify_curvature_suite_reuses_the_report(monkeypatch):
     sec = build_interface(cfg, fam)
     calls = {name: _count_calls(monkeypatch, name, (curvature_module, grassmann, verify))
              for name in ("connection_one_form", "nearest_projection", "_chart_edge_data")}
-    checks = verify.run_suite("curvature", family=fam, section=sec,
+    checks = verify.run_suite("curvature", model=fam, section=sec,
                               sing_floor=0.1, max_excluded=0.05)
     assert len(calls["connection_one_form"]) == 3
     assert len(calls["_chart_edge_data"]) == 4
@@ -364,7 +363,7 @@ def test_verify_curvature_suite_reuses_the_report_on_a_cylinder(monkeypatch):
     fam = CylinderFamily(BaseGrid.torus(8, 8), truncation=4)
     sec = fam.conjugated_section(0.5 * fam.amplitude, seed_offset=4)
     calls = _count_calls(monkeypatch, "conjugated_section", (CylinderFamily,))
-    checks = verify.run_suite("curvature", family=fam, section=sec,
+    checks = verify.run_suite("curvature", model=fam, section=sec,
                               sing_floor=0.05, max_excluded=0.05)
     assert len(calls) == 2
     assert len(checks) == 12
@@ -436,11 +435,11 @@ def _every_chart_curvature(sec0, sec1, sing_floor=0.1):
     vals = np.zeros(g.shape, dtype=complex)
     chosen = np.full(g.shape, -1)
     for i, chart in enumerate(default_cover(sec0.dim)):
-        data = _chart_edge_data(sec0, sec1, chart, sing_floor)
-        pl = DiscreteForm(g, 1, data["omega"], mask=data["edge_mask"]).coboundary().samples
+        omega, healthy, _ = _chart_edge_data(sec0, sec1, chart, sing_floor)
+        pl = omega.coboundary().samples
         ok = np.ones(g.shape, dtype=bool)
         for da, db in _STENCIL:
-            ok &= np.roll(data["healthy"], (-da, -db), axis=(0, 1))
+            ok &= np.roll(healthy, (-da, -db), axis=(0, 1))
         take = ok & (chosen < 0)
         vals[take] = pl[take]
         chosen[take] = i
@@ -479,8 +478,8 @@ def test_lazy_atlas_matches_every_chart_evaluated(name, evaluated, request):
 def _patching_oracle(sec0, sec1, a, b):
     """Both transition residuals from chart data evaluated outright."""
     cover, g = default_cover(sec0.dim), sec0.grid
-    da, db = (_chart_edge_data(sec0, sec1, cover[i], 0.1) for i in (a, b))
-    both = da["healthy"] & db["healthy"]
+    (oa, ha, det_a), (ob, hb, det_b) = (_chart_edge_data(sec0, sec1, cover[i], 0.1) for i in (a, b))
+    both = ha & hb
 
     def dlog(v):
         return np.stack([np.log(np.roll(v, -1, axis=ax) / v) for ax in (0, 1)], axis=2)
@@ -489,9 +488,9 @@ def _patching_oracle(sec0, sec1, a, b):
         return v - 2j * np.pi * np.round(v.imag / (2.0 * np.pi))
 
     mask = np.stack([~(both & np.roll(both, -1, axis=ax)) for ax in (0, 1)], axis=2)
-    inv = wrap(da["omega"] - db["omega"] - dlog(np.where(both, da["det"] / db["det"], 1.0)))
-    adj = wrap(da["omega"] + np.conj(db["omega"])
-               - dlog(np.where(both, np.conj(db["det"]) * da["det"], 1.0)))
+    inv = wrap(oa.samples - ob.samples - dlog(np.where(both, det_a / det_b, 1.0)))
+    adj = wrap(oa.samples + np.conj(ob.samples)
+               - dlog(np.where(both, np.conj(det_b) * det_a, 1.0)))
     return {"inverse_ratio": inv, "adjoint_ratio": adj}, mask
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from detbundle._blocks import _cond_ok
 from detbundle.detline import (
-    COND_BOUND,
     LineElement,
     canonical_det,
     chart_coordinate,
@@ -275,7 +274,7 @@ def test_metric_agrees_between_trivializations(demo16, rot16):
     overlap = pair_overlap_field(sec0, sec1)
     charts = default_cover(sec0.dim)
     shifts = [restricted_shift_field(sec0, sec1, c) for c in charts[1:3]]
-    domains = [_cond_ok(overlap + shift, COND_BOUND) for shift in shifts]
+    domains = [_cond_ok(overlap + shift) for shift in shifts]
     both = domains[0] & domains[1]
     assert both.mean() >= 0.95
     checked = 0

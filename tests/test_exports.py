@@ -1,7 +1,8 @@
 """Every exported name resolves, every public name has a caller outside the
 tests, no file imports a name it never reads, no module imports another
-module's private names, no default is one that every caller overrides, and
-only the kernel modules take singular values."""
+module's private names, no default is one that every caller overrides, no
+parameter is one constant that every caller passes, and only the kernel
+modules take singular values."""
 
 import ast
 import functools
@@ -201,11 +202,10 @@ def _defaulted_parameters(path: Path) -> list[tuple[str, list[str], list[str]]]:
     return out
 
 
-def test_no_default_is_overridden_by_every_caller():
-    # a default that every call overrides is one no caller takes; drop it.
-    # Dataclass fields count as parameters of their class.  Calls match by
-    # bare or attribute name, so every same-named call must override, and a
-    # call with *args or **kwargs counts as overriding
+@functools.cache
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/, tests/, demos/ and perfbench/, keyed by its bare or
+    attribute name."""
     calls: dict[str, list[ast.Call]] = {}
     for folder in ("src", "tests", "demos", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
@@ -213,6 +213,15 @@ def test_no_default_is_overridden_by_every_caller():
                 if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                     name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                     calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_no_default_is_overridden_by_every_caller():
+    # a default that every call overrides is one no caller takes; drop it.
+    # Dataclass fields count as parameters of their class.  Calls match by
+    # bare or attribute name, so every same-named call must override, and a
+    # call with *args or **kwargs counts as overriding
+    calls = _calls()
 
     def overrides(call: ast.Call, pos: list[str], param: str) -> bool:
         if any(isinstance(a, ast.Starred) for a in call.args) \
@@ -227,3 +236,30 @@ def test_no_default_is_overridden_by_every_caller():
             unused += [f"{path.name}: {name}({param})" for param in named
                        if sites and all(overrides(c, pos, param) for c in sites)]
     assert unused == []
+
+
+def test_no_parameter_is_always_the_same_constant():
+    # a parameter that every call fills from the same module constant is that
+    # constant; the callee should read it.  Calls match by bare or attribute
+    # name, and a call with *args or **kwargs, or one that leaves the
+    # parameter to its default, passes no constant
+    calls = _calls()
+
+    def constant(call: ast.Call, pos: list[str], param: str) -> str | None:
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return None
+        arg = next((k.value for k in call.keywords if k.arg == param), None)
+        if arg is None and param in pos and pos.index(param) < len(call.args):
+            arg = call.args[pos.index(param)]
+        name = arg.id if isinstance(arg, ast.Name) else getattr(arg, "attr", None)
+        return name if name and name.isupper() else None
+
+    fixed = []
+    for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
+        for name, pos, _ in _defaulted_parameters(path):
+            sites = calls.get(name, [])
+            for param in pos:
+                names = {constant(c, pos, param) for c in sites}
+                if sites and len(names) == 1 and None not in names:
+                    fixed.append(f"{path.name}: {name}({param}) <- {names.pop()}")
+    assert fixed == []
