@@ -11,7 +11,7 @@ stability studies.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -374,41 +374,119 @@ def rotated_interface(fam: Dirac1DFamily, strength: float = 0.4) -> ProjectionSe
 # -- truncated Fourier boundary family ----------------------------------------
 
 
+# mode labels enter the seeds as j + _LABEL_OFFSET, which must stay >= 0
+_LABEL_OFFSET = 8192
+
+
 def _check_smoothing(truncation: int, gamma: float, seed: int) -> None:
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
+    if truncation > _LABEL_OFFSET:
+        raise ValueError(f"truncation must be at most {_LABEL_OFFSET}")
     if not 0 < gamma < np.inf:
         raise ValueError("decay rate gamma must be positive and finite")
     if seed < 0:
         raise ValueError("seed must be non-negative")
 
 
-@lru_cache(maxsize=32)
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier (hi, lo)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+
+
+def _seeded_uniforms(seed: int, j: np.ndarray, k: np.ndarray):
+    """First two random() draws of numpy's generator seeded by [seed, j, k], per label pair.
+
+    One pass over uint32/uint64 arrays.  SeedSequence hashes the entropy
+    words (the seed's little-endian uint32 words, then j and k) into a pool
+    of 4 and draws generate_state(4, uint64) from it; that seeds PCG64, a
+    128-bit LCG kept as (hi, lo) uint64 halves; each draw is one LCG step,
+    the XSL-RR output and random() = (raw >> 11) * 2**-53.
+    """
+    u32, u64 = np.uint32, np.uint64
+    low = u64(0xFFFFFFFF)
+
+    def hasher(const: int, mult: int):
+        def hashmix(v):
+            nonlocal const
+            v = v ^ u32(const)
+            const = const * mult & 0xFFFFFFFF
+            v = v * u32(const)
+            return v ^ (v >> u32(16))
+        return hashmix
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> u32(16))
+
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(j.shape, w, dtype=u32) for w in words] + [j.astype(u32), k.astype(u32)]
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(j.shape, u32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hashmix = hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % 4]).astype(u64) for i in range(8)]
+    s_hi, s_lo, q_hi, q_lo = (state[i] | state[i + 1] << u64(32) for i in range(0, 8, 2))
+    inc_hi, inc_lo = q_hi << u64(1) | q_lo >> u64(63), q_lo << u64(1) | u64(1)
+
+    def add(hi, lo, b_hi, b_lo):
+        s = lo + b_lo
+        return hi + b_hi + (s < lo), s
+
+    def step(hi, lo):
+        # state * MULT + inc mod 2**128; lo * MULT_lo is split into 32-bit halves
+        a0, a1, b0, b1 = lo & low, lo >> u64(32), _PCG_LO & low, _PCG_LO >> u64(32)
+        p01, p10 = a0 * b1, a1 * b0
+        mid = (a0 * b0 >> u64(32)) + (p01 & low) + (p10 & low)
+        carry = a1 * b1 + (p01 >> u64(32)) + (p10 >> u64(32)) + (mid >> u64(32))
+        return add(carry + hi * _PCG_LO + lo * _PCG_HI, lo * _PCG_LO, inc_hi, inc_lo)
+
+    # seeding: one step from state 0 gives inc; add the seed state, step again
+    hi, lo = step(*add(inc_hi, inc_lo, s_hi, s_lo))
+    draws = []
+    for _ in range(2):
+        hi, lo = step(hi, lo)
+        x, rot = hi ^ lo, hi >> u64(58)
+        raw = x >> rot | x << ((u64(64) - rot) & u64(63))
+        draws.append((raw >> u64(11)).astype(np.float64) * 2.0**-53)
+    return draws
+
+
 def smoothing_perturbation(seed: int, gamma: float, truncation: int) -> np.ndarray:
-    """Seeded Hermitian matrix with |S_jk| <= exp(-gamma (|j| + |k|)), read-only (cached).
+    """Seeded Hermitian matrix with |S_jk| <= exp(-gamma (|j| + |k|)), read-only.
 
     Entries depend only on (seed, j, k) in absolute mode labels, so the
     matrices for two truncation sizes agree on their common block; that is
-    what makes truncation-stability checks meaningful.
+    what makes truncation-stability checks meaningful.  Entry j <= k takes
+    the first two draws u1, u2 of numpy's default generator seeded by
+    [seed, j + 8192, k + 8192]: amp (2 u1 - 1) on the diagonal and
+    amp u1 exp(2 pi i u2) off it, with amp = exp(-gamma (|j| + |k|)).  One
+    batched pass reproduces those SeedSequence and PCG64 streams bit for bit
+    and seeds no generator; numpy's stream-compatibility policy (NEP 19)
+    keeps the streams fixed.
     """
     _check_smoothing(truncation, gamma, seed)
     n, gamma, seed = int(truncation), float(gamma), int(seed)
     dim = 2 * n + 1
+    row, col = np.triu_indices(dim)
+    j, k = row - n, col - n
+    u1, u2 = _seeded_uniforms(seed, j + _LABEL_OFFSET, k + _LABEL_OFFSET)
+    amp = np.exp(-gamma * (np.abs(j) + np.abs(k)))
+    c = amp * u1 * np.exp(2j * np.pi * u2)
     out = np.zeros((dim, dim), dtype=complex)
-    modes = range(-n, n + 1)
-    off = 8192
-    for j in modes:
-        for k in modes:
-            if k < j:
-                continue
-            rng = np.random.default_rng([seed, j + off, k + off])
-            amp = np.exp(-gamma * (abs(j) + abs(k)))
-            if j == k:
-                out[j + n, k + n] = amp * (2.0 * rng.random() - 1.0)
-            else:
-                c = amp * rng.random() * np.exp(2j * np.pi * rng.random())
-                out[j + n, k + n] = c
-                out[k + n, j + n] = np.conj(c)
+    out[row, col] = c
+    out[col, row] = np.conj(c)
+    # the diagonal last: conj gave its zero imaginary parts a minus sign
+    on = row == col
+    np.fill_diagonal(out, amp[on] * (2.0 * u1[on] - 1.0))
     return _readonly(out)
 
 

@@ -316,6 +316,16 @@ def test_curvature_and_verify_report_the_same_first_config_error(tmp_path, capsy
         assert capsys.readouterr().err == "config error: run.sing_floor must be positive\n"
 
 
+def test_cylinder_truncation_above_the_label_offset_exits_two(tmp_path, capsys):
+    # a mode label below -8192 failed inside numpy's seeding with a traceback
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[model]\nkind = cylinder\n[cylinder]\ntruncation = 8193\n")
+    code = main(["curvature", "--config", str(cfg), "--grid", "8",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: truncation must be at most 8192\n"
+
+
 def test_curvature_has_no_tol_flag(tmp_path):
     # the base tolerance is the config key run.tol; there is no flag for it
     with pytest.raises(SystemExit) as exc:

@@ -515,15 +515,17 @@ def test_smoothing_rejects_nonpositive_decay():
         smoothing_perturbation(0, 0.0, 8)
 
 
-@pytest.mark.parametrize("seed, gamma, message", [
-    (0, float("nan"), "decay rate gamma must be positive and finite"),
-    (0, float("inf"), "decay rate gamma must be positive and finite"),
-    (-1, 0.6, "seed must be non-negative"),
-], ids=["gamma_nan", "gamma_inf", "seed_negative"])
-def test_smoothing_rejects_non_finite_decay_and_negative_seed(seed, gamma, message):
-    # a nan gamma returned a matrix of nans; a negative seed failed inside numpy
+@pytest.mark.parametrize("seed, gamma, truncation, message", [
+    (0, float("nan"), 3, "decay rate gamma must be positive and finite"),
+    (0, float("inf"), 3, "decay rate gamma must be positive and finite"),
+    (-1, 0.6, 3, "seed must be non-negative"),
+    (0, 0.6, 8193, "truncation must be at most 8192"),
+], ids=["gamma_nan", "gamma_inf", "seed_negative", "truncation_above_8192"])
+def test_smoothing_rejects_non_finite_decay_and_negative_seed(seed, gamma, truncation, message):
+    # a nan gamma returned a matrix of nans; a negative seed or a mode label
+    # below -8192 failed inside numpy
     with pytest.raises(ValueError, match=f"^{message}$"):
-        smoothing_perturbation(seed, gamma, 3)
+        smoothing_perturbation(seed, gamma, truncation)
 
 
 def _smoothing_oracle(seed: int, gamma: float, n: int) -> np.ndarray:
@@ -541,13 +543,26 @@ def _smoothing_oracle(seed: int, gamma: float, n: int) -> np.ndarray:
     return out
 
 
+# the last three seeds take 1, 2 and 3 uint32 words; 2**64 + 5 gives 5
+# entropy words, one more than the SeedSequence pool holds
 @pytest.mark.parametrize("seed, gamma, n", [
-    (0, 0.6, 32), (5, 0.5, 64), (3, 0.6, 8), (123456, 1.3, 40), (0, 0.6, 1)])
+    (0, 0.6, 32), (5, 0.5, 64), (3, 0.6, 8), (123456, 1.3, 40), (0, 0.6, 1),
+    (2**32 - 1, 0.6, 8), (2**32, 0.6, 8), (2**64 + 5, 0.6, 8)])
 def test_smoothing_matches_the_per_entry_generator_oracle(seed, gamma, n):
+    # equal bytes, so also the guard of the array exp on other machines
     s = smoothing_perturbation(seed, gamma, n)
     assert s.tobytes() == _smoothing_oracle(seed, gamma, n).tobytes()
     with pytest.raises(ValueError):
         s[0, 0] = 1.0
+
+
+def test_smoothing_draws_no_per_entry_generator(monkeypatch):
+    def default_rng(*args):
+        raise AssertionError("smoothing seeded a generator")
+
+    monkeypatch.setattr("numpy.random.default_rng", default_rng)
+    s = smoothing_perturbation(0, 0.6, 8)
+    assert s.shape == (17, 17)
 
 
 def test_cylinder_construction_draws_no_smoothing_matrix(monkeypatch):
