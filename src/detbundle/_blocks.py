@@ -33,6 +33,16 @@ def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def su2_coords(h: np.ndarray):
+    """(h0, h1, h2, h3) with H = h0 I + (h1, h2, h3) . sigma, per 2x2 block.
+
+    Reads only the diagonal and the lower triangle, like eigh.
+    """
+    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+    low = h[..., 1, 0]  # h1 + i h2
+    return 0.5 * (d0 + d1), low.real, low.imag, 0.5 * (d0 - d1)
+
+
 def expi(h: np.ndarray) -> np.ndarray:
     """exp(i H) for Hermitian H (batched); closed forms for 1x1 and 2x2 blocks.
 
@@ -46,16 +56,15 @@ def expi(h: np.ndarray) -> np.ndarray:
     if n != 2:
         w, v = np.linalg.eigh(h)
         return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
-    h0, h3 = 0.5 * (d0 + d1), 0.5 * (d0 - d1)
-    low = h[..., 1, 0]  # h1 + i h2
-    theta = np.sqrt(h3 * h3 + low.real * low.real + low.imag * low.imag)
+    h0, h1, h2, h3 = su2_coords(h)
+    theta = np.sqrt(h3 * h3 + h1 * h1 + h2 * h2)
     phase = np.exp(1j * h0)
     c = phase * np.cos(theta)
     s = 1j * phase * np.sinc(theta / np.pi)
     out = np.empty(h.shape, dtype=complex)
     out[..., 0, 0] = c + s * h3
     out[..., 1, 1] = c - s * h3
+    low = h[..., 1, 0]
     out[..., 1, 0] = s * low
     out[..., 0, 1] = s * low.conj()
     return out

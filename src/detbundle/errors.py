@@ -6,6 +6,7 @@ __all__ = [
     "CoverageError",
     "VortexOnLink",
     "GridDomainError",
+    "SeriesCancellation",
 ]
 
 
@@ -27,3 +28,7 @@ class VortexOnLink(ValueError):
 
 class GridDomainError(IndexError):
     """A torus operation (a form, a neighbour step, a plaquette) met a 1-axis line grid."""
+
+
+class SeriesCancellation(ValueError):
+    """The Fredholm power series cancelled beyond its tolerance; its value is not trustworthy."""

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import _readonly, bmm as _bmm, det as _det, expi as _expi
+from ._blocks import _readonly, bmm as _bmm, det as _det, expi as _expi, su2_coords as _su2_coords
 from .grassmann import BaseGrid, ProjectionSection, graph_frames, spectral_frames
 
 __all__ = [
@@ -40,6 +40,9 @@ PAULI = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
+# Gauss points of the Magnus step sit at (k + 1/2 -+ _GAUSS) h
+_GAUSS = np.sqrt(3.0) / 6.0
+
 
 class Dirac1DFamily:
     """Family of rank-n systems psi' = i a(b, x) psi over a parameter grid.
@@ -59,8 +62,12 @@ class Dirac1DFamily:
 
     Each step is the 4th-order Magnus step with two Gauss points and one
     commutator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)).  Its
-    exponential of a Hermitian generator is exactly unitary, and for rank 1
-    and 2 both the exponential and the block products are closed forms.
+    exponential of a Hermitian generator is exactly unitary.  For rank 2 the
+    generator is h0 I + hv . sigma, and the transfer is carried in su(2)
+    coordinates, a phase e^{i phi} times a unit quaternion q0 I + i q . sigma
+    per grid point, composed with the quaternion product; the complex blocks
+    are formed once, at the end.  For rank 1 the step exponential is the
+    phase e^{i gen}, and larger ranks take one eigh per step.
     The Cauchy-data sections are built from their graph frames.
     """
 
@@ -99,6 +106,20 @@ class Dirac1DFamily:
             raise ValueError(f"potential blocks have shape {a.shape}, want {want}")
         return a
 
+    def _samples(self, k0: int, k1: int):
+        """The potential at the two Gauss points of each step k0..k1-1, in order.
+
+        The first sample is checked Hermitian.
+        """
+        h = self._step
+        for k in range(k0, k1):
+            a1 = self._a((k + 0.5 - _GAUSS) * h)
+            a2 = self._a((k + 0.5 + _GAUSS) * h)
+            if k == k0 and np.abs(a1 - np.swapaxes(a1.conj(), -1, -2)).max() \
+                    > 1e-12 * max(1.0, np.abs(a1).max()):
+                raise ValueError("potential blocks must be Hermitian")
+            yield a1, a2
+
     def transfer_field(self, x0: float, x1: float) -> np.ndarray:
         """Read-only transfer matrices T_b(x0 -> x1), x0 <= x1, over the whole grid (cached).
 
@@ -111,25 +132,54 @@ class Dirac1DFamily:
         key = (k0, k1)
         if key in self._flows:
             return self._flows[key]
-        h = self._step
-        t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
-        gauss = np.sqrt(3.0) / 6.0
         # an overflowing potential ends in the one error below, not in warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(k0, k1):
-                a1 = self._a((k + 0.5 - gauss) * h)
-                a2 = self._a((k + 0.5 + gauss) * h)
-                if k == k0 and np.abs(a1 - np.swapaxes(a1.conj(), -1, -2)).max() \
-                        > 1e-12 * max(1.0, np.abs(a1).max()):
-                    raise ValueError("potential blocks must be Hermitian")
-                # X - X^H is the commutator [a2, a1] for Hermitian blocks
-                x = _bmm(a2, a1)
-                comm = x - np.swapaxes(x.conj(), -1, -2)
-                gen = (0.5 * h) * (a1 + a2) + (1j * gauss * 0.5 * h * h) * comm
-                t = _bmm(_expi(gen), t)
+            t = self._su2_flow(k0, k1) if self.rank == 2 else self._matrix_flow(k0, k1)
         if not np.isfinite(t).all():
             raise FloatingPointError("transfer matrices are not finite")
         self._flows[key] = _readonly(t)
+        return t
+
+    def _matrix_flow(self, k0: int, k1: int) -> np.ndarray:
+        h = self._step
+        t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
+        for a1, a2 in self._samples(k0, k1):
+            # X - X^H is the commutator [a2, a1] for Hermitian blocks
+            x = _bmm(a2, a1)
+            comm = x - np.swapaxes(x.conj(), -1, -2)
+            gen = (0.5 * h) * (a1 + a2) + (1j * _GAUSS * 0.5 * h * h) * comm
+            t = _bmm(_expi(gen), t)
+        return t
+
+    def _su2_flow(self, k0: int, k1: int) -> np.ndarray:
+        # T = e^{i phi} (q0 I + i q.sigma); a Gauss sample a = a0 I + a.sigma
+        # gives the generator h0 I + hv.sigma with [b, a] = 2i (b x a).sigma,
+        # so hv = (h/2)(a + b) + (sqrt(3)/6) h^2 (a x b)
+        half, cross = 0.5 * self._step, _GAUSS * self._step ** 2
+        phi = np.zeros(self.grid.shape)
+        q0, q1, q2, q3 = np.ones(self.grid.shape), phi.copy(), phi.copy(), phi.copy()
+        for a, b in self._samples(k0, k1):
+            a0, a1, a2, a3 = _su2_coords(a)
+            b0, b1, b2, b3 = _su2_coords(b)
+            phi += half * (a0 + b0)
+            h1 = half * (a1 + b1) + cross * (a2 * b3 - a3 * b2)
+            h2 = half * (a2 + b2) + cross * (a3 * b1 - a1 * b3)
+            h3 = half * (a3 + b3) + cross * (a1 * b2 - a2 * b1)
+            theta = np.sqrt(h1 * h1 + h2 * h2 + h3 * h3)
+            # the step e0 + i e.sigma = exp(i hv.sigma)
+            e0, s = np.cos(theta), np.sinc(theta / np.pi)
+            e1, e2, e3 = s * h1, s * h2, s * h3
+            # the quaternion product (e0, e)(q0, q) = (e0 q0 - e.q, e0 q + q0 e - e x q)
+            q0, q1, q2, q3 = (e0 * q0 - e1 * q1 - e2 * q2 - e3 * q3,
+                              e0 * q1 + q0 * e1 - e2 * q3 + e3 * q2,
+                              e0 * q2 + q0 * e2 - e3 * q1 + e1 * q3,
+                              e0 * q3 + q0 * e3 - e1 * q2 + e2 * q1)
+        phase = np.exp(1j * phi)
+        t = np.empty(self.grid.shape + (2, 2), dtype=complex)
+        t[..., 0, 0] = phase * (q0 + 1j * q3)
+        t[..., 0, 1] = phase * (q2 + 1j * q1)
+        t[..., 1, 0] = phase * (1j * q1 - q2)
+        t[..., 1, 1] = phase * (q0 - 1j * q3)
         return t
 
     # -- boundary data -------------------------------------------------------

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import SeriesCancellation
+
 __all__ = [
     "SchattenProfile",
     "trace",
@@ -89,19 +91,23 @@ def _power_traces(a: np.ndarray, rmax: int) -> np.ndarray:
     return p
 
 
-def _elementary_from_powers(p: np.ndarray) -> np.ndarray:
-    """e_0, e_1, ... of the eigenvalues from the power sums p[0..rmax]."""
+def _elementary_from_powers(p: np.ndarray):
+    """e_0, e_1, ... of the eigenvalues from the power sums p[0..rmax], and the
+    largest Newton term |e_{r-k} p_k| / r met on the way."""
     # Newton's identities: r*e_r = sum_{k=1..r} (-1)^(k-1) e_{r-k} p_k
     e = np.zeros(len(p), dtype=complex)
     e[0] = 1.0
+    largest = 0.0
     for r in range(1, len(p)):
         acc = 0.0 + 0.0j
         sign = 1.0
         for k in range(1, r + 1):
-            acc += sign * e[r - k] * p[k]
+            term = sign * e[r - k] * p[k]
+            acc += term
+            largest = max(largest, abs(term) / r)
             sign = -sign
         e[r] = acc / r
-    return e
+    return e, largest
 
 
 def wedge_trace(a, r: int) -> complex:
@@ -116,14 +122,22 @@ def wedge_trace(a, r: int) -> complex:
         raise ValueError("wedge order must be a non-negative integer")
     if r > m.shape[0]:
         return 0.0 + 0.0j
-    return complex(_elementary_from_powers(_power_traces(m, r))[r])
+    return complex(_elementary_from_powers(_power_traces(m, r))[0][r])
+
+
+# fredholm_det(method="series") raises when its rounding estimate,
+# eps * (largest Newton term) / max(1, |det|), exceeds this
+SERIES_TOL = 1e-10
 
 
 def fredholm_det(a, method: str = "dense") -> complex:
     """Regularized determinant det(I + A) of a finite matrix A.
 
     method="dense" evaluates det(I + A) by LU.  method="series" sums the
-    exterior-power traces e_0 + e_1 + ... + e_dim, a finite series.
+    exterior-power traces e_0 + e_1 + ... + e_dim, a finite series.  Newton's
+    identities cancel when their terms dwarf the result (Bornemann, Math. Comp.
+    79 (2010)); the series raises SeriesCancellation when eps times its
+    largest term exceeds SERIES_TOL * max(1, |det|).
     """
     m = square_matrix(a)
     n = m.shape[0]
@@ -131,8 +145,14 @@ def fredholm_det(a, method: str = "dense") -> complex:
         return complex(np.linalg.det(np.eye(n) + m))
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
+    e, largest = _elementary_from_powers(_power_traces(m, n))
     # summed in order, e_0 first
-    return complex(sum(_elementary_from_powers(_power_traces(m, n))))
+    det = complex(sum(e))
+    estimate = np.finfo(float).eps * largest / max(1.0, abs(det))
+    if estimate > SERIES_TOL:
+        raise SeriesCancellation(f"Fredholm series lost its digits to cancellation: "
+                                 f"relative error estimate {estimate:.1e} exceeds {SERIES_TOL:.0e}")
+    return det
 
 
 def compound_matrix(a, r: int) -> np.ndarray:

@@ -351,11 +351,20 @@ def test_curvature_vortex_chern_triple(tmp_path):
                                          "additive": True}
 
 
-@pytest.mark.parametrize("command", ["curvature", "sweep"])
-def test_overflowing_transfer_fails_in_one_line_without_warnings(tmp_path, capsys, command):
+_SCALAR_OVERFLOW = "[model]\nkind = constant_scalar\nvalue = -1e300\nsteps_per_half = 16\n"
+# the rank-2 state overflows in the step angle |h|, not in a phase
+_RANK2_OVERFLOW = "[model]\nkind = dirac\nsteps_per_half = 16\n[potential]\ns1.one.one.cos = 1e300\n"
+
+
+@pytest.mark.parametrize("command, model", [
+    pytest.param("curvature", _SCALAR_OVERFLOW, id="curvature"),
+    pytest.param("sweep", _SCALAR_OVERFLOW, id="sweep"),
+    pytest.param("curvature", _RANK2_OVERFLOW, id="curvature-rank2"),
+    pytest.param("sweep", _RANK2_OVERFLOW, id="sweep-rank2"),
+])
+def test_overflowing_transfer_fails_in_one_line_without_warnings(tmp_path, capsys, command, model):
     cfg = tmp_path / "overflow.cfg"
-    cfg.write_text("[model]\nkind = constant_scalar\nvalue = -1e300\nsteps_per_half = 16\n"
-                   "[grid]\nn1 = 8\nn2 = 8\n")
+    cfg.write_text(model + "[grid]\nn1 = 8\nn2 = 8\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from detbundle import verify
+from detbundle._blocks import bmm
 from detbundle.detline import metric_norm_sq
 from detbundle.grassmann import BaseGrid, graph_projection
 from detbundle.models import (
@@ -132,6 +133,68 @@ def test_transfer_makes_no_linalg_calls(monkeypatch, kind):
     calls = _count_linalg_calls(monkeypatch)
     fam.transfer_field(0.0, np.pi)
     assert calls == []
+
+
+def _magnus_oracle(fam, x0: float, x1: float) -> np.ndarray:
+    """The matrix Magnus loop: exp(i gen) by expi, block products by bmm."""
+    h = np.pi / fam.steps_per_half
+    gauss = np.sqrt(3.0) / 6.0
+    n = fam.rank
+    t = np.broadcast_to(np.eye(n, dtype=complex), fam.grid.shape + (n, n)).copy()
+    for k in range(round(x0 / h), round(x1 / h)):
+        a1 = np.asarray(fam.potential(fam._b1, fam._b2, (k + 0.5 - gauss) * h), dtype=complex)
+        a2 = np.asarray(fam.potential(fam._b1, fam._b2, (k + 0.5 + gauss) * h), dtype=complex)
+        x = bmm(a2, a1)
+        comm = x - np.swapaxes(x.conj(), -1, -2)
+        gen = (0.5 * h) * (a1 + a2) + (1j * gauss * 0.5 * h * h) * comm
+        t = bmm(_expi(gen), t)
+    return t
+
+
+# x-dependent s1/s2 channels beside a strong b-dependent s3: the commutator
+# term is large, so a flipped sign of it moves T far beyond rounding
+_COMMUTATOR_TABLE = {"s0.one.sin.one": 0.3, "s3.cos.one.one": 1.5,
+                     "s1.one.one.cos": 0.8, "s2.one.one.sin": 0.8, "s1.sin.cos.sin": 0.4}
+
+
+@pytest.mark.parametrize("kind", ["demo16", "line_table", "commutator_table", "scalar_rank2"])
+def test_rank2_transfer_matches_the_matrix_magnus_oracle(kind, demo16):
+    # the su(2) state (phase and unit quaternion) against the matrix loop,
+    # on both halves of the circle
+    if kind == "demo16":
+        fam = demo16
+    elif kind == "line_table":
+        # the dirac sweep's shape: b2 zero-filled on a 1-axis line
+        fam = coefficient_family(BaseGrid.line(40, -0.5, 2.5), DEMO_COEFFICIENTS, steps_per_half=32)
+    elif kind == "commutator_table":
+        fam = coefficient_family(BaseGrid.torus(12, 10), _COMMUTATOR_TABLE, steps_per_half=16)
+    else:
+        fam = constant_scalar_family(BaseGrid.line(9, -0.5, 2.5), rank=2, steps_per_half=16)
+    for x0, x1 in ((0.0, np.pi), (np.pi, 2.0 * np.pi)):
+        t = fam.transfer_field(x0, x1)
+        assert np.abs(t - _magnus_oracle(fam, x0, x1)).max() <= 1e-13
+    if kind == "scalar_rank2":
+        c = fam.grid.axis_coords(0)
+        expected = np.exp(1j * c * np.pi)[:, None, None] * np.eye(2)
+        assert np.abs(t - expected).max() <= 1e-13
+
+
+def test_rank2_transfer_samples_the_potential_at_the_gauss_points_in_order():
+    fam = coefficient_family(BaseGrid.torus(6, 6), DEMO_COEFFICIENTS, steps_per_half=16)
+    xs = []
+    potential = fam.potential
+
+    def counted(b1, b2, x):
+        xs.append(x)
+        return potential(b1, b2, x)
+
+    fam.potential = counted
+    fam.transfer_field(0.0, np.pi)
+    h = np.pi / 16
+    gauss = np.sqrt(3.0) / 6.0
+    expected = [(k + 0.5 + sign * gauss) * h for k in range(16) for sign in (-1, 1)]
+    assert len(xs) == 2 * fam.steps_per_half
+    np.testing.assert_allclose(xs, expected, rtol=0.0, atol=1e-15)
 
 
 def test_monodromy_composes_the_cached_halves():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detbundle.errors import SeriesCancellation
 from detbundle.opcalc import (
     as_matrix,
     compound_matrix,
@@ -126,6 +127,15 @@ def test_fredholm_series_matches_dense(dim, seed):
     dense = fredholm_det(a, method="dense")
     series = fredholm_det(a, method="series")
     assert series == pytest.approx(dense, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fredholm_series_raises_when_newton_identities_cancel(seed):
+    # 64x64 with entries (N(0,1) + i N(0,1)) 3/8: Newton's identities cancel
+    # so far that the summed series is up to 5.5e-2 off dense
+    a = random_complex(np.random.default_rng(seed), 64, 64, scale=3.0 / 8.0)
+    with pytest.raises(SeriesCancellation, match="cancellation"):
+        fredholm_det(a, method="series")
 
 
 def test_fredholm_dense_matches_lu_oracle():
