@@ -36,11 +36,11 @@ def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def su2_coords(h: np.ndarray):
     """(h0, h1, h2, h3) with H = h0 I + (h1, h2, h3) . sigma, per 2x2 block.
 
-    Reads only the diagonal and the lower triangle, like eigh.
+    Reads only the diagonal and the lower triangle, like eigh; no view keeps h alive.
     """
     d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
     low = h[..., 1, 0]  # h1 + i h2
-    return 0.5 * (d0 + d1), low.real, low.imag, 0.5 * (d0 - d1)
+    return 0.5 * (d0 + d1), low.real.copy(), low.imag.copy(), 0.5 * (d0 - d1)
 
 
 def expi(h: np.ndarray) -> np.ndarray:

@@ -31,4 +31,4 @@ class GridDomainError(IndexError):
 
 
 class SeriesCancellation(ValueError):
-    """The Fredholm power series cancelled beyond its tolerance; its value is not trustworthy."""
+    """Newton's identities (the Fredholm series, a wedge trace) cancelled beyond tolerance; untrustworthy."""

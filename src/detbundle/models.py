@@ -99,26 +99,22 @@ class Dirac1DFamily:
             raise ValueError("x must sit on the integrator step lattice")
         return int(k)
 
-    def _a(self, x: float) -> np.ndarray:
+    def _a(self, x: float, check: bool) -> np.ndarray:
         a = np.asarray(self.potential(self._b1, self._b2, x), dtype=complex)
         want = self.grid.shape + (self.rank, self.rank)
         if a.shape != want:
             raise ValueError(f"potential blocks have shape {a.shape}, want {want}")
+        if check and np.abs(a - np.swapaxes(a.conj(), -1, -2)).max() > 1e-12 * max(1.0, np.abs(a).max()):
+            raise ValueError("potential blocks must be Hermitian")
         return a
 
     def _samples(self, k0: int, k1: int):
-        """The potential at the two Gauss points of each step k0..k1-1, in order.
-
-        The first sample is checked Hermitian.
-        """
+        """The potential at the two Gauss points of each step k0..k1-1, in order, one
+        block at a time (none is kept across a yield); the first is checked Hermitian."""
         h = self._step
         for k in range(k0, k1):
-            a1 = self._a((k + 0.5 - _GAUSS) * h)
-            a2 = self._a((k + 0.5 + _GAUSS) * h)
-            if k == k0 and np.abs(a1 - np.swapaxes(a1.conj(), -1, -2)).max() \
-                    > 1e-12 * max(1.0, np.abs(a1).max()):
-                raise ValueError("potential blocks must be Hermitian")
-            yield a1, a2
+            yield self._a((k + 0.5 - _GAUSS) * h, check=k == k0)
+            yield self._a((k + 0.5 + _GAUSS) * h, check=False)
 
     def transfer_field(self, x0: float, x1: float) -> np.ndarray:
         """Read-only transfer matrices T_b(x0 -> x1), x0 <= x1, over the whole grid (cached).
@@ -143,7 +139,8 @@ class Dirac1DFamily:
     def _matrix_flow(self, k0: int, k1: int) -> np.ndarray:
         h = self._step
         t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
-        for a1, a2 in self._samples(k0, k1):
+        samples = self._samples(k0, k1)
+        for a1, a2 in zip(samples, samples):
             # X - X^H is the commutator [a2, a1] for Hermitian blocks
             x = _bmm(a2, a1)
             comm = x - np.swapaxes(x.conj(), -1, -2)
@@ -158,9 +155,9 @@ class Dirac1DFamily:
         half, cross = 0.5 * self._step, _GAUSS * self._step ** 2
         phi = np.zeros(self.grid.shape)
         q0, q1, q2, q3 = np.ones(self.grid.shape), phi.copy(), phi.copy(), phi.copy()
-        for a, b in self._samples(k0, k1):
-            a0, a1, a2, a3 = _su2_coords(a)
-            b0, b1, b2, b3 = _su2_coords(b)
+        # each block is dropped once its coordinates are copied out
+        coords = map(_su2_coords, self._samples(k0, k1))
+        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(coords, coords):
             phi += half * (a0 + b0)
             h1 = half * (a1 + b1) + cross * (a2 * b3 - a3 * b2)
             h2 = half * (a2 + b2) + cross * (a3 * b1 - a1 * b3)
@@ -281,9 +278,10 @@ def potential_from_coefficients(coefficients: dict[str, float]):
     torus family.  DEMO_COEFFICIENTS is the table of demo_family.
 
     The x-independent fields sum(c f(b1) g(b2) channel), one per factor h(x),
-    are computed once for read-only coordinate arrays (those of a
-    Dirac1DFamily) and reused while the same arrays come back; writable
-    inputs are evaluated afresh.
+    are stacked as the m rows of one read-only array on the first call with
+    read-only coordinate arrays (those of a Dirac1DFamily) and reused while
+    the same arrays come back; writable inputs are evaluated afresh.  A call
+    is then one product of the (m,) values h(x) with that array.
     """
     parsed = []
     for key, value in coefficients.items():
@@ -294,28 +292,26 @@ def potential_from_coefficients(coefficients: dict[str, float]):
         parsed.append((_CHANNELS[parts[0]], parts[1], parts[2], parts[3], float(value)))
     if not parsed:
         raise ValueError("potential coefficient table is empty")
+    hs = list(dict.fromkeys(h for _, _, _, h, _ in parsed))
 
-    def fields_of(b1, b2) -> dict[str, np.ndarray]:
-        fields: dict[str, np.ndarray] = {}
+    def stacked_of(b1, b2) -> np.ndarray:
+        stacked = np.zeros((len(hs), np.size(b1) * 4), dtype=complex)
         for mat, f, g, h, c in parsed:
-            term = (c * _TRIG_BASIS[f](b1) * _TRIG_BASIS[g](b2))[..., None, None] * mat
-            fields[h] = fields[h] + term if h in fields else term
-        return fields
+            field = stacked[hs.index(h)].reshape(np.shape(b1) + (2, 2))
+            field += (c * _TRIG_BASIS[f](b1) * _TRIG_BASIS[g](b2))[..., None, None] * mat
+        return _readonly(stacked)
 
-    memo: list = []  # [b1, b2, fields] for the last read-only coordinates
+    memo: list = []  # [b1, b2, stacked] for the last read-only coordinates
 
     def pot(b1, b2, x):
         if memo and memo[0] is b1 and memo[1] is b2:
-            fields = memo[2]
+            stacked = memo[2]
         else:
-            fields = fields_of(b1, b2)
+            stacked = stacked_of(b1, b2)
             if all(isinstance(b, np.ndarray) and not b.flags.writeable for b in (b1, b2)):
-                memo[:] = [b1, b2, fields]
-        xarr = np.asarray(x, dtype=float)
-        out = np.zeros(np.shape(b1) + (2, 2), dtype=complex)
-        for h, field in fields.items():
-            out += _TRIG_BASIS[h](xarr)[..., None, None] * field
-        return out
+                memo[:] = [b1, b2, stacked]
+        hx = np.array([_TRIG_BASIS[h](float(x)) for h in hs], dtype=complex)
+        return (hx @ stacked).reshape(np.shape(b1) + (2, 2))
 
     return pot
 

@@ -110,24 +110,33 @@ def _elementary_from_powers(p: np.ndarray):
     return e, largest
 
 
+# Newton's identities are trusted while eps * (largest term) / max(1, |value|) <= SERIES_TOL
+SERIES_TOL = 1e-10
+
+
+def _checked(value: complex, largest: float, what: str) -> complex:
+    """``value``, or SeriesCancellation naming ``what`` when its rounding estimate exceeds SERIES_TOL."""
+    estimate = np.finfo(float).eps * largest / max(1.0, abs(value))
+    if estimate > SERIES_TOL:
+        raise SeriesCancellation(f"{what} lost its digits to cancellation: "
+                                 f"relative error estimate {estimate:.1e} exceeds {SERIES_TOL:.0e}")
+    return complex(value)
+
+
 def wedge_trace(a, r: int) -> complex:
     """Trace of the r-th exterior power of ``a``.
 
-    Equals the r-th elementary symmetric function of the eigenvalues,
-    computed from power-sum traces through Newton's identities (no
-    eigendecomposition).  Returns 1 for r = 0 and exactly 0 for r > dim.
+    The r-th elementary symmetric function of the eigenvalues, from power-sum
+    traces through Newton's identities (no eigendecomposition); raises
+    SeriesCancellation when they cancel.  1 for r = 0, exactly 0 for r > dim.
     """
     m = square_matrix(a)
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError("wedge order must be a non-negative integer")
     if r > m.shape[0]:
         return 0.0 + 0.0j
-    return complex(_elementary_from_powers(_power_traces(m, r))[0][r])
-
-
-# fredholm_det(method="series") raises when its rounding estimate,
-# eps * (largest Newton term) / max(1, |det|), exceeds this
-SERIES_TOL = 1e-10
+    e, largest = _elementary_from_powers(_power_traces(m, r))
+    return _checked(e[r], largest, f"wedge trace e_{r}")
 
 
 def fredholm_det(a, method: str = "dense") -> complex:
@@ -146,13 +155,7 @@ def fredholm_det(a, method: str = "dense") -> complex:
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
     e, largest = _elementary_from_powers(_power_traces(m, n))
-    # summed in order, e_0 first
-    det = complex(sum(e))
-    estimate = np.finfo(float).eps * largest / max(1.0, abs(det))
-    if estimate > SERIES_TOL:
-        raise SeriesCancellation(f"Fredholm series lost its digits to cancellation: "
-                                 f"relative error estimate {estimate:.1e} exceeds {SERIES_TOL:.0e}")
-    return det
+    return _checked(sum(e), largest, "Fredholm series sum of e_r")  # summed in order, e_0 first
 
 
 def compound_matrix(a, r: int) -> np.ndarray:

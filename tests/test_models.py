@@ -1,9 +1,12 @@
 """Transfer-matrix families, Cauchy-data bundles and the truncated cylinder."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from detbundle import verify
+from detbundle import models, verify
 from detbundle._blocks import bmm
 from detbundle.detline import metric_norm_sq
 from detbundle.grassmann import BaseGrid, graph_projection
@@ -365,6 +368,64 @@ def test_coefficient_table_rejects_bad_keys():
         potential_from_coefficients({"s1.tan.one.one": 1.0})
     with pytest.raises(ValueError):
         potential_from_coefficients({})
+
+
+def test_coefficient_potential_reuses_stacked_fields_for_read_only_coordinates(monkeypatch):
+    args = []
+    for name, fn in list(models._TRIG_BASIS.items()):
+        monkeypatch.setitem(models._TRIG_BASIS, name, lambda t, fn=fn: args.append(t) or fn(t))
+    fam = coefficient_family(BaseGrid.torus(8, 8), DEMO_COEFFICIENTS, steps_per_half=16)
+
+    def on_grid():
+        return sum(t is fam._b1 or t is fam._b2 for t in args)
+
+    fam.potential(fam._b1, fam._b2, 0.3)
+    assert on_grid() > 0
+    args.clear()
+    a = fam.potential(fam._b1, fam._b2, 1.1)
+    assert on_grid() == 0
+    assert np.abs(a - _demo_potential(fam._b1, fam._b2, 1.1)).max() <= 1e-14
+
+
+def test_coefficient_potential_reevaluates_writable_coordinates():
+    pot = potential_from_coefficients(DEMO_COEFFICIENTS)
+    b1, b2 = BaseGrid.torus(8, 8).coords()
+    before = pot(b1, b2, 0.3)
+    b1 += 0.5  # edited in place: the same array object comes back
+    after = pot(b1, b2, 0.3)
+    assert np.abs(after - _demo_potential(b1, b2, 0.3)).max() <= 1e-14
+    assert np.abs(after - before).max() > 0.01
+
+
+def test_rank2_transfer_keeps_one_potential_block_alive():
+    # every earlier block is freed before the next potential call, so the
+    # heap never holds two of them at once
+    fam = coefficient_family(BaseGrid.torus(64, 64), DEMO_COEFFICIENTS, steps_per_half=16)
+    potential = fam.potential
+    blocks, alive = [], []
+
+    def tracked(b1, b2, x):
+        alive.append(sum(f.alive for f in blocks))
+        out = potential(b1, b2, x)
+        blocks.append(weakref.finalize(out, lambda: None))
+        return out
+
+    fam.potential = tracked
+    fam.transfer_field(0.0, np.pi)
+    assert len(alive) == 2 * fam.steps_per_half
+    assert max(alive) == 0
+
+
+def test_coefficient_potential_allocates_one_block_per_call():
+    fam = coefficient_family(BaseGrid.torus(64, 64), DEMO_COEFFICIENTS, steps_per_half=16)
+    fam.potential(fam._b1, fam._b2, 0.0)  # stacks the fields
+    tracemalloc.start()
+    try:
+        a = fam.potential(fam._b1, fam._b2, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * a.nbytes
 
 
 def test_real_coefficients_give_hermitian_potential():

@@ -138,6 +138,16 @@ def test_fredholm_series_raises_when_newton_identities_cancel(seed):
         fredholm_det(a, method="series")
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_wedge_trace_raises_when_newton_identities_cancel(seed):
+    # the matrices above: wedge_trace(a, 64) against det(a) is up to 1.0 off
+    a = random_complex(np.random.default_rng(seed), 64, 64, scale=3.0 / 8.0)
+    with pytest.raises(SeriesCancellation, match="wedge trace e_64 lost its digits"):
+        wedge_trace(a, 64)
+    with pytest.raises(SeriesCancellation, match="Fredholm series sum of e_r lost its digits"):
+        fredholm_det(a, method="series")
+
+
 def test_fredholm_dense_matches_lu_oracle():
     rng = np.random.default_rng(16)
     a = random_complex(rng, 9, 9, scale=0.4)
