@@ -3,7 +3,8 @@
 np.linalg and np.matmul make one LAPACK or BLAS call per block, which
 dominates on stacks of thousands of tiny blocks.  Blocks with at most two
 rows and columns get elementwise closed forms here; larger blocks fall
-through to numpy.
+through to numpy.  expi's closed form is the 1x1 phase; 2x2 exponentials are
+taken in su(2) coordinates, a unit quaternion per block (su2_exp, su2_unitary).
 """
 
 from __future__ import annotations
@@ -43,31 +44,29 @@ def su2_coords(h: np.ndarray):
     return 0.5 * (d0 + d1), low.real.copy(), low.imag.copy(), 0.5 * (d0 - d1)
 
 
-def expi(h: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H (batched); closed forms for 1x1 and 2x2 blocks.
+def su2_exp(h1, h2, h3):
+    """Unit quaternion (e0, e1, e2, e3) with exp(i h . sigma) = e0 I + i e . sigma."""
+    theta = np.sqrt(h1 * h1 + h2 * h2 + h3 * h3)
+    e0, s = np.cos(theta), np.sinc(theta / np.pi)
+    return e0, s * h1, s * h2, s * h3
 
-    Like eigh, the closed forms read only the diagonal and lower triangle.
-    For 2x2, H = h0 I + hvec . sigma gives
-    exp(i H) = exp(i h0) (cos|hvec| I + i sin|hvec|/|hvec| hvec . sigma).
-    """
-    n = h.shape[-1]
-    if n == 1:
+
+def su2_unitary(phase, q0, q1, q2, q3) -> np.ndarray:
+    """The 2x2 blocks phase (q0 I + i q . sigma), one per grid point."""
+    t = np.empty(np.shape(q0) + (2, 2), dtype=complex)
+    t[..., 0, 0] = phase * (q0 + 1j * q3)
+    t[..., 0, 1] = phase * (q2 + 1j * q1)
+    t[..., 1, 0] = phase * (1j * q1 - q2)
+    t[..., 1, 1] = phase * (q0 - 1j * q3)
+    return t
+
+
+def expi(h: np.ndarray) -> np.ndarray:
+    """exp(i H) for Hermitian H (batched): a phase for 1x1 blocks, one eigh above."""
+    if h.shape[-1] == 1:
         return np.exp(1j * h.real)
-    if n != 2:
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    h0, h1, h2, h3 = su2_coords(h)
-    theta = np.sqrt(h3 * h3 + h1 * h1 + h2 * h2)
-    phase = np.exp(1j * h0)
-    c = phase * np.cos(theta)
-    s = 1j * phase * np.sinc(theta / np.pi)
-    out = np.empty(h.shape, dtype=complex)
-    out[..., 0, 0] = c + s * h3
-    out[..., 1, 1] = c - s * h3
-    low = h[..., 1, 0]
-    out[..., 1, 0] = s * low
-    out[..., 0, 1] = s * low.conj()
-    return out
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def det(m: np.ndarray) -> np.ndarray:
@@ -106,6 +105,11 @@ def smallest_singular_value(m: np.ndarray) -> np.ndarray:
     smax = np.sqrt(0.5 * (p + r) + np.sqrt(half_gap * half_gap + w * w))
     d = np.abs(det(m))
     return np.where(smax > 0, d / np.where(smax > 0, smax, 1.0), 0.0)
+
+
+def largest_singular_value(m: np.ndarray) -> np.ndarray:
+    """Largest singular value (operator 2-norm) of every block, by one svd."""
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 def det_logabs(m: np.ndarray):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import _readonly, bmm, det, orthonormalizer, smallest_singular_value
+from ._blocks import _readonly, bmm, det, largest_singular_value, orthonormalizer, smallest_singular_value
 from .errors import DegenerateSpectrum, GridDomainError, OutOfChart
 from .opcalc import as_matrix, square_matrix
 
@@ -267,7 +267,7 @@ class ProjectionSection:
         for ax in range(g.ndim):
             d = g.roll(v, ax, +1) - v
             if d.size:
-                c = max(c, float(np.max(np.linalg.norm(d, ord=2, axis=(-2, -1)))) / g.spacing[ax])
+                c = max(c, float(np.max(largest_singular_value(d))) / g.spacing[ax])
         return c
 
     @cached_property

@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import _readonly, bmm as _bmm, det as _det, expi as _expi, su2_coords as _su2_coords
+from ._blocks import (_readonly, bmm as _bmm, det as _det, expi as _expi, su2_coords as _su2_coords,
+                      su2_exp as _su2_exp, su2_unitary as _su2_unitary)
 from .grassmann import BaseGrid, ProjectionSection, graph_frames, spectral_frames
 
 __all__ = [
@@ -162,22 +163,13 @@ class Dirac1DFamily:
             h1 = half * (a1 + b1) + cross * (a2 * b3 - a3 * b2)
             h2 = half * (a2 + b2) + cross * (a3 * b1 - a1 * b3)
             h3 = half * (a3 + b3) + cross * (a1 * b2 - a2 * b1)
-            theta = np.sqrt(h1 * h1 + h2 * h2 + h3 * h3)
-            # the step e0 + i e.sigma = exp(i hv.sigma)
-            e0, s = np.cos(theta), np.sinc(theta / np.pi)
-            e1, e2, e3 = s * h1, s * h2, s * h3
+            e0, e1, e2, e3 = _su2_exp(h1, h2, h3)
             # the quaternion product (e0, e)(q0, q) = (e0 q0 - e.q, e0 q + q0 e - e x q)
             q0, q1, q2, q3 = (e0 * q0 - e1 * q1 - e2 * q2 - e3 * q3,
                               e0 * q1 + q0 * e1 - e2 * q3 + e3 * q2,
                               e0 * q2 + q0 * e2 - e3 * q1 + e1 * q3,
                               e0 * q3 + q0 * e3 - e1 * q2 + e2 * q1)
-        phase = np.exp(1j * phi)
-        t = np.empty(self.grid.shape + (2, 2), dtype=complex)
-        t[..., 0, 0] = phase * (q0 + 1j * q3)
-        t[..., 0, 1] = phase * (q2 + 1j * q1)
-        t[..., 1, 0] = phase * (1j * q1 - q2)
-        t[..., 1, 1] = phase * (q0 - 1j * q3)
-        return t
+        return _su2_unitary(np.exp(1j * phi), q0, q1, q2, q3)
 
     # -- boundary data -------------------------------------------------------
 
@@ -407,11 +399,10 @@ def rotated_interface(fam: Dirac1DFamily, strength: float = 0.4) -> ProjectionSe
     """
     f = fam.calderon_section("left").frames()
     n = fam.rank
-    k = (np.sin(fam._b1)[..., None, None] * PAULI[0]
-         + (np.sin(fam._b2) * np.cos(fam._b1))[..., None, None] * PAULI[1])
+    s = float(strength)
     # an overflowing strength ends in the build's one error, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _expi(float(strength) * k)
+        u = _su2_unitary(1.0, *_su2_exp(s * np.sin(fam._b1), s * (np.sin(fam._b2) * np.cos(fam._b1)), 0.0))
         top, bottom = f[..., :n, :], f[..., n:, :]
         rows = [u[..., i, 0, None, None] * top + u[..., i, 1, None, None] * bottom for i in (0, 1)]
     return ProjectionSection.build(fam.grid, np.concatenate(rows, axis=-2))

@@ -135,16 +135,31 @@ def test_no_module_imports_another_modules_private_names():
     assert leaks == []
 
 
+def _takes_singular_values(node) -> bool:
+    """An svd, or a norm whose ord (2, -2 or "nuc") is a function of the singular values."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "svd" and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "norm"
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"):
+        return False
+    for o in [k.value for k in node.keywords if k.arg == "ord"] + node.args[1:2]:
+        try:
+            if ast.literal_eval(o) in (2, -2, "nuc"):
+                return True
+        except ValueError:  # a computed ord may be one of them
+            return True
+    return False
+
+
 def test_only_blocks_and_opcalc_take_singular_values():
-    # _blocks owns the smallest singular value and the condition bound, and
+    # _blocks owns the extreme singular values and the condition bound, and
     # opcalc the Schatten norms; every other module asks one of them
     sites = []
     for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
         if path.name in ("_blocks.py", "opcalc.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr == "svd"
-                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            if _takes_singular_values(node):
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from detbundle import models, verify
-from detbundle._blocks import bmm
+from detbundle._blocks import bmm, su2_coords, su2_exp, su2_unitary
 from detbundle.detline import metric_norm_sq
 from detbundle.grassmann import BaseGrid, graph_projection
 from detbundle.models import (
@@ -101,6 +101,7 @@ def test_magnus_is_exact_for_commuting_potential():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_expi_closed_forms_match_eigh(n):
+    # n = 1 is expi's phase; n = 2 the su(2) kernels, exp(i h0) (e0 I + i e.sigma)
     rng = np.random.default_rng(n)
     a = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
     h = a + np.swapaxes(a.conj(), -1, -2)
@@ -109,7 +110,24 @@ def test_expi_closed_forms_match_eigh(n):
     h[2] = -2.5 * np.eye(n)
     w, v = np.linalg.eigh(h)
     oracle = (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    assert np.abs(_expi(h) - oracle).max() <= 1e-14
+    if n == 1:
+        closed = _expi(h)
+    else:
+        h0, h1, h2, h3 = su2_coords(h)
+        closed = su2_unitary(np.exp(1j * h0), *su2_exp(h1, h2, h3))
+    assert np.abs(closed - oracle).max() <= 1e-14
+
+
+def test_rank2_transfer_and_rotated_interface_share_the_su2_exponential(monkeypatch):
+    # one su2_exp per Magnus step of the transfer, one for the whole interface
+    fam = demo_family(BaseGrid.torus(6, 6), steps_per_half=16)
+    calls = _count_calls(monkeypatch, "_su2_exp", (models,))
+    fam.transfer_field(0.0, np.pi)
+    assert len(calls) == 16
+    fam.calderon_section("left").frames()
+    calls.clear()
+    rotated_interface(fam)
+    assert len(calls) == 1
 
 
 def _count_linalg_calls(monkeypatch):
