@@ -190,7 +190,6 @@ class ChartedConnection:
     up to O(h^2) density.
     """
 
-    grid: BaseGrid
     sections: tuple[ProjectionSection, ProjectionSection]
     cover: list[np.ndarray | None]
     sing_floor: float
@@ -224,7 +223,7 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
     """
     cover = default_cover(sec0.dim)
     g = sec0.grid
-    conn = ChartedConnection(g, (sec0, sec1), cover, sing_floor, np.full(g.shape, -1))
+    conn = ChartedConnection((sec0, sec1), cover, sing_floor, np.full(g.shape, -1))
     for i in range(len(cover)):
         conn.evaluate(i)
         ok = np.logical_and.reduce([g.roll(g.roll(conn.healthy[i], 0, da), 1, db)
@@ -249,7 +248,7 @@ def curvature_of(conn: ChartedConnection) -> DiscreteForm:
     only at O(h^2) since transition contributions are discretely closed.
     Plaquettes that no chart covers are masked.
     """
-    g = conn.grid
+    g = conn.sections[0].grid
     vals = np.zeros(g.shape, dtype=complex)
     for i, form in enumerate(conn.omega):
         take = conn.plaquette_chart == i
@@ -265,7 +264,7 @@ def patching_residuals(conn: ChartedConnection, a: int, b: int) -> dict[str, Dis
     Both vanish to O(h^2) density on the common domain; their real parts
     cancel exactly because |ratio| is the corresponding metric ratio.
     """
-    g = conn.grid
+    g = conn.sections[0].grid
     conn.evaluate(a, b)
     det_a, det_b = conn.det[a], conn.det[b]
     both = conn.healthy[a] & conn.healthy[b]
@@ -400,7 +399,6 @@ class CurvatureReport:
     charted connections of the full, left and right pairs.
     """
 
-    grid: BaseGrid
     curvature: DiscreteForm
     curvature_left: DiscreteForm
     curvature_right: DiscreteForm
@@ -422,7 +420,7 @@ class CurvatureReport:
         """JSON-ready digest of the report."""
         return {
             "label": self.label,
-            "grid": list(self.grid.shape),
+            "grid": list(self.curvature.grid.shape),
             "chern": {"full": self.chern, "left": self.chern_left,
                       "right": self.chern_right,
                       "additive": bool(self.chern_additive)},
@@ -488,7 +486,7 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
         "f_winding_integrality": integ,
         "chern_additivity_gap": float(abs(c_full - (c_left + c_right))),
     }
-    return CurvatureReport(g, curv_full, curv_left, curv_right, defect, one_form,
+    return CurvatureReport(curv_full, curv_left, curv_right, defect, one_form,
                            f_wind_form, c_full, c_left, c_right, residuals,
                            tuple(conns), label)
 

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 PROJECTION_TOL = 1e-10
+# eigenvalues in (-SPECTRAL_GAP, -snap] make a spectral split ill-posed
+SPECTRAL_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -312,26 +314,24 @@ class ProjectionSection:
         return self._complement
 
 
-def spectral_frames(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
+def spectral_frames(a: np.ndarray) -> np.ndarray:
     """Orthonormal frames of the non-negative spectral subspaces of a stack of Hermitian matrices.
 
     One eigh; the kept eigenvectors are its trailing columns, shape
     a.shape[:-1] + (k,).  Zero eigenvalues belong to the non-negative side;
     roundoff-scale negatives are snapped to zero so exact kernels survive
-    eigh jitter.  Eigenvalues inside (-gap_tol, -snap] make the split
+    eigh jitter.  Eigenvalues inside (-SPECTRAL_GAP, -snap] make the split
     ill-posed, and so does a kept rank k that changes over the stack: both
     raise DegenerateSpectrum.
     """
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
     ah = np.swapaxes(a.conj(), -1, -2)
     if np.any(np.linalg.norm(a - ah, axis=(-2, -1))
               > 1e-10 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))):
         raise ValueError("spectral projection needs self-adjoint matrices")
     w, v = np.linalg.eigh(a)
     snap = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
-    snap = np.minimum(snap, 0.5 * gap_tol)[..., None]
-    if np.any((w > -gap_tol) & (w < -snap)):
+    snap = np.minimum(snap, 0.5 * SPECTRAL_GAP)[..., None]
+    if np.any((w > -SPECTRAL_GAP) & (w < -snap)):
         raise DegenerateSpectrum("eigenvalue inside the forbidden band below zero")
     kept = (w >= -snap).sum(axis=-1)
     k = int(kept.flat[0])
@@ -341,9 +341,9 @@ def spectral_frames(a: np.ndarray, gap_tol: float = 1e-8) -> np.ndarray:
     return v[..., a.shape[-1] - k:]
 
 
-def spectral_projection(a, gap_tol: float = 1e-8) -> Projection:
+def spectral_projection(a) -> Projection:
     """Projection onto the span of eigenvectors with non-negative eigenvalues."""
-    return Projection(spectral_frames(square_matrix(a), gap_tol))
+    return Projection(spectral_frames(square_matrix(a)))
 
 
 def graph_frames(t: np.ndarray) -> np.ndarray:

@@ -24,10 +24,8 @@ __all__ = [
     "CylinderFamily",
     "demo_family",
     "constant_scalar_family",
-    "potential_from_coefficients",
     "coefficient_family",
     "DEMO_COEFFICIENTS",
-    "bloch_vector",
     "bloch_curvature_density",
     "bloch_section",
     "vortex_interface",

@@ -174,7 +174,7 @@ def suite_grassmann(seed: int) -> list[CheckResult]:
             h = h + 0.6 * np.sign(rng.standard_normal()) * np.eye(2 * n)
             if np.abs(np.linalg.eigvalsh(h)).min() < 1e-3:
                 continue
-        ps = spectral_projection(h, gap_tol=1e-10).matrix
+        ps = spectral_projection(h).matrix
         worst_sign = max(worst_sign, float(np.abs(ps - _matrix_sign_projection(h)).max()))
 
         dim, rank = 8, 3

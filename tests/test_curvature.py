@@ -586,7 +586,7 @@ def test_non_square_torus_vortex_chern_triple():
     # unequal axes: every roll and stencil has to keep the axes apart
     fam = demo_family(BaseGrid.torus(12, 20), steps_per_half=STEPS)
     rep = additivity_residual(fam, vortex_interface(fam))
-    assert rep.grid.shape == (12, 20)
+    assert rep.curvature.grid.shape == (12, 20)
     assert (rep.chern, rep.chern_left, rep.chern_right) == (0, -1, 1)
     assert rep.chern_additive
 

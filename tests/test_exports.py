@@ -1,8 +1,9 @@
 """Every exported name resolves, every public name has a caller outside the
-tests, no file imports a name it never reads, no module imports another
-module's private names, no default is one that every caller overrides, no
-parameter is one constant that every caller passes, and only the kernel
-modules take singular values."""
+tests, every exported function is read outside its own module, no file
+imports a name it never reads, no module imports another module's private
+names, no default is one that every caller overrides, no parameter is one
+constant that every caller passes, and only the kernel modules take singular
+values."""
 
 import ast
 import functools
@@ -48,6 +49,7 @@ def test_each_public_name_is_declared_once():
     assert set(detbundle.__all__) - {"__version__"} == exported
 
 
+@functools.cache
 def _names_read(path: Path) -> set[str]:
     """Names a file reads, as bare names or as attributes."""
     read = set()
@@ -59,16 +61,24 @@ def _names_read(path: Path) -> set[str]:
     return read
 
 
-def _callers() -> set[str]:
-    """Names read in src/ or demos/, plus the benchmark tracer's target paths,
-    which count as callers since the tracer wraps them by name."""
+def _caller_files() -> list[Path]:
+    """The modules of src/ but __init__.py, and the demos."""
     files = [p for p in (ROOT / "src" / "detbundle").glob("*.py") if p.name != "__init__.py"]
-    files += (ROOT / "demos").glob("*.py")
-    read = set().union(*(_names_read(p) for p in files))
+    return files + list((ROOT / "demos").glob("*.py"))
+
+
+def _tracer_targets() -> set[str]:
+    """The benchmark tracer's target paths, which count as callers since the
+    tracer wraps them by name."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return read | {path for _, path, _ in tracer.TARGETS}
+    return {path for _, path, _ in tracer.TARGETS}
+
+
+def _callers() -> set[str]:
+    """Names read in src/ or demos/, plus the tracer's target paths."""
+    return set().union(*map(_names_read, _caller_files())) | _tracer_targets()
 
 
 def test_every_public_name_has_a_caller_outside_tests():
@@ -78,6 +88,22 @@ def test_every_public_name_has_a_caller_outside_tests():
     uncalled = [name for name in detbundle.__all__
                 if name != "__version__" and name not in callers]
     assert uncalled == []
+
+
+def test_every_exported_function_is_read_outside_its_module():
+    # a function that only its own module reads is an internal helper, which
+    # tests import by module path; classes are exempt, since they name the
+    # values the package hands out
+    targets = _tracer_targets()
+    internal = []
+    for name in detbundle.__all__:
+        fn = getattr(detbundle, name)
+        if not inspect.isfunction(fn) or name in targets:
+            continue
+        home = fn.__module__.rsplit(".", 1)[1] + ".py"
+        if not any(name in _names_read(p) for p in _caller_files() if p.name != home):
+            internal.append(name)
+    assert internal == []
 
 
 def test_every_public_member_has_a_caller_outside_tests():

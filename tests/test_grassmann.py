@@ -11,6 +11,7 @@ from detbundle.grassmann import (
     DiscreteForm,
     Projection,
     ProjectionSection,
+    SPECTRAL_GAP,
     curvature_trace_form,
     graph_frames,
     graph_projection,
@@ -123,8 +124,13 @@ def test_spectral_projection_keeps_exact_kernel():
 
 
 def test_spectral_projection_rejects_forbidden_band():
-    with pytest.raises(DegenerateSpectrum):
-        spectral_projection(np.diag([1.0, -1e-9, -1.0]), gap_tol=1e-8)
+    # an eigenvalue below the band is a plain negative one and is left out;
+    # one inside it makes the split ill-posed
+    p = spectral_projection(np.diag([1.0, -2 * SPECTRAL_GAP, -1.0]))
+    np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+    for inside in (-1e-9, -SPECTRAL_GAP / 2):
+        with pytest.raises(DegenerateSpectrum):
+            spectral_projection(np.diag([1.0, inside, -1.0]))
 
 
 def test_spectral_frames_match_pointwise_and_reject_mixed_ranks():
@@ -145,7 +151,7 @@ def test_spectral_frames_match_pointwise_and_reject_mixed_ranks():
         spectral_frames(mixed)
     stack[2] = np.diag([1.0, -1e-9, -1.0, 2.0])
     with pytest.raises(DegenerateSpectrum, match="forbidden band"):
-        spectral_frames(stack, gap_tol=1e-8)
+        spectral_frames(stack)
 
 
 def test_graph_projection_of_zero_block():
