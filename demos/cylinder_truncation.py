@@ -5,11 +5,13 @@
 # has to stabilize once the truncation covers the support. Doubling N from 32
 # to 64 should change nothing at the 1e-6 level for gamma >= 0.5.
 
-import numpy as np
-
+# detbundle before numpy: importing it first pins the BLAS to one thread, so
+# the 129 x 129 kernels at truncation 64 round the same on every machine
 from detbundle.curvature import connection_one_form, curvature_of, pair_metric_field
 from detbundle.grassmann import BaseGrid
 from detbundle.models import CylinderFamily
+
+import numpy as np
 
 grid = BaseGrid.torus(8, 8)
 

@@ -5,9 +5,18 @@ dominates on stacks of thousands of tiny blocks.  Blocks with at most two
 rows and columns get elementwise closed forms here; larger blocks fall
 through to numpy.  expi's closed form is the 1x1 phase; 2x2 exponentials are
 taken in su(2) coordinates, a unit quaternion per block (su2_exp, su2_unitary).
+
+A large stack of independent blocks is split between the calling thread and
+at most one worker (_fill); every block takes the same LAPACK and BLAS calls
+on the same data either way, so no output depends on whether or how a stack
+is split.  No other module starts a thread.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -61,12 +70,91 @@ def su2_unitary(phase, q0, q1, q2, q3) -> np.ndarray:
     return t
 
 
-def expi(h: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H (batched): a phase for 1x1 blocks, one eigh above."""
-    if h.shape[-1] == 1:
-        return np.exp(1j * h.real)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+# A stack of blocks is split between two threads from SPLIT_WORK n^3 * blocks
+# of work on, and a thread takes ranges of about RANGE_WORK (at least one
+# block).  Measured crossover, expi on random Hermitian stacks, median of 11,
+# 2-vCPU VM with one BLAS thread, splitting forced at every size:
+#   blocks x n     n^3 * blocks   inline     split
+#     500 x 9           0.4e6     14.0 ms    17.4 ms
+#      36 x 33          1.3e6     14.6 ms    14.6 ms   (one range)
+#    2000 x 9           1.5e6     62.1 ms    56.9 ms
+#      72 x 33          2.6e6     27.8 ms    24.7 ms
+#    4000 x 9           2.9e6    117.1 ms    76.9 ms
+#  150000 x 3           4.0e6    802.8 ms   558.2 ms
+#    1000 x 17          4.9e6    110.1 ms    63.9 ms
+#     144 x 33          5.2e6     56.9 ms    34.5 ms
+#     144 x 65         39.5e6    153.9 ms    95.1 ms
+#      64 x 129       137.4e6    318.1 ms   185.7 ms
+SPLIT_WORK = 4_000_000
+RANGE_WORK = 1 << 21
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _fill(kernel, src: np.ndarray, out: np.ndarray) -> None:
+    """kernel(src[lo:hi], out[lo:hi]) over the (blocks, n, n) stack src, filling out.
+
+    Above SPLIT_WORK, and with 2 CPUs, the caller and one worker thread take
+    contiguous ranges from a shared counter.  The worker runs in a copy of the
+    caller's context, so np.errstate holds there too; its first error stops
+    the hand-out and is raised here once the worker has been joined.
+    """
+    blocks, n = src.shape[0], src.shape[-1]
+    if blocks * n ** 3 < SPLIT_WORK or _cpus() < 2:
+        kernel(src, out)
+        return
+    step = max(1, RANGE_WORK // n ** 3)
+    lock, state, errors = threading.Lock(), [0], []
+
+    def take() -> None:
+        while True:
+            with lock:
+                lo = state[0]
+                if errors or lo >= blocks:
+                    return
+                state[0] = hi = min(lo + step, blocks)
+            try:
+                kernel(src[lo:hi], out[lo:hi])
+            except BaseException as exc:
+                errors.append(exc)
+                return
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(take,))
+    worker.start()
+    try:
+        take()
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def expi(h: np.ndarray, first: int = 0) -> np.ndarray:
+    """exp(i H)[..., first:] for Hermitian H (batched): the columns from first on.
+
+    A phase for 1x1 blocks, one eigh above.  The product forms the columns
+    from the multiple of 8 at or below first: the BLAS computes output columns
+    in tiles (of 4 on the AVX-512 zgemm kernel), so a start on a tile edge
+    makes every kept column bit-equal to that column of the full product.
+    """
+    n = h.shape[-1]
+    if n == 1:
+        return np.exp(1j * h.real)[..., first:]
+    lead = first - first % 8
+
+    def kernel(blk, dst):
+        w, v = np.linalg.eigh(blk)
+        np.matmul(v * np.exp(1j * w)[..., None, :], np.swapaxes(v[..., lead:, :].conj(), -1, -2), out=dst)
+
+    out = np.empty(h.shape[:-1] + (n - lead,), dtype=complex)
+    _fill(kernel, h.reshape(-1, n, n), out.reshape(-1, n, n - lead))
+    return out[..., first - lead:]
 
 
 def det(m: np.ndarray) -> np.ndarray:

@@ -590,8 +590,8 @@ class CylinderFamily:
     def conjugated_section(self, scale: float, seed_offset: int) -> ProjectionSection:
         """Closed-form section exp(i S(b)) P0 exp(-i S(b)) with P0 = diag(k >= 0);
         its frames are the columns of exp(i S(b)) for the modes k >= 0."""
-        u = _expi(self._phase_matrix(scale, self.seed + seed_offset))
-        return ProjectionSection.build(self.grid, u[..., self.truncation:])
+        u = _expi(self._phase_matrix(scale, self.seed + seed_offset), self.truncation)
+        return ProjectionSection.build(self.grid, u)
 
     def boundary_pair(self):
         """Compression pair mirroring the split-circle layout.

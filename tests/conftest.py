@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, as importing detbundle before numpy sets it, so that the
+# tests see the outputs of a CLI run
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

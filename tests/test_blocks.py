@@ -1,18 +1,28 @@
-"""Closed-form small-block kernels against numpy.linalg."""
+"""Closed-form small-block kernels against numpy.linalg, and the two-thread
+split of large block stacks."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from detbundle import BaseGrid, additivity_residual, demo_family, rotated_interface
+import detbundle._blocks as kernels
 from detbundle._blocks import (
     bmm,
     det,
     det_logabs,
+    expi,
     orthonormalizer,
     smallest_singular_value,
     trace_solve,
 )
 
-from conftest import random_complex
+from conftest import STEPS, random_complex
 
 
 def _blocks(k: int, seed: int) -> np.ndarray:
@@ -121,3 +131,145 @@ def test_orthonormalizer_inverts_the_cholesky_factor(k):
     assert np.abs(r_inv - want).max() <= 1e-13 * np.abs(want).max()
     q = x @ r_inv
     assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(k)).max() <= 1e-13
+
+
+def _hermitian(seed: int, blocks: int, n: int) -> np.ndarray:
+    a = random_complex(np.random.default_rng(seed), blocks, n, n)
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+
+
+def _expi_inline(h: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report 2 CPUs, so that a 1-CPU runner also takes the thread path."""
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The number of threads started by _blocks during the test."""
+    count = [0]
+    real = threading.Thread.start
+
+    def start(self):
+        count[0] += 1
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return count
+
+
+def test_split_expi_is_bit_identical_to_inline(two_cpus, started):
+    # 144 x 65^3 is the cylinder's stack at truncation 32, above the cut-over
+    h = _hermitian(80, 144, 65).reshape(12, 12, 65, 65)
+    assert 144 * 65 ** 3 >= kernels.SPLIT_WORK
+    assert np.array_equal(expi(h), _expi_inline(h))
+    assert started[0] == 1
+
+
+@pytest.mark.parametrize("first", [0, 1, 5, 8, 13, 32])
+def test_expi_kept_columns_are_bit_identical_to_the_full_product(first):
+    h = _hermitian(81, 6, 65)
+    assert np.array_equal(expi(h, first), _expi_inline(h)[..., first:])
+
+
+def _thread_path(kernel, blocks=64, n=65):
+    """Run kernel through _fill on a stack above the cut-over.  The caller
+    holds its first range until the worker has started and ended, so the
+    worker runs every range but that one, or stops at its first error."""
+    worker, started = [], threading.Event()
+
+    def paced(src, dst):
+        if threading.current_thread() is threading.main_thread():
+            assert started.wait(10.0)
+            worker[0].join(10.0)
+            assert not worker[0].is_alive()
+        elif not started.is_set():
+            worker.append(threading.current_thread())
+            started.set()
+        kernel(src, dst)
+
+    src = np.zeros((blocks, n, n))
+    kernels._fill(paced, src, np.empty_like(src))
+
+
+def test_every_range_is_handed_out_once(two_cpus, monkeypatch):
+    # one block per range and a short switch interval: a lost update of the
+    # shared counter would fill a block twice or leave it empty
+    monkeypatch.setattr(kernels, "SPLIT_WORK", 0)
+    monkeypatch.setattr(kernels, "RANGE_WORK", 1)
+    out = np.zeros((20000, 1, 1))
+
+    def kernel(src, dst):
+        dst += 1.0
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        kernels._fill(kernel, out.copy(), out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out, np.ones_like(out))
+
+
+def test_worker_error_is_raised_in_the_caller(two_cpus):
+    taken = []
+
+    def kernel(src, dst):
+        taken.append(threading.current_thread() is threading.main_thread())
+        if not taken[-1]:
+            raise ArithmeticError("range failed in the worker")
+
+    with pytest.raises(ArithmeticError, match="^range failed in the worker$"):
+        _thread_path(kernel)
+    # the worker's failed range, then at most the range the caller held
+    assert taken in ([False], [False, True])
+
+
+def test_worker_honours_the_callers_errstate(two_cpus):
+    def kernel(src, dst):
+        if threading.current_thread() is not threading.main_thread():
+            dst[...] = 1.0 / src
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        _thread_path(kernel)
+
+
+def test_no_thread_below_the_cut_over(two_cpus, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    h = _hermitian(82, 36, 33)
+    assert np.array_equal(expi(h), _expi_inline(h))
+    fam = demo_family(BaseGrid.torus(16, 16), steps_per_half=STEPS)
+    additivity_residual(fam, rotated_interface(fam))
+
+
+_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_HASH_SCRIPT = """
+import hashlib
+import detbundle
+import numpy as np
+a = np.random.default_rng(0).standard_normal((129, 129))
+w, v = np.linalg.eigh(a + a.T)
+print(hashlib.sha256((a @ a).tobytes() + w.tobytes() + v.tobytes()).hexdigest())
+"""
+
+
+def _blas_hash(pin: str | None) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in _PINS}
+    env.update(dict.fromkeys(_PINS, pin) if pin else {})
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", _HASH_SCRIPT], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_detbundle_first_pins_blas_to_one_thread():
+    # at n = 129 the BLAS rounds differently at 1 and 2 threads; on a 1-CPU
+    # runner both runs take one thread, and the test passes trivially
+    assert _blas_hash(None) == _blas_hash("1")

@@ -2,8 +2,8 @@
 tests, every exported function is read outside its own module, no file
 imports a name it never reads, no module imports another module's private
 names, no default is one that every caller overrides, no parameter is one
-constant that every caller passes, and only the kernel modules take singular
-values."""
+constant that every caller passes, only the kernel modules take singular
+values, and only _blocks starts threads or processes."""
 
 import ast
 import functools
@@ -188,6 +188,37 @@ def test_only_blocks_and_opcalc_take_singular_values():
             if _takes_singular_values(node):
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def _concurrency_sites(tree) -> list[int]:
+    """Lines that import threading, concurrent.futures or multiprocessing, or fork."""
+    owners = ("threading", "concurrent", "multiprocessing")
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "os" and any(alias.name == "fork" for alias in node.names):
+                lines.append(node.lineno)
+        else:
+            if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                lines.append(node.lineno)
+            continue
+        if any(m.split(".")[0] in owners for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_blocks_starts_threads_or_processes():
+    # _blocks splits its large stacks over two threads, with outputs that do
+    # not depend on the split; every other module stays single-threaded
+    sites = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src" / "detbundle").glob("*.py")) if path.name != "_blocks.py"
+             for line in _concurrency_sites(ast.parse(path.read_text()))]
+    assert sites == []
+    assert _concurrency_sites(ast.parse((ROOT / "src" / "detbundle" / "_blocks.py").read_text()))
 
 
 def test_every_open_names_its_encoding():
