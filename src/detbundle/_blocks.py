@@ -6,10 +6,11 @@ rows and columns get elementwise closed forms here; larger blocks fall
 through to numpy.  expi's closed form is the 1x1 phase; 2x2 exponentials are
 taken in su(2) coordinates, a unit quaternion per block (su2_exp, su2_unitary).
 
-A large stack of independent blocks is split between the calling thread and
-at most one worker (_fill); every block takes the same LAPACK and BLAS calls
-on the same data either way, so no output depends on whether or how a stack
-is split.  No other module starts a thread.
+Work that splits into independent parts runs on the calling thread and at
+most one worker (_both): a large stack of blocks (_fill, so expi), and the
+two half-circle transfers of models.Dirac1DFamily.  Every part takes the same
+calls on the same data either way, so no output depends on whether or how
+the work is split.  No other module starts a thread.
 """
 
 from __future__ import annotations
@@ -43,21 +44,49 @@ def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def su2_coords(h: np.ndarray):
+def _outs(out, shape) -> tuple:
+    return out if out is not None else tuple(np.empty(shape) for _ in range(4))
+
+
+def su2_coords(h: np.ndarray, out=None):
     """(h0, h1, h2, h3) with H = h0 I + (h1, h2, h3) . sigma, per 2x2 block.
 
-    Reads only the diagonal and the lower triangle, like eigh; no view keeps h alive.
+    Reads only the diagonal and the lower triangle, like eigh; no view keeps h
+    alive.  With out, four float arrays of the grid's shape, they are filled.
     """
     d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
     low = h[..., 1, 0]  # h1 + i h2
-    return 0.5 * (d0 + d1), low.real.copy(), low.imag.copy(), 0.5 * (d0 - d1)
+    c0, c1, c2, c3 = out = _outs(out, d0.shape)
+    np.add(d0, d1, out=c0)
+    c0 *= 0.5
+    np.copyto(c1, low.real)
+    np.copyto(c2, low.imag)
+    np.subtract(d0, d1, out=c3)
+    c3 *= 0.5
+    return out
 
 
-def su2_exp(h1, h2, h3):
-    """Unit quaternion (e0, e1, e2, e3) with exp(i h . sigma) = e0 I + i e . sigma."""
-    theta = np.sqrt(h1 * h1 + h2 * h2 + h3 * h3)
-    e0, s = np.cos(theta), np.sinc(theta / np.pi)
-    return e0, s * h1, s * h2, s * h3
+def su2_exp(h1, h2, h3, out=None):
+    """Unit quaternion (e0, e1, e2, e3) with exp(i h . sigma) = e0 I + i e . sigma.
+
+    With out, four float arrays of the broadcast shape that share no memory
+    with h, they are filled.  The operations are those of
+    cos(theta), sinc(theta / pi) * h with theta = |h|, in numpy's order.
+    """
+    e0, e1, e2, e3 = out = _outs(out, np.broadcast_shapes(np.shape(h1), np.shape(h2), np.shape(h3)))
+    np.multiply(h1, h1, out=e0)
+    e0 += np.multiply(h2, h2, out=e1)
+    e0 += np.multiply(h3, h3, out=e1)
+    theta = np.sqrt(e0, out=e0)
+    # np.sinc(t) = sin(y) / y with y = pi t, and eps in place of y = 0
+    y = np.multiply(np.divide(theta, np.pi, out=e1), np.pi, out=e1)
+    np.copyto(y, np.finfo(float).eps, where=y == 0)
+    s = np.divide(np.sin(y, out=e2), y, out=e1)
+    np.cos(theta, out=e0)
+    np.multiply(s, h2, out=e2)
+    np.multiply(s, h3, out=e3)
+    np.multiply(s, h1, out=e1)
+    return out
 
 
 def su2_unitary(phase, q0, q1, q2, q3) -> np.ndarray:
@@ -97,42 +126,61 @@ def _cpus() -> int:
         return 1
 
 
+def _both(first, second):
+    """(first(), second()), second on one worker thread.
+
+    The worker runs in a copy of the caller's context, so np.errstate holds
+    there too.  It is joined before anything is raised; an error of first
+    is raised before one of second.
+    """
+    got = []
+
+    def work() -> None:
+        try:
+            got.append((second(), None))
+        except BaseException as exc:
+            got.append((None, exc))
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
+    try:
+        a = first()
+    finally:
+        worker.join()
+    b, error = got[0]
+    if error is not None:
+        raise error
+    return a, b
+
+
 def _fill(kernel, src: np.ndarray, out: np.ndarray) -> None:
     """kernel(src[lo:hi], out[lo:hi]) over the (blocks, n, n) stack src, filling out.
 
-    Above SPLIT_WORK, and with 2 CPUs, the caller and one worker thread take
-    contiguous ranges from a shared counter.  The worker runs in a copy of the
-    caller's context, so np.errstate holds there too; its first error stops
-    the hand-out and is raised here once the worker has been joined.
+    Above SPLIT_WORK, and with 2 CPUs, the caller and one worker thread (_both)
+    take contiguous ranges from a shared counter; the first error stops the
+    hand-out.
     """
     blocks, n = src.shape[0], src.shape[-1]
     if blocks * n ** 3 < SPLIT_WORK or _cpus() < 2:
         kernel(src, out)
         return
     step = max(1, RANGE_WORK // n ** 3)
-    lock, state, errors = threading.Lock(), [0], []
+    lock, state, failed = threading.Lock(), [0], []
 
     def take() -> None:
         while True:
             with lock:
                 lo = state[0]
-                if errors or lo >= blocks:
+                if failed or lo >= blocks:
                     return
                 state[0] = hi = min(lo + step, blocks)
             try:
                 kernel(src[lo:hi], out[lo:hi])
-            except BaseException as exc:
-                errors.append(exc)
-                return
+            except BaseException:
+                failed.append(True)
+                raise
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(take,))
-    worker.start()
-    try:
-        take()
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+    _both(take, take)
 
 
 def expi(h: np.ndarray, first: int = 0) -> np.ndarray:

@@ -11,10 +11,12 @@ stability studies.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
 
+from . import _blocks
 from ._blocks import (_readonly, bmm as _bmm, det as _det, expi as _expi, su2_coords as _su2_coords,
                       su2_exp as _su2_exp, su2_unitary as _su2_unitary)
 from .grassmann import BaseGrid, ProjectionSection, graph_frames, spectral_frames
@@ -42,6 +44,22 @@ PAULI = (
 # Gauss points of the Magnus step sit at (k + 1/2 -+ _GAUSS) h
 _GAUSS = np.sqrt(3.0) / 6.0
 
+# From SPLIT_POINTS grid points on, and with 2 CPUs, a rank-2 family's two
+# half-circle transfers are integrated at once, one on a worker thread.
+# Measured in process, demo table, both halves at 128 steps, 2-vCPU VM with
+# one BLAS thread; inline time / split time, the median of 7 alternating
+# rounds, lowest and highest of 3 passes:
+#    grid     points   inline / split
+#    32^2       1024    0.42 - 0.51
+#    48^2       2304    0.57 - 0.76
+#    64^2       4096    0.76 - 0.78
+#    72^2       5184    0.84 - 0.97
+#    80^2       6400    1.01 - 1.30
+#    90^2       8100    0.94 - 1.23
+#   128^2      16384    1.15 - 1.56
+#   181^2      32761    1.73 - 1.82
+SPLIT_POINTS = 6000
+
 
 class Dirac1DFamily:
     """Family of rank-n systems psi' = i a(b, x) psi over a parameter grid.
@@ -68,6 +86,14 @@ class Dirac1DFamily:
     are formed once, at the end.  For rank 1 the step exponential is the
     phase e^{i gen}, and larger ranks take one eigh per step.
     The Cauchy-data sections are built from their graph frames.
+
+    From SPLIT_POINTS grid points on, when the process may run on 2 CPUs, a
+    rank-2 family integrates its two half-circle transfers at once, the
+    second on a worker thread (_blocks._both), so the potential is then
+    called from two threads.  Each integration is prepared on the calling
+    thread first: its buffers are allocated and its first sample is read.
+    Every step takes the same operations either way, so the transfers are
+    bit-identical.
     """
 
     def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int):
@@ -83,6 +109,9 @@ class Dirac1DFamily:
         # read-only, so a potential may cache what it derives from them
         self._b1 = _readonly(b[0])
         self._b2 = _readonly(b[1] if grid.ndim == 2 else np.zeros_like(b[0]))
+        # the integration passes read-only views of them, kept until both
+        # half-circle transfers are cached, so a cache keyed on them ends there
+        self._views: tuple[np.ndarray, np.ndarray] | None = None
         self._flows: dict[tuple[int, int], np.ndarray] = {}
 
     # -- integration ---------------------------------------------------------
@@ -98,8 +127,8 @@ class Dirac1DFamily:
             raise ValueError("x must sit on the integrator step lattice")
         return int(k)
 
-    def _a(self, x: float, check: bool) -> np.ndarray:
-        a = np.asarray(self.potential(self._b1, self._b2, x), dtype=complex)
+    def _a(self, b, x: float, check: bool) -> np.ndarray:
+        a = np.asarray(self.potential(b[0], b[1], x), dtype=complex)
         want = self.grid.shape + (self.rank, self.rank)
         if a.shape != want:
             raise ValueError(f"potential blocks have shape {a.shape}, want {want}")
@@ -107,19 +136,21 @@ class Dirac1DFamily:
             raise ValueError("potential blocks must be Hermitian")
         return a
 
-    def _samples(self, k0: int, k1: int):
+    def _samples(self, b, k0: int, k1: int):
         """The potential at the two Gauss points of each step k0..k1-1, in order, one
         block at a time (none is kept across a yield); the first is checked Hermitian."""
         h = self._step
         for k in range(k0, k1):
-            yield self._a((k + 0.5 - _GAUSS) * h, check=k == k0)
-            yield self._a((k + 0.5 + _GAUSS) * h, check=False)
+            yield self._a(b, (k + 0.5 - _GAUSS) * h, check=k == k0)
+            yield self._a(b, (k + 0.5 + _GAUSS) * h, check=False)
 
     def transfer_field(self, x0: float, x1: float) -> np.ndarray:
         """Read-only transfer matrices T_b(x0 -> x1), x0 <= x1, over the whole grid (cached).
 
         The potential must be Hermitian: its first sample is checked, and a
-        non-Hermitian block raises ValueError.
+        non-Hermitian block raises ValueError.  From SPLIT_POINTS grid points
+        on, and with 2 CPUs, the first half-circle transfer asked for
+        integrates both halves at once, so an error in either is raised there.
         """
         k0, k1 = self._tick(x0), self._tick(x1)
         if k1 < k0:
@@ -127,18 +158,40 @@ class Dirac1DFamily:
         key = (k0, k1)
         if key in self._flows:
             return self._flows[key]
-        # an overflowing potential ends in the one error below, not in warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = self._su2_flow(k0, k1) if self.rank == 2 else self._matrix_flow(k0, k1)
-        if not np.isfinite(t).all():
-            raise FloatingPointError("transfer matrices are not finite")
-        self._flows[key] = _readonly(t)
-        return t
+        n = self.steps_per_half
+        halves = [(0, n), (n, 2 * n)]
+        keys = [key]
+        if self.rank == 2 and key in halves and self._b1.size >= SPLIT_POINTS and _blocks._cpus() >= 2:
+            keys = [k for k in halves if k not in self._flows]
+        if self._views is None:
+            self._views = (self._b1.view(), self._b2.view())
+        # every flow is prepared here, before a worker starts
+        runs = [self._flow(self._views, *k) for k in keys]
+        self._flows.update(zip(keys, _blocks._both(*runs) if len(runs) == 2 else [runs[0]()]))
+        if all(k in self._flows for k in halves):
+            self._views = None
+        return self._flows[key]
 
-    def _matrix_flow(self, k0: int, k1: int) -> np.ndarray:
+    def _flow(self, b, k0: int, k1: int):
+        """The integration of steps k0..k1-1 as a function of no arguments that returns
+        the read-only transfer.  A rank-2 flow allocates its buffers and reads its
+        first sample here."""
+        samples = self._samples(b, k0, k1)
+        flow = self._su2_flow(samples, k1 - k0) if self.rank == 2 else lambda: self._matrix_flow(samples)
+
+        def run() -> np.ndarray:
+            # an overflowing potential ends in the one error below, not in warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = flow()
+            if not np.isfinite(t).all():
+                raise FloatingPointError("transfer matrices are not finite")
+            return _readonly(t)
+
+        return run
+
+    def _matrix_flow(self, samples) -> np.ndarray:
         h = self._step
         t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
-        samples = self._samples(k0, k1)
         for a1, a2 in zip(samples, samples):
             # X - X^H is the commutator [a2, a1] for Hermitian blocks
             x = _bmm(a2, a1)
@@ -147,27 +200,51 @@ class Dirac1DFamily:
             t = _bmm(_expi(gen), t)
         return t
 
-    def _su2_flow(self, k0: int, k1: int) -> np.ndarray:
+    def _su2_flow(self, samples, steps: int):
         # T = e^{i phi} (q0 I + i q.sigma); a Gauss sample a = a0 I + a.sigma
         # gives the generator h0 I + hv.sigma with [b, a] = 2i (b x a).sigma,
-        # so hv = (h/2)(a + b) + (sqrt(3)/6) h^2 (a x b)
+        # so hv = (h/2)(a + b) + (sqrt(3)/6) h^2 (a x b).  The loop runs in
+        # the buffers below, allocated on the thread that prepares the flow;
+        # each formula is evaluated in place in its own order of operations.
         half, cross = 0.5 * self._step, _GAUSS * self._step ** 2
-        phi = np.zeros(self.grid.shape)
-        q0, q1, q2, q3 = np.ones(self.grid.shape), phi.copy(), phi.copy(), phi.copy()
+        shape = self.grid.shape
+        phi, t, u = np.zeros(shape), np.empty(shape), np.empty(shape)
+        q = [np.ones(shape)] + [np.zeros(shape) for _ in range(3)]
+        p, a, b, e = ([np.empty(shape) for _ in range(4)] for _ in range(4))
+        hv = [np.empty(shape) for _ in range(3)]
         # each block is dropped once its coordinates are copied out
-        coords = map(_su2_coords, self._samples(k0, k1))
-        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(coords, coords):
-            phi += half * (a0 + b0)
-            h1 = half * (a1 + b1) + cross * (a2 * b3 - a3 * b2)
-            h2 = half * (a2 + b2) + cross * (a3 * b1 - a1 * b3)
-            h3 = half * (a3 + b3) + cross * (a1 * b2 - a2 * b1)
-            e0, e1, e2, e3 = _su2_exp(h1, h2, h3)
-            # the quaternion product (e0, e)(q0, q) = (e0 q0 - e.q, e0 q + q0 e - e x q)
-            q0, q1, q2, q3 = (e0 * q0 - e1 * q1 - e2 * q2 - e3 * q3,
-                              e0 * q1 + q0 * e1 - e2 * q3 + e3 * q2,
-                              e0 * q2 + q0 * e2 - e3 * q1 + e1 * q3,
-                              e0 * q3 + q0 * e3 - e1 * q2 + e2 * q1)
-        return _su2_unitary(np.exp(1j * phi), q0, q1, q2, q3)
+        if steps:
+            _su2_coords(next(samples), out=a)
+        cyclic = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+        def flow() -> np.ndarray:
+            nonlocal q, p
+            for k in range(steps):
+                if k:
+                    _su2_coords(next(samples), out=a)
+                _su2_coords(next(samples), out=b)
+                np.add(phi, np.multiply(np.add(a[0], b[0], out=t), half, out=t), out=phi)
+                for out, (i, j, m) in zip(hv, cyclic):
+                    # h_i = half (a_i + b_i) + cross (a_j b_m - a_m b_j)
+                    np.multiply(np.add(a[i], b[i], out=out), half, out=out)
+                    np.multiply(a[j], b[m], out=t)
+                    np.subtract(t, np.multiply(a[m], b[j], out=u), out=t)
+                    out += np.multiply(t, cross, out=t)
+                e0 = _su2_exp(*hv, out=e)[0]
+                # the quaternion product (e0, e)(q0, q) = (e0 q0 - e.q, e0 q + q0 e - e x q)
+                np.multiply(e0, q[0], out=p[0])
+                for i in (1, 2, 3):
+                    p[0] -= np.multiply(e[i], q[i], out=t)
+                for out, (i, j, m) in zip(p[1:], cyclic):
+                    # p_i = e0 q_i + q0 e_i - e_j q_m + e_m q_j
+                    np.multiply(e0, q[i], out=out)
+                    out += np.multiply(q[0], e[i], out=t)
+                    out -= np.multiply(e[j], q[m], out=t)
+                    out += np.multiply(e[m], q[j], out=t)
+                q, p = p, q
+            return _su2_unitary(np.exp(1j * phi), *q)
+
+        return flow
 
     # -- boundary data -------------------------------------------------------
 
@@ -269,9 +346,12 @@ def potential_from_coefficients(coefficients: dict[str, float]):
 
     The x-independent fields sum(c f(b1) g(b2) channel), one per factor h(x),
     are stacked as the m rows of one read-only array on the first call with
-    read-only coordinate arrays (those of a Dirac1DFamily) and reused while
-    the same arrays come back; writable inputs are evaluated afresh.  A call
-    is then one product of the (m,) values h(x) with that array.
+    read-only coordinate arrays and reused while the same arrays come back;
+    writable inputs are evaluated afresh.  The array is kept only while
+    those coordinates live: a Dirac1DFamily integrates on read-only views
+    that it drops once both half-circle transfers are cached, and the array
+    goes with them.  A call is then one product of the (m,) values h(x) with
+    that array, which it only reads.
     """
     parsed = []
     for key, value in coefficients.items():
@@ -291,15 +371,23 @@ def potential_from_coefficients(coefficients: dict[str, float]):
             field += (c * _TRIG_BASIS[f](b1) * _TRIG_BASIS[g](b2))[..., None, None] * mat
         return _readonly(stacked)
 
-    memo: list = []  # [b1, b2, stacked] for the last read-only coordinates
+    # (ref(b1), ref(b2), stacked) for the last read-only coordinates, replaced
+    # whole: a call reads it once, so two threads never mix two entries
+    memo = [None]
+
+    def forget(ref) -> None:
+        entry = memo[0]
+        if entry is not None and (entry[0] is ref or entry[1] is ref):
+            memo[0] = None
 
     def pot(b1, b2, x):
-        if memo and memo[0] is b1 and memo[1] is b2:
-            stacked = memo[2]
+        entry = memo[0]
+        if entry is not None and entry[0]() is b1 and entry[1]() is b2:
+            stacked = entry[2]
         else:
             stacked = stacked_of(b1, b2)
             if all(isinstance(b, np.ndarray) and not b.flags.writeable for b in (b1, b2)):
-                memo[:] = [b1, b2, stacked]
+                memo[0] = (weakref.ref(b1, forget), weakref.ref(b2, forget), stacked)
         hx = np.array([_TRIG_BASIS[h](float(x)) for h in hs], dtype=complex)
         return (hx @ stacked).reshape(np.shape(b1) + (2, 2))
 

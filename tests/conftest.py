@@ -5,9 +5,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import threading
+
 import numpy as np
 import pytest
 
+import detbundle._blocks as kernels
 from detbundle import BaseGrid, demo_family, rotated_interface
 
 # one line per acceptance criterion, echoed after the run so the verdicts
@@ -25,6 +28,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # refined quantity, so the x-step only needs to keep the 4th-order Magnus
 # error below the O(h^2) signal being measured
 STEPS = 64
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report 2 CPUs, so that a 1-CPU runner also takes the thread path."""
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The number of threads started by _blocks during the test."""
+    count = [0]
+    real = threading.Thread.start
+
+    def start(self):
+        count[0] += 1
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from detbundle._blocks import (
     expi,
     orthonormalizer,
     smallest_singular_value,
+    su2_coords,
+    su2_exp,
     trace_solve,
 )
 
@@ -133,6 +135,39 @@ def test_orthonormalizer_inverts_the_cholesky_factor(k):
     assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(k)).max() <= 1e-13
 
 
+def test_su2_kernels_in_place_are_bit_identical_to_the_formulas():
+    # the transfer's buffers take the same operations as the closed forms
+    rng = np.random.default_rng(90)
+    h = 3.0 * rng.standard_normal((3, 50))
+    h[:, :3] = 0.0  # theta = 0, where sinc takes its eps
+    h[2, 3] = -0.0
+    out = tuple(np.empty(50) for _ in range(4))
+    for h3 in (h[2], 0.0):
+        theta = np.sqrt(h[0] * h[0] + h[1] * h[1] + h3 * h3)
+        s = np.sinc(theta / np.pi)
+        want = (np.cos(theta), s * h[0], s * h[1], s * h3)
+        got = su2_exp(h[0], h[1], h3, out=out)
+        assert all(g is o for g, o in zip(got, out))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert [g.tobytes() for g in su2_exp(h[0], h[1], h3)] == [w.tobytes() for w in want]
+    m = random_complex(rng, 50, 2, 2)
+    d0, d1, low = m[:, 0, 0].real, m[:, 1, 1].real, m[:, 1, 0]
+    want = (0.5 * (d0 + d1), low.real, low.imag, 0.5 * (d0 - d1))
+    assert [g.tobytes() for g in su2_coords(m, out=out)] == [w.tobytes() for w in want]
+
+
+def test_both_returns_both_results_and_raises_the_callers_error_first():
+    def fail(message):
+        raise ArithmeticError(message)
+
+    on_main = kernels._both(threading.current_thread, threading.current_thread)
+    assert on_main[0] is threading.main_thread() and on_main[1] is not on_main[0]
+    with pytest.raises(ArithmeticError, match="^caller$"):
+        kernels._both(lambda: fail("caller"), lambda: fail("worker"))
+    with pytest.raises(ArithmeticError, match="^worker$"):
+        kernels._both(lambda: None, lambda: fail("worker"))
+
+
 def _hermitian(seed: int, blocks: int, n: int) -> np.ndarray:
     a = random_complex(np.random.default_rng(seed), blocks, n, n)
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
@@ -141,26 +176,6 @@ def _hermitian(seed: int, blocks: int, n: int) -> np.ndarray:
 def _expi_inline(h: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Report 2 CPUs, so that a 1-CPU runner also takes the thread path."""
-    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The number of threads started by _blocks during the test."""
-    count = [0]
-    real = threading.Thread.start
-
-    def start(self):
-        count[0] += 1
-        real(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return count
 
 
 def test_split_expi_is_bit_identical_to_inline(two_cpus, started):

@@ -1,6 +1,8 @@
 """Transfer-matrix families, Cauchy-data bundles and the truncated cylinder."""
 
+import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -444,6 +446,86 @@ def test_coefficient_potential_allocates_one_block_per_call():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * a.nbytes
+
+
+def _split_forced(monkeypatch, fam):
+    # the cut-over at this family's grid size, so its two halves run at once
+    monkeypatch.setattr(models, "SPLIT_POINTS", fam._b1.size)
+    return fam
+
+
+@pytest.mark.parametrize("table", [DEMO_COEFFICIENTS, _COMMUTATOR_TABLE])
+def test_split_halves_are_bit_identical_to_inline(two_cpus, started, monkeypatch, table):
+    inline = coefficient_family(BaseGrid.torus(12, 10), table, steps_per_half=16)
+    halves = [inline.transfer_field(0.0, np.pi), inline.transfer_field(np.pi, 2.0 * np.pi)]
+    assert started[0] == 0
+    fam = _split_forced(monkeypatch, coefficient_family(BaseGrid.torus(12, 10), table, steps_per_half=16))
+    assert np.array_equal(fam.transfer_field(np.pi, 2.0 * np.pi), halves[1])
+    assert set(fam._flows) == {(0, 16), (16, 32)}
+    assert np.array_equal(fam.transfer_field(0.0, np.pi), halves[0])
+    assert started[0] == 1
+
+
+def test_split_needs_two_cpus_and_the_cut_over(started, monkeypatch):
+    monkeypatch.setattr(models._blocks, "_cpus", lambda: 1)
+    fam = _split_forced(monkeypatch, demo_family(BaseGrid.torus(8, 8), steps_per_half=16))
+    fam.transfer_field(0.0, np.pi)
+    assert set(fam._flows) == {(0, 16)}
+    monkeypatch.setattr(models._blocks, "_cpus", lambda: 2)
+    monkeypatch.setattr(models, "SPLIT_POINTS", 65)
+    fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
+    fam.transfer_field(0.0, np.pi)
+    assert set(fam._flows) == {(0, 16)}
+    assert started[0] == 0
+
+
+def test_overflow_in_either_half_is_the_one_error_in_the_caller(two_cpus, started, monkeypatch):
+    # only the worker's half overflows: inline, the caller's half is finite
+    def pot(b1, b2, x, base=potential_from_coefficients(DEMO_COEFFICIENTS)):
+        return base(b1, b2, x) * (1e300 if x > np.pi else 1.0)
+
+    assert np.isfinite(Dirac1DFamily(BaseGrid.torus(8, 8), pot, 2, 16).transfer_field(0.0, np.pi)).all()
+    table = dict(DEMO_COEFFICIENTS, **{"s1.one.one.cos": 1e300})
+    fam = _split_forced(monkeypatch, coefficient_family(BaseGrid.torus(8, 8), table, steps_per_half=16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^transfer matrices are not finite$"):
+            fam.transfer_field(0.0, np.pi)
+    assert fam._flows == {} and started[0] == 1
+
+    fam = Dirac1DFamily(BaseGrid.torus(8, 8), pot, 2, 16)
+    threads = set()
+    potential = fam.potential
+    fam.potential = lambda b1, b2, x: threads.add(threading.current_thread()) or potential(b1, b2, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^transfer matrices are not finite$"):
+            fam.transfer_field(0.0, np.pi)
+    assert len(threads) == 2 and started[0] == 2
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_stacked_fields_live_as_long_as_the_integration(two_cpus, monkeypatch, split):
+    # one stacking serves both halves, split or not, and it is freed once
+    # both are integrated: the cache holds only the two transfers
+    args = []
+    for name, fn in list(models._TRIG_BASIS.items()):
+        monkeypatch.setitem(models._TRIG_BASIS, name, lambda t, fn=fn: args.append(np.shape(t)) or fn(t))
+    fam = coefficient_family(BaseGrid.torus(64, 64), DEMO_COEFFICIENTS, steps_per_half=16)
+    if split:
+        _split_forced(monkeypatch, fam)
+    tracemalloc.start()
+    try:
+        fam.transfer_field(0.0, np.pi)
+        fam.transfer_field(np.pi, 2.0 * np.pi)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert args.count((64, 64)) == 2 * len(DEMO_COEFFICIENTS)
+    transfers = 2 * 64 * 64 * 4 * 16
+    stacked = 3 * 64 * 64 * 4 * 16  # one field per factor h(x): one, cos, sin
+    assert transfers <= held < transfers + stacked // 2
+    assert fam._views is None
 
 
 def test_real_coefficients_give_hermitian_potential():
