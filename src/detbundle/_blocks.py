@@ -7,10 +7,10 @@ through to numpy.  expi's closed form is the 1x1 phase; 2x2 exponentials are
 taken in su(2) coordinates, a unit quaternion per block (su2_exp, su2_unitary).
 
 Work that splits into independent parts runs on the calling thread and at
-most one worker (_both): a large stack of blocks (_fill, so expi), and the
-two half-circle transfers of models.Dirac1DFamily.  Every part takes the same
-calls on the same data either way, so no output depends on whether or how
-the work is split.  No other module starts a thread.
+most one worker (_both): a large stack of blocks (_fill, so expi) while the
+BLAS is pinned, and the two half-circle transfers of models.Dirac1DFamily.
+Every part takes the same calls on the same data either way, so no output
+depends on whether or how the work is split.  No other module starts a thread.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import os
 import threading
 
 import numpy as np
+
+from . import _BLAS_PINNED
 
 
 def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,12 +158,12 @@ def _both(first, second):
 def _fill(kernel, src: np.ndarray, out: np.ndarray) -> None:
     """kernel(src[lo:hi], out[lo:hi]) over the (blocks, n, n) stack src, filling out.
 
-    Above SPLIT_WORK, and with 2 CPUs, the caller and one worker thread (_both)
-    take contiguous ranges from a shared counter; the first error stops the
-    hand-out.
+    Above SPLIT_WORK, with 2 CPUs and the BLAS pinned to one thread (its eigh
+    is threaded otherwise), the caller and one worker thread (_both) take
+    contiguous ranges from a shared counter; the first error stops the hand-out.
     """
     blocks, n = src.shape[0], src.shape[-1]
-    if blocks * n ** 3 < SPLIT_WORK or _cpus() < 2:
+    if blocks * n ** 3 < SPLIT_WORK or _cpus() < 2 or not _BLAS_PINNED:
         kernel(src, out)
         return
     step = max(1, RANGE_WORK // n ** 3)

@@ -373,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        # the remedy is a smaller grid or truncation, as for a config error
+        print(f"out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+        return 2
     except CoverageError as err:
         print(f"coverage failure: {err}", file=sys.stderr)
         return 1

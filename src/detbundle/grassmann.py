@@ -171,9 +171,11 @@ class DiscreteForm:
         header = ["i", "j"] + (["mu"] if self.degree == 1 else []) + ["re", "im"]
         cols = [i.ravel().tolist() for i in np.indices(self.samples.shape)]
         cols += [v.real.tolist(), v.imag.tolist()]
+        # %r of a Python float is its repr, as csv.writer writes it
+        row = ",".join(["%d"] * (len(cols) - 2) + ["%r", "%r"]) + "\r\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*cols))
+            fh.writelines(row % values for values in zip(*cols))
 
 
 def _orthonormal(frames, lead: tuple[int, ...], what: str) -> np.ndarray:

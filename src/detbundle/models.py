@@ -60,6 +60,9 @@ _GAUSS = np.sqrt(3.0) / 6.0
 #   181^2      32761    1.73 - 1.82
 SPLIT_POINTS = 6000
 
+# The Magnus error, 2.2e-10 at 128 steps per half and falling as h^4, meets rounding near 4,900
+MAX_STEPS_PER_HALF = 1 << 16
+
 
 class Dirac1DFamily:
     """Family of rank-n systems psi' = i a(b, x) psi over a parameter grid.
@@ -87,13 +90,12 @@ class Dirac1DFamily:
     phase e^{i gen}, and larger ranks take one eigh per step.
     The Cauchy-data sections are built from their graph frames.
 
-    From SPLIT_POINTS grid points on, when the process may run on 2 CPUs, a
-    rank-2 family integrates its two half-circle transfers at once, the
-    second on a worker thread (_blocks._both), so the potential is then
-    called from two threads.  Each integration is prepared on the calling
-    thread first: its buffers are allocated and its first sample is read.
-    Every step takes the same operations either way, so the transfers are
-    bit-identical.
+    The two half-circle transfers are always integrated in one call: from
+    SPLIT_POINTS grid points on, with 2 CPUs, a rank-2 family runs them at
+    once, pi -> 2pi on a worker thread (_blocks._both) once both are prepared
+    (buffers allocated, first samples read) on the calling thread; otherwise
+    in turn, 0 -> pi first.  Every step takes the same operations either
+    way, so transfers, cache and errors do not depend on the machine.
     """
 
     def __init__(self, grid: BaseGrid, potential, rank: int, steps_per_half: int):
@@ -101,6 +103,8 @@ class Dirac1DFamily:
             raise ValueError("rank must be at least 1")
         if steps_per_half < 8:
             raise ValueError("need at least 8 integrator steps per half circle")
+        if steps_per_half > MAX_STEPS_PER_HALF:
+            raise ValueError(f"steps_per_half must be at most {MAX_STEPS_PER_HALF}")
         self.grid = grid
         self.potential = potential
         self.rank = int(rank)
@@ -109,9 +113,6 @@ class Dirac1DFamily:
         # read-only, so a potential may cache what it derives from them
         self._b1 = _readonly(b[0])
         self._b2 = _readonly(b[1] if grid.ndim == 2 else np.zeros_like(b[0]))
-        # the integration passes read-only views of them, kept until both
-        # half-circle transfers are cached, so a cache keyed on them ends there
-        self._views: tuple[np.ndarray, np.ndarray] | None = None
         self._flows: dict[tuple[int, int], np.ndarray] = {}
 
     # -- integration ---------------------------------------------------------
@@ -147,10 +148,9 @@ class Dirac1DFamily:
     def transfer_field(self, x0: float, x1: float) -> np.ndarray:
         """Read-only transfer matrices T_b(x0 -> x1), x0 <= x1, over the whole grid (cached).
 
-        The potential must be Hermitian: its first sample is checked, and a
-        non-Hermitian block raises ValueError.  From SPLIT_POINTS grid points
-        on, and with 2 CPUs, the first half-circle transfer asked for
-        integrates both halves at once, so an error in either is raised there.
+        Both half-circle transfers are integrated in one call, which raises
+        an error of either.  The potential must be Hermitian: the first sample
+        of each flow is checked, and a non-Hermitian block raises ValueError.
         """
         k0, k1 = self._tick(x0), self._tick(x1)
         if k1 < k0:
@@ -160,37 +160,24 @@ class Dirac1DFamily:
             return self._flows[key]
         n = self.steps_per_half
         halves = [(0, n), (n, 2 * n)]
-        keys = [key]
-        if self.rank == 2 and key in halves and self._b1.size >= SPLIT_POINTS and _blocks._cpus() >= 2:
-            keys = [k for k in halves if k not in self._flows]
-        if self._views is None:
-            self._views = (self._b1.view(), self._b2.view())
-        # every flow is prepared here, before a worker starts
-        runs = [self._flow(self._views, *k) for k in keys]
-        self._flows.update(zip(keys, _blocks._both(*runs) if len(runs) == 2 else [runs[0]()]))
-        if all(k in self._flows for k in halves):
-            self._views = None
+        keys = halves if key in halves else [key]
+        # read-only views that die with this call, and a cache keyed on them too
+        b = (self._b1.view(), self._b2.view())
+        # an overflowing potential ends in the one error below, not in warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(keys) == 2 and self.rank == 2 and b[0].size >= SPLIT_POINTS and _blocks._cpus() >= 2:
+                ts = _blocks._both(*[self._su2_flow(b, *k) for k in keys])
+            elif self.rank == 2:
+                ts = [self._su2_flow(b, *k)() for k in keys]
+            else:
+                ts = [self._matrix_flow(b, *k) for k in keys]
+        if not all(np.isfinite(t).all() for t in ts):
+            raise FloatingPointError("transfer matrices are not finite")
+        self._flows.update(zip(keys, map(_readonly, ts)))
         return self._flows[key]
 
-    def _flow(self, b, k0: int, k1: int):
-        """The integration of steps k0..k1-1 as a function of no arguments that returns
-        the read-only transfer.  A rank-2 flow allocates its buffers and reads its
-        first sample here."""
-        samples = self._samples(b, k0, k1)
-        flow = self._su2_flow(samples, k1 - k0) if self.rank == 2 else lambda: self._matrix_flow(samples)
-
-        def run() -> np.ndarray:
-            # an overflowing potential ends in the one error below, not in warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                t = flow()
-            if not np.isfinite(t).all():
-                raise FloatingPointError("transfer matrices are not finite")
-            return _readonly(t)
-
-        return run
-
-    def _matrix_flow(self, samples) -> np.ndarray:
-        h = self._step
+    def _matrix_flow(self, coords, k0: int, k1: int) -> np.ndarray:
+        h, samples = self._step, self._samples(coords, k0, k1)
         t = np.broadcast_to(np.eye(self.rank, dtype=complex), self.grid.shape + (self.rank, self.rank)).copy()
         for a1, a2 in zip(samples, samples):
             # X - X^H is the commutator [a2, a1] for Hermitian blocks
@@ -200,14 +187,14 @@ class Dirac1DFamily:
             t = _bmm(_expi(gen), t)
         return t
 
-    def _su2_flow(self, samples, steps: int):
-        # T = e^{i phi} (q0 I + i q.sigma); a Gauss sample a = a0 I + a.sigma
-        # gives the generator h0 I + hv.sigma with [b, a] = 2i (b x a).sigma,
-        # so hv = (h/2)(a + b) + (sqrt(3)/6) h^2 (a x b).  The loop runs in
-        # the buffers below, allocated on the thread that prepares the flow;
-        # each formula is evaluated in place in its own order of operations.
+    def _su2_flow(self, coords, k0: int, k1: int):
+        # steps k0..k1-1 as a function of no arguments.  T = e^{i phi} (q0 I + i q.sigma);
+        # a Gauss sample a = a0 I + a.sigma gives the generator h0 I + hv.sigma with
+        # [b, a] = 2i (b x a).sigma, so hv = (h/2)(a + b) + (sqrt(3)/6) h^2 (a x b).
+        # The loop runs in the buffers below, allocated on the calling thread, like
+        # the first sample's read; each formula is evaluated in place in its own order.
         half, cross = 0.5 * self._step, _GAUSS * self._step ** 2
-        shape = self.grid.shape
+        samples, steps, shape = self._samples(coords, k0, k1), k1 - k0, self.grid.shape
         phi, t, u = np.zeros(shape), np.empty(shape), np.empty(shape)
         q = [np.ones(shape)] + [np.zeros(shape) for _ in range(3)]
         p, a, b, e = ([np.empty(shape) for _ in range(4)] for _ in range(4))
@@ -349,9 +336,9 @@ def potential_from_coefficients(coefficients: dict[str, float]):
     read-only coordinate arrays and reused while the same arrays come back;
     writable inputs are evaluated afresh.  The array is kept only while
     those coordinates live: a Dirac1DFamily integrates on read-only views
-    that it drops once both half-circle transfers are cached, and the array
-    goes with them.  A call is then one product of the (m,) values h(x) with
-    that array, which it only reads.
+    that live for one transfer_field call, which integrates both halves, so
+    the array goes with it.  A call is then one product of the (m,) values
+    h(x) with that array, which it only reads.
     """
     parsed = []
     for key, value in coefficients.items():

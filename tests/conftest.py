@@ -32,8 +32,10 @@ STEPS = 64
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Report 2 CPUs, so that a 1-CPU runner also takes the thread path."""
+    """Report 2 CPUs and a pinned BLAS, so that a 1-CPU runner, or one whose
+    environment names a BLAS thread count, also takes the thread path."""
     monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    monkeypatch.setattr(kernels, "_BLAS_PINNED", True)
 
 
 @pytest.fixture

@@ -276,15 +276,40 @@ print(hashlib.sha256((a @ a).tobytes() + w.tobytes() + v.tobytes()).hexdigest())
 """
 
 
-def _blas_hash(pin: str | None) -> str:
+def _python(script: str, pin: str | None, *args: str) -> str:
+    """Stdout of script in a fresh interpreter, the BLAS variables at pin or unset."""
     env = {k: v for k, v in os.environ.items() if k not in _PINS}
     env.update(dict.fromkeys(_PINS, pin) if pin else {})
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    return subprocess.run([sys.executable, "-c", _HASH_SCRIPT], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
                           capture_output=True, text=True).stdout
 
 
 def test_importing_detbundle_first_pins_blas_to_one_thread():
     # at n = 129 the BLAS rounds differently at 1 and 2 threads; on a 1-CPU
     # runner both runs take one thread, and the test passes trivially
-    assert _blas_hash(None) == _blas_hash("1")
+    assert _python(_HASH_SCRIPT, None) == _python(_HASH_SCRIPT, "1")
+
+
+_SPLIT_SCRIPT = """
+import sys
+import threading
+if sys.argv[1] == "numpy":
+    import numpy
+import detbundle._blocks as kernels
+import numpy as np
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(1) or start(self)
+kernels._cpus = lambda: 2
+a = np.random.default_rng(0).standard_normal((144, 65, 65))
+kernels.expi(a + np.swapaxes(a, -1, -2))
+print(len(started))
+"""
+
+
+def test_expi_splits_only_while_blas_is_pinned():
+    # numpy imported first with the variables unset: its BLAS may run one
+    # thread per CPU, so the cylinder's stack runs inline
+    assert _python(_SPLIT_SCRIPT, None, "numpy") == "0\n"
+    assert _python(_SPLIT_SCRIPT, None, "detbundle") == "1\n"

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detbundle import BaseGrid, constant_scalar_family, demo_family, rotated_interface
+from detbundle import cli
 from detbundle.cli import ConfigError, build_family, config_hash, load_config, main
 from detbundle.curvature import (
     curvature_families_formula,
@@ -89,10 +90,11 @@ def test_build_family_rejects_bad_numbers():
     "[model]\nkind = cylinder\n[run]\nseed = -1\n",
     "[run]\nmax_excluded = -1\n",
     "[run]\nmax_excluded = 2\n",
+    "[model]\nsteps_per_half = 100000000000\n",
 ], ids=["potential_nan", "cylinder_amplitude_inf", "max_excluded_nan", "model_value_inf",
         "cylinder_style_unknown", "cylinder_truncation_zero", "scalar_rank_zero",
         "vortex_radius_beyond_pi", "cylinder_seed_negative", "max_excluded_negative",
-        "max_excluded_above_one"])
+        "max_excluded_above_one", "steps_per_half_above_bound"])
 def test_non_finite_config_numbers_exit_two(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -324,6 +326,21 @@ def test_cylinder_truncation_above_the_label_offset_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "config error: truncation must be at most 8192\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.28 TiB for an array", "out of memory: Unable to allocate 7.28 TiB for an array\n"),
+    ("", "out of memory: an allocation failed\n"),
+])
+def test_memory_error_exits_two_in_one_line(tmp_path, capsys, monkeypatch, message, line):
+    # a builder that cannot allocate: the remedy is a smaller grid, so exit 2
+    def build_family(cfg, grid):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(cli, "build_family", build_family)
+    code = main(["curvature", "--grid", "8", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == line
 
 
 def test_curvature_has_no_tol_flag(tmp_path):

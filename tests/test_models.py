@@ -121,11 +121,12 @@ def test_expi_closed_forms_match_eigh(n):
 
 
 def test_rank2_transfer_and_rotated_interface_share_the_su2_exponential(monkeypatch):
-    # one su2_exp per Magnus step of the transfer, one for the whole interface
+    # one su2_exp per Magnus step of both half-circle transfers, one for the
+    # whole interface
     fam = demo_family(BaseGrid.torus(6, 6), steps_per_half=16)
     calls = _count_calls(monkeypatch, "_su2_exp", (models,))
     fam.transfer_field(0.0, np.pi)
-    assert len(calls) == 16
+    assert len(calls) == 32
     fam.calderon_section("left").frames()
     calls.clear()
     rotated_interface(fam)
@@ -215,8 +216,9 @@ def test_rank2_transfer_samples_the_potential_at_the_gauss_points_in_order():
     fam.transfer_field(0.0, np.pi)
     h = np.pi / 16
     gauss = np.sqrt(3.0) / 6.0
-    expected = [(k + 0.5 + sign * gauss) * h for k in range(16) for sign in (-1, 1)]
-    assert len(xs) == 2 * fam.steps_per_half
+    # the sibling half pi -> 2pi follows, integrated in the same call
+    expected = [(k + 0.5 + sign * gauss) * h for k in range(32) for sign in (-1, 1)]
+    assert len(xs) == 4 * fam.steps_per_half
     np.testing.assert_allclose(xs, expected, rtol=0.0, atol=1e-15)
 
 
@@ -432,7 +434,7 @@ def test_rank2_transfer_keeps_one_potential_block_alive():
 
     fam.potential = tracked
     fam.transfer_field(0.0, np.pi)
-    assert len(alive) == 2 * fam.steps_per_half
+    assert len(alive) == 4 * fam.steps_per_half
     assert max(alive) == 0
 
 
@@ -467,24 +469,62 @@ def test_split_halves_are_bit_identical_to_inline(two_cpus, started, monkeypatch
 
 
 def test_split_needs_two_cpus_and_the_cut_over(started, monkeypatch):
+    # inline, both halves are still integrated, in turn on the calling thread
     monkeypatch.setattr(models._blocks, "_cpus", lambda: 1)
     fam = _split_forced(monkeypatch, demo_family(BaseGrid.torus(8, 8), steps_per_half=16))
     fam.transfer_field(0.0, np.pi)
-    assert set(fam._flows) == {(0, 16)}
+    assert set(fam._flows) == {(0, 16), (16, 32)}
     monkeypatch.setattr(models._blocks, "_cpus", lambda: 2)
     monkeypatch.setattr(models, "SPLIT_POINTS", 65)
     fam = demo_family(BaseGrid.torus(8, 8), steps_per_half=16)
     fam.transfer_field(0.0, np.pi)
-    assert set(fam._flows) == {(0, 16)}
+    assert set(fam._flows) == {(0, 16), (16, 32)}
     assert started[0] == 0
 
 
+def test_half_transfers_do_not_depend_on_cpus_or_the_cut_over(started, monkeypatch):
+    # one rule on every machine: with 1 or 2 CPUs, and the cut-over at or
+    # above the 8x8 grid, transfer_field(0, pi) caches both halves, bit for
+    # bit the same, and a potential that overflows only for x > pi raises the
+    # same one error there and caches nothing
+    def overflowing(b1, b2, x, base=potential_from_coefficients(_COMMUTATOR_TABLE)):
+        return base(b1, b2, x) * (1e300 if x > np.pi else 1.0)
+
+    runs = []
+    for cpus, cut_over in ((1, 64), (1, 65), (2, 64), (2, 65)):
+        monkeypatch.setattr(models._blocks, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(models, "SPLIT_POINTS", cut_over)
+        threads = started[0]
+        fam = coefficient_family(BaseGrid.torus(8, 8), _COMMUTATOR_TABLE, steps_per_half=16)
+        fam.transfer_field(0.0, np.pi)
+        bad = Dirac1DFamily(BaseGrid.torus(8, 8), overflowing, 2, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError) as err:
+                bad.transfer_field(0.0, np.pi)
+        assert bad._flows == {}
+        assert started[0] - threads == (2 if cpus == 2 and cut_over == 64 else 0)
+        runs.append((fam._flows, str(err.value)))
+    flows, message = runs[0]
+    assert set(flows) == {(0, 16), (16, 32)}
+    assert message == "transfer matrices are not finite"
+    for other, other_message in runs[1:]:
+        assert set(other) == set(flows) and other_message == message
+        assert all(other[k].tobytes() == flows[k].tobytes() for k in flows)
+
+
 def test_overflow_in_either_half_is_the_one_error_in_the_caller(two_cpus, started, monkeypatch):
-    # only the worker's half overflows: inline, the caller's half is finite
+    # only the worker's half overflows: inline too, asking for the caller's
+    # half integrates both, so it raises and caches nothing
     def pot(b1, b2, x, base=potential_from_coefficients(DEMO_COEFFICIENTS)):
         return base(b1, b2, x) * (1e300 if x > np.pi else 1.0)
 
-    assert np.isfinite(Dirac1DFamily(BaseGrid.torus(8, 8), pot, 2, 16).transfer_field(0.0, np.pi)).all()
+    inline = Dirac1DFamily(BaseGrid.torus(8, 8), pot, 2, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^transfer matrices are not finite$"):
+            inline.transfer_field(0.0, np.pi)
+    assert inline._flows == {} and started[0] == 0
     table = dict(DEMO_COEFFICIENTS, **{"s1.one.one.cos": 1e300})
     fam = _split_forced(monkeypatch, coefficient_family(BaseGrid.torus(8, 8), table, steps_per_half=16))
     with warnings.catch_warnings():
@@ -525,7 +565,6 @@ def test_stacked_fields_live_as_long_as_the_integration(two_cpus, monkeypatch, s
     transfers = 2 * 64 * 64 * 4 * 16
     stacked = 3 * 64 * 64 * 4 * 16  # one field per factor h(x): one, cos, sin
     assert transfers <= held < transfers + stacked // 2
-    assert fam._views is None
 
 
 def test_real_coefficients_give_hermitian_potential():
