@@ -225,11 +225,10 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _write_rows(path: Path, header: list[str], row: str, columns) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def cmd_verify(suite: str, cfg: dict, out_dir: Path) -> int:
@@ -268,8 +267,8 @@ def cmd_curvature(cfg: dict, out_dir: Path) -> int:
     report.defect.to_csv(out_dir / "additivity_residual.csv")
     report.f_winding.to_csv(out_dir / "f_winding.csv")
     excl = report.defect.mask
-    rows = ([*idx, int(excl[idx]), 0] for idx in np.ndindex(*excl.shape))
-    _write_rows(out_dir / "exclusions.csv", ["i", "j", "re", "im"], rows)
+    _write_rows(out_dir / "exclusions.csv", ["i", "j", "re", "im"], "%d,%d,%d,0\n",
+                [a.ravel().tolist() for a in (*np.indices(excl.shape), excl)])
     payload["report"] = report.summary()
     payload["verdict"] = ("chern additivity holds" if report.chern_additive
                           else "chern additivity FAILED")
@@ -311,9 +310,9 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
     params = grid.axis_coords(0)
     for name, values in columns.items():
-        _write_rows(out_dir / f"sweep_{name}.csv", ["param", "value_re", "value_im"],
-                    ([repr(float(p)), repr(float(v.real)), repr(float(v.imag))]
-                     for p, v in zip(params, values)))
+        # %r of a Python float is its repr
+        _write_rows(out_dir / f"sweep_{name}.csv", ["param", "value_re", "value_im"], "%r,%r,%r\n",
+                    [params.tolist(), values.real.tolist(), values.imag.tolist()])
     payload["range"] = [start, stop]
     payload["zero_indices"] = {name: zero_indices(v) for name, v in columns.items()}
     _write_json(out_dir / "sweep_report.json", payload)

@@ -17,7 +17,7 @@ in the imaginary part at second order in the mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,36 +178,24 @@ _PLAQ_STENCIL = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (2, 0), (0, -1), (0, 2
                  (1, -1), (1, 2), (-1, 1), (2, 1))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ChartedConnection:
-    """Connection data of a projection pair, one edge 1-form per chart.
+    """Connection data of a projection pair, one edge 1-form per chart: an immutable value.
 
-    omega, healthy and det list, per chart evaluated so far, the edge samples
-    with their exclusion mask, the point-wise domain and the determinant (1
-    outside it), all read-only.  plaquette_chart, also read-only, is the first
-    chart healthy on each plaquette's stencil, -1 if none is.
+    omega, healthy and det hold, per chart of default_cover up to the last the atlas
+    needed, the edge samples with their exclusion mask, the point-wise domain and the
+    determinant (1 outside it), all read-only.  plaquette_chart, also read-only, is the
+    first chart healthy on each plaquette's stencil, -1 if none is.
     On overlaps the forms differ by the discrete d log of the transition ratio,
     up to O(h^2) density.
     """
 
     sections: tuple[ProjectionSection, ProjectionSection]
-    cover: list[np.ndarray | None]
     sing_floor: float
     plaquette_chart: np.ndarray
-    omega: list[DiscreteForm] = field(default_factory=list)
-    healthy: list[np.ndarray] = field(default_factory=list)
-    det: list[np.ndarray] = field(default_factory=list)
-
-    def evaluate(self, *charts: int) -> None:
-        """Evaluate the cover in order, each chart once, up to the given charts."""
-        if not all(0 <= i < len(self.cover) for i in charts):
-            raise IndexError(f"charts {charts} are not all in a cover of {len(self.cover)}")
-        while len(self.omega) <= max(charts, default=-1):
-            omega, healthy, dets = _chart_edge_data(*self.sections, self.cover[len(self.omega)],
-                                                    self.sing_floor)
-            self.omega.append(omega)
-            self.healthy.append(healthy)
-            self.det.append(dets)
+    omega: tuple[DiscreteForm, ...]
+    healthy: tuple[np.ndarray, ...]
+    det: tuple[np.ndarray, ...]
 
 
 def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
@@ -221,23 +209,22 @@ def connection_one_form(sec0: ProjectionSection, sec1: ProjectionSection,
     charts of default_cover are evaluated in order until every plaquette has
     its chart; a point inside no chart domain at all makes the atlas invalid.
     """
-    cover = default_cover(sec0.dim)
     g = sec0.grid
-    conn = ChartedConnection((sec0, sec1), cover, sing_floor, np.full(g.shape, -1))
-    for i in range(len(cover)):
-        conn.evaluate(i)
-        ok = np.logical_and.reduce([g.roll(g.roll(conn.healthy[i], 0, da), 1, db)
+    plaquette_chart = np.full(g.shape, -1)
+    charts = []
+    for i, chart in enumerate(default_cover(sec0.dim)):
+        charts.append(_chart_edge_data(sec0, sec1, chart, sing_floor))
+        ok = np.logical_and.reduce([g.roll(g.roll(charts[i][1], 0, da), 1, db)
                                     for da, db in _PLAQ_STENCIL])
-        conn.plaquette_chart[ok & (conn.plaquette_chart < 0)] = i
-        if (conn.plaquette_chart >= 0).all():
+        plaquette_chart[ok & (plaquette_chart < 0)] = i
+        if (plaquette_chart >= 0).all():
             break
     else:
-        covered = np.logical_or.reduce(conn.healthy)
+        covered = np.logical_or.reduce([healthy for _, healthy, _ in charts])
         if not covered.all():
             raise CoverageError(
                 f"{int((~covered).sum())} grid points lie outside every chart domain")
-    _readonly(conn.plaquette_chart)
-    return conn
+    return ChartedConnection((sec0, sec1), sing_floor, _readonly(plaquette_chart), *zip(*charts))
 
 
 def curvature_of(conn: ChartedConnection) -> DiscreteForm:
@@ -265,14 +252,19 @@ def patching_residuals(conn: ChartedConnection, a: int, b: int) -> dict[str, Dis
     cancel exactly because |ratio| is the corresponding metric ratio.
     """
     g = conn.sections[0].grid
-    conn.evaluate(a, b)
-    det_a, det_b = conn.det[a], conn.det[b]
-    both = conn.healthy[a] & conn.healthy[b]
+    cover = default_cover(conn.sections[0].dim)
+    if not (0 <= a < len(cover) and 0 <= b < len(cover)):
+        raise IndexError(f"charts {a}, {b} are not both in a cover of {len(cover)}")
+    # a chart the atlas did not need is evaluated here and not kept
+    (form_a, healthy_a, det_a), (form_b, healthy_b, det_b) = (
+        (conn.omega[i], conn.healthy[i], conn.det[i]) if i < len(conn.omega)
+        else _chart_edge_data(*conn.sections, cover[i], conn.sing_floor) for i in (a, b))
+    both = healthy_a & healthy_b
     # an edge leaves the common domain exactly when it leaves one chart's domain
-    emask = conn.omega[a].mask | conn.omega[b].mask
+    emask = form_a.mask | form_b.mask
     dlog_t = _dlog_edges(np.where(both, det_a / det_b, 1.0), g)
     dlog_r = _dlog_edges(np.where(both, np.conj(det_b) * det_a, 1.0), g)
-    oa, ob = conn.omega[a].samples, conn.omega[b].samples
+    oa, ob = form_a.samples, form_b.samples
     return {
         "inverse_ratio": DiscreteForm(g, 1, _wrap_branch(oa - ob - dlog_t), mask=emask),
         "adjoint_ratio": DiscreteForm(g, 1, _wrap_branch(oa + np.conj(ob) - dlog_r), mask=emask),
@@ -387,7 +379,7 @@ def chern_of_pair(sec0: ProjectionSection, sec1: ProjectionSection) -> int:
 # -- additivity report ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CurvatureReport:
     """Outcome of the split-curvature comparison over a parameter torus.
 
@@ -457,14 +449,13 @@ def additivity_residual(model, section: ProjectionSection, sing_floor: float = 0
 
     excluded = float(emask.mean())
     if excluded > max_excluded:
-        err = CoverageError(
-            f"{100 * excluded:.1f}% of edges excluded, above {100 * max_excluded:.1f}%")
-        err.fraction = excluded
-        raise err
+        raise CoverageError(
+            f"{100 * excluded:.1f}% of edges excluded, above {100 * max_excluded:.1f}%",
+            fraction=excluded)
 
     one_form = DiscreteForm(g, 1, _wrap_branch(full - left - right - dlog_f), mask=emask)
-    defect = one_form.coboundary()
-    defect.samples = _wrap_branch(defect.samples)
+    d_one_form = one_form.coboundary()
+    defect = DiscreteForm(g, 2, _wrap_branch(d_one_form.samples), mask=d_one_form.mask)
     f_wind_form = DiscreteForm(g, 1, dlog_f, mask=emask).coboundary()
     curv_full, curv_left, curv_right = (curvature_of(c) for c in conns)
     c_full, c_left, c_right = (chern_of_pair(s0, s1) for s0, s1 in pairs)

@@ -21,6 +21,10 @@ class OutOfChart(ValueError):
 class CoverageError(RuntimeError):
     """No chart in the cover is valid on some required stencil."""
 
+    def __init__(self, message: str, fraction: float | None = None):
+        super().__init__(message)
+        self.fraction = fraction  # the excluded edge fraction; None for a point outside every chart
+
 
 class VortexOnLink(ValueError):
     """A normalized link overlap has near-zero modulus; holonomy undefined."""

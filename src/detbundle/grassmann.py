@@ -98,9 +98,9 @@ class BaseGrid:
         return np.roll(values, -step, axis=axis)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscreteForm:
-    """Cell-integrated scalar k-form on a torus BaseGrid.
+    """Cell-integrated scalar k-form on a torus BaseGrid; an immutable value.
 
     samples shape: degree 0 and 2 -> grid.shape, degree 1 -> grid.shape +
     (2,).  mask marks excluded cells (True = excluded) and always has the
@@ -116,11 +116,12 @@ class DiscreteForm:
         if self.degree not in (0, 1, 2):
             raise ValueError("degree must be 0, 1 or 2")
         self.grid.require_torus()
-        self.samples = np.asarray(self.samples)
+        object.__setattr__(self, "samples", np.asarray(self.samples))
         cells = self.grid.shape + ((self.grid.ndim,) if self.degree == 1 else ())
         if self.samples.shape != cells:
             raise ValueError(f"sample shape {self.samples.shape} does not match degree-{self.degree} cells {cells}")
-        self.mask = np.zeros(cells, dtype=bool) if self.mask is None else np.asarray(self.mask, dtype=bool)
+        object.__setattr__(self, "mask", np.zeros(cells, dtype=bool) if self.mask is None
+                           else np.asarray(self.mask, dtype=bool))
         if self.mask.shape != cells:
             raise ValueError("mask shape must match cell layout")
 

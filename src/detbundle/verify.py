@@ -50,7 +50,7 @@ __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 SUITE_NAMES = ("opcalc", "grassmann", "detline", "models", "curvature")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     """One named invariant with its measured residual and threshold."""
 
@@ -429,7 +429,7 @@ def suite_curvature(seed: int, tol: float, *, model, section,
     except CoverageError as err:
         # only an edge-budget failure carries a fraction; a point outside every
         # chart domain has no measured fraction, and its message says so
-        if hasattr(err, "fraction"):
+        if err.fraction is not None:
             measured, detail = err.fraction, "edge exclusions exceeded the coverage budget"
         else:
             measured, detail = float("nan"), str(err)

@@ -1,6 +1,7 @@
 """Charted connection forms, curvature, additivity and Chern numbers."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from detbundle.curvature import (
     plaquette_winding,
     swap_trace_identity,
 )
+from detbundle.verify import CheckResult
 
 from conftest import STEPS, _count_calls, random_complex, random_frame
 
@@ -283,11 +285,15 @@ def test_additivity_diagonalises_each_section_once(monkeypatch):
 
 
 def test_chart_data_are_read_only(demo16, rot16):
-    conn = connection_one_form(demo16.boundary_pair()[0], rot16)
-    conn.evaluate(len(conn.cover) - 1)
-    stored = conn.healthy + conn.det + [f.samples for f in conn.omega] + [f.mask for f in conn.omega]
-    assert len(stored) == 4 * len(conn.cover)
-    assert not any(a.flags.writeable for a in stored)
+    sec0 = demo16.boundary_pair()[0]
+    conn = connection_one_form(sec0, rot16)
+    cover = default_cover(sec0.dim)
+    stored = [a for form, healthy, dets in (_chart_edge_data(sec0, rot16, c, 0.1) for c in cover)
+              for a in (healthy, dets, form.samples, form.mask)]
+    assert len(stored) == 4 * len(cover)
+    atlas = [*conn.healthy, *conn.det, *(f.samples for f in conn.omega), *(f.mask for f in conn.omega)]
+    assert len(atlas) == 4 * len(conn.omega)
+    assert not any(a.flags.writeable for a in stored + atlas)
 
 
 def test_plaquette_chart_is_read_only(demo16, rot16):
@@ -466,8 +472,8 @@ def test_lazy_atlas_matches_every_chart_evaluated(name, evaluated, request):
     for (s0, s1), conn, form in zip(pairs, rep.connections, forms):
         vals, mask = _every_chart_curvature(s0, s1)
         assert np.array_equal(form.samples, vals) and np.array_equal(form.mask, mask)
-        conn.evaluate(len(conn.cover) - 1)
-        forced = curvature_of(conn)
+        omega, healthy, dets = zip(*(_chart_edge_data(s0, s1, c, 0.1) for c in default_cover(s0.dim)))
+        forced = curvature_of(dataclasses.replace(conn, omega=omega, healthy=healthy, det=dets))
         assert np.array_equal(forced.samples, vals) and np.array_equal(forced.mask, mask)
     # the F edge mask is the one of the joint plain-chart domain
     _, joint = f_function_field(sec_a, sec, sec_b, 0.1)
@@ -504,7 +510,8 @@ def test_patching_residuals_evaluate_the_charts_they_read(demo16, rot16, demo32)
         conn = connection_one_form(s0, s1)
         assert len(conn.omega) == lazy
         got = patching_residuals(conn, a, b)
-        assert len(conn.omega) == max(lazy, a + 1, b + 1)
+        # a chart the atlas did not need is evaluated for the call and not kept
+        assert len(conn.omega) == lazy
         ref, mask = _patching_oracle(s0, s1, a, b)
         assert mask.any() == (fam is demo32)
         for key, form in got.items():
@@ -533,16 +540,27 @@ def test_chart_indices_outside_the_cover_raise(demo16, rot16):
     for a, b in ((-1, 0), (0, -4), (0, 4), (7, 1)):
         with pytest.raises(IndexError):
             patching_residuals(conn, a, b)
-    with pytest.raises(IndexError):
-        conn.evaluate(4)
     assert len(conn.omega) == 1
 
 
-def test_evaluate_with_no_charts_does_nothing(demo16, rot16):
-    conn = connection_one_form(demo16.boundary_pair()[0], rot16)
-    before = len(conn.omega)
-    conn.evaluate()
-    assert len(conn.omega) == before
+def test_patching_residuals_leave_the_report_unchanged(demo16, rot16):
+    rep = additivity_residual(demo16, rot16)
+    before = [(*c.omega, *c.healthy, *c.det, c.plaquette_chart) for c in rep.connections]
+    patching_residuals(rep.connections[1], 0, 1)
+    assert [len(c.omega) for c in rep.connections] == [1, 1, 1]
+    after = [(*c.omega, *c.healthy, *c.det, c.plaquette_chart) for c in rep.connections]
+    assert all(x is y for b, a in zip(before, after, strict=True) for x, y in zip(b, a, strict=True))
+
+
+def test_records_are_frozen(demo16, rot16):
+    rep = additivity_residual(demo16, rot16)
+    conn = rep.connections[0]
+    check = CheckResult("name", True, 0.0, 1.0, "detail")
+    for record, name, value in ((conn, "omega", ()), (rep.defect, "samples", rep.defect.samples.copy()),
+                                (rep, "label", "other"), (check, "passed", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+    assert len(conn.omega) == 1 and rep.label == "" and check.passed
 
 
 def test_lazy_atlas_on_rank_zero_pairs():

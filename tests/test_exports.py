@@ -3,7 +3,8 @@ tests, every exported function is read outside its own module, no file
 imports a name it never reads, no module imports another module's private
 names, no default is one that every caller overrides, no parameter is one
 constant that every caller passes, only the kernel modules take singular
-values, and only _blocks starts threads or processes."""
+values, only _blocks starts threads or processes, and every dataclass is
+frozen."""
 
 import ast
 import functools
@@ -232,6 +233,24 @@ def test_every_open_names_its_encoding():
                     and not any(k.arg == "encoding" for k in node.keywords)):
                 unnamed.append(f"{path.name}:{node.lineno}")
     assert unnamed == []
+
+
+def test_every_dataclass_is_frozen():
+    # a record is a value: no reader or check can rewrite what it was handed,
+    # and a field is set only in the constructor
+    thawed = []
+    for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for dec in cls.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                if ast.unparse(call.func if call else dec) != "dataclass":
+                    continue
+                if not (call and any(k.arg == "frozen" and ast.literal_eval(k.value) is True
+                                     for k in call.keywords)):
+                    thawed.append(f"{path.name}: {cls.name}")
+    assert thawed == []
 
 
 def _dataclass_fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
