@@ -101,10 +101,10 @@ def su2_unitary(phase, q0, q1, q2, q3) -> np.ndarray:
     return t
 
 
-# A stack of blocks is split between two threads from SPLIT_WORK n^3 * blocks
-# of work on, and a thread takes ranges of about RANGE_WORK (at least one
-# block).  Measured crossover, expi on random Hermitian stacks, median of 11,
-# 2-vCPU VM with one BLAS thread, splitting forced at every size:
+# Ranges hold about RANGE_WORK n^3 * blocks (at least one block); a stack is
+# split between two threads from two ranges on, so from about 4e6.  Measured
+# crossover, expi on random Hermitian stacks, median of 11, 2-vCPU VM with one
+# BLAS thread, splitting forced at every size:
 #   blocks x n     n^3 * blocks   inline     split
 #     500 x 9           0.4e6     14.0 ms    17.4 ms
 #      36 x 33          1.3e6     14.6 ms    14.6 ms   (one range)
@@ -116,8 +116,7 @@ def su2_unitary(phase, q0, q1, q2, q3) -> np.ndarray:
 #     144 x 33          5.2e6     56.9 ms    34.5 ms
 #     144 x 65         39.5e6    153.9 ms    95.1 ms
 #      64 x 129       137.4e6    318.1 ms   185.7 ms
-SPLIT_WORK = 4_000_000
-RANGE_WORK = 1 << 21
+RANGE_WORK = 2_000_000
 
 
 def _cpus() -> int:
@@ -158,31 +157,22 @@ def _both(first, second):
 def _fill(kernel, src: np.ndarray, out: np.ndarray) -> None:
     """kernel(src[lo:hi], out[lo:hi]) over the (blocks, n, n) stack src, filling out.
 
-    Above SPLIT_WORK, with 2 CPUs and the BLAS pinned to one thread (its eigh
-    is threaded otherwise), the caller and one worker thread (_both) take
-    contiguous ranges from a shared counter; the first error stops the hand-out.
+    From two ranges on, with 2 CPUs and the BLAS pinned to one thread (its
+    eigh is threaded otherwise), the caller runs the even ranges and one
+    worker thread (_both) the odd ones, so the two share no state.  A thread
+    stops at its own first error, which is raised after the join.
     """
     blocks, n = src.shape[0], src.shape[-1]
-    if blocks * n ** 3 < SPLIT_WORK or _cpus() < 2 or not _BLAS_PINNED:
+    step = max(1, RANGE_WORK // n ** 3)
+    if blocks < 2 * step or _cpus() < 2 or not _BLAS_PINNED:
         kernel(src, out)
         return
-    step = max(1, RANGE_WORK // n ** 3)
-    lock, state, failed = threading.Lock(), [0], []
 
-    def take() -> None:
-        while True:
-            with lock:
-                lo = state[0]
-                if failed or lo >= blocks:
-                    return
-                state[0] = hi = min(lo + step, blocks)
-            try:
-                kernel(src[lo:hi], out[lo:hi])
-            except BaseException:
-                failed.append(True)
-                raise
+    def run(first: int) -> None:
+        for lo in range(first * step, blocks, 2 * step):
+            kernel(src[lo:lo + step], out[lo:lo + step])
 
-    _both(take, take)
+    _both(lambda: run(0), lambda: run(1))
 
 
 def expi(h: np.ndarray, first: int = 0) -> np.ndarray:

@@ -220,13 +220,13 @@ def _meta(cfg, command: str, grid: list[int]) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_rows(path: Path, header: list[str], row: str, columns) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*columns))
 
@@ -375,6 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as err:
         # the remedy is a smaller grid or truncation, as for a config error
         print(f"out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        # the commands read no file, so this is an output that cannot be written
+        print(f"config error: cannot write report: {err}", file=sys.stderr)
         return 2
     except CoverageError as err:
         print(f"coverage failure: {err}", file=sys.stderr)

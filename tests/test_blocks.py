@@ -181,7 +181,7 @@ def _expi_inline(h: np.ndarray) -> np.ndarray:
 def test_split_expi_is_bit_identical_to_inline(two_cpus, started):
     # 144 x 65^3 is the cylinder's stack at truncation 32, above the cut-over
     h = _hermitian(80, 144, 65).reshape(12, 12, 65, 65)
-    assert 144 * 65 ** 3 >= kernels.SPLIT_WORK
+    assert 144 >= 2 * max(1, kernels.RANGE_WORK // 65 ** 3)
     assert np.array_equal(expi(h), _expi_inline(h))
     assert started[0] == 1
 
@@ -195,7 +195,7 @@ def test_expi_kept_columns_are_bit_identical_to_the_full_product(first):
 def _thread_path(kernel, blocks=64, n=65):
     """Run kernel through _fill on a stack above the cut-over.  The caller
     holds its first range until the worker has started and ended, so the
-    worker runs every range but that one, or stops at its first error."""
+    worker runs all its own (odd) ranges first, or stops at its first error."""
     worker, started = [], threading.Event()
 
     def paced(src, dst):
@@ -213,9 +213,8 @@ def _thread_path(kernel, blocks=64, n=65):
 
 
 def test_every_range_is_handed_out_once(two_cpus, monkeypatch):
-    # one block per range and a short switch interval: a lost update of the
-    # shared counter would fill a block twice or leave it empty
-    monkeypatch.setattr(kernels, "SPLIT_WORK", 0)
+    # one block per range and a short switch interval: ranges that both
+    # threads ran, or neither, would fill a block twice or leave it empty
     monkeypatch.setattr(kernels, "RANGE_WORK", 1)
     out = np.zeros((20000, 1, 1))
 
@@ -241,8 +240,9 @@ def test_worker_error_is_raised_in_the_caller(two_cpus):
 
     with pytest.raises(ArithmeticError, match="^range failed in the worker$"):
         _thread_path(kernel)
-    # the worker's failed range, then at most the range the caller held
-    assert taken in ([False], [False, True])
+    # the worker stops at its first range; the caller runs its own 5 even
+    # ranges of the 10 (7 blocks each)
+    assert taken == [False] + [True] * 5
 
 
 def test_worker_honours_the_callers_errstate(two_cpus):
@@ -263,6 +263,44 @@ def test_no_thread_below_the_cut_over(two_cpus, monkeypatch):
     assert np.array_equal(expi(h), _expi_inline(h))
     fam = demo_family(BaseGrid.torus(16, 16), steps_per_half=STEPS)
     additivity_residual(fam, rotated_interface(fam))
+
+
+def _noop(src, dst) -> None:
+    pass
+
+
+# the rows of the measured crossover table above _blocks.RANGE_WORK: the split
+# was faster from 4e6 n^3 * blocks on
+@pytest.mark.parametrize("blocks, n, threads", [
+    (500, 9, 0), (36, 33, 0), (2000, 9, 0), (72, 33, 0), (4000, 9, 0),
+    (150000, 3, 1), (1000, 17, 1), (144, 33, 1), (144, 65, 1), (64, 129, 1)])
+def test_crossover_table_rows_keep_their_side(two_cpus, started, blocks, n, threads):
+    stack = np.empty((blocks, n, n))
+    kernels._fill(_noop, stack, stack)
+    assert started[0] == threads
+
+
+@pytest.mark.parametrize("n", [3, 9, 65, 129])
+def test_split_from_two_ranges_on(two_cpus, started, n):
+    step = max(1, kernels.RANGE_WORK // n ** 3)
+    for blocks, threads in ((2 * step - 1, 0), (2 * step, 1)):
+        stack = np.empty((blocks, n, n))
+        kernels._fill(_noop, stack, stack)
+        assert started[0] == threads
+
+
+def test_caller_runs_the_even_ranges_and_the_worker_the_odd(two_cpus, started):
+    n, step = 65, 7
+    assert max(1, kernels.RANGE_WORK // n ** 3) == step
+    out = np.full((64, n, n), -1.0)
+
+    def kernel(src, dst):
+        dst[...] = threading.current_thread() is not threading.main_thread()
+
+    kernels._fill(kernel, np.empty_like(out), out)
+    assert started[0] == 1
+    for i, lo in enumerate(range(0, 64, step)):
+        assert (out[lo:lo + step] == i % 2).all()
 
 
 _PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -560,6 +560,18 @@ def test_unusable_out_directory_exits_two_before_numerics(tmp_path, capsys, monk
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command, blocked", [
+    (["verify", "opcalc"], "verify_report.json"),
+    (["curvature", "--grid", "8"], "exclusions.csv"),
+    (["sweep", "--config", str(CONFIGS / "scalar_sweep.cfg")], "sweep_metric.csv")])
+def test_report_that_cannot_be_written_exits_two(tmp_path, capsys, command, blocked):
+    # a directory in the place of a report cannot be opened for writing
+    (tmp_path / blocked).mkdir()
+    assert main(command + ["--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: cannot write report: ")
+    assert blocked in err and err.count("\n") == 1 and err.endswith("\n")
+
 def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     cfg = tmp_path / "latin.cfg"
     cfg.write_bytes(b"[run]\nseed = 0\n# \xff\xfe\n")

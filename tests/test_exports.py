@@ -223,14 +223,20 @@ def test_only_blocks_starts_threads_or_processes():
 
 
 def test_every_open_names_its_encoding():
-    # the locale's encoding varies between machines; a named one reads and
-    # writes the same bytes on every machine
+    # the locale's encoding and line ending vary between machines; a named
+    # encoding, and a named newline where a file is written, read and write
+    # the same bytes on every machine
     unnamed = []
     for path in sorted((ROOT / "src" / "detbundle").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "open"
-                    and not any(k.arg == "encoding" for k in node.keywords)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            named = {k.arg for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            writes = set(ast.literal_eval(mode)) & set("wax+")
+            if "encoding" not in named or (writes and "newline" not in named):
                 unnamed.append(f"{path.name}:{node.lineno}")
     assert unnamed == []
 
